@@ -19,16 +19,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import geometry as geo
-from .evolve import EquationParams, SchemeConfig, Trajectory, run as evolve_run
+from .evolve import EquationParams, SchemeConfig, Trajectory
 from .geometry import (DomainSpec, JumpingSets, NuProfile, PathSchedule,
                        RadiusBall, RadiusSchedule, RotatingSector, SetShape,
                        StaticSet, TranslatingSet)
 from .grid import Field, MaskedOperator, build_grid, mask_from_shape, write_pgm
 from .oracles import OdeBoundParams, w_closed_form, w_inf, w_rk4
 from .scenarios import (CrossCheckReport, InitialData, OutputPlan, Scenario,
-                        classify, cross_check, initial_data_independence,
-                        predict, registry, run_scenario, scenario_grid)
+                        classify, cross_check, predict, registry, run_scenario)
 from .spectral import (lambda0_of_set, principal_eigenpair,
                        principal_eigenvalue, second_eigenvalue)
 
@@ -74,16 +72,24 @@ def parse_shape(text: str) -> SetShape:
     raise CliError(f"unknown shape kind {kind!r}")
 
 
+def _num(v: float) -> str:
+    """Shortest exact decimal form (repr) for deterministic output."""
+    return repr(float(v))
+
+
+def _nums(vs) -> str:
+    return ",".join(_num(v) for v in vs)
+
+
 def format_shape(s: SetShape) -> str:
     if s.is_empty:
         return "empty"
-    nums = lambda vs: ",".join(_num(v) for v in vs)  # noqa: E731
     if s.kind == "ball":
-        return f"ball:{nums(s.center)},{_num(s.radius)}"
+        return f"ball:{_nums(s.center)},{_num(s.radius)}"
     if s.kind == "point":
-        return f"point:{nums(s.center)}"
+        return f"point:{_nums(s.center)}"
     if s.kind == "sector":
-        return (f"sector:{nums(s.center)},{_num(s.radius)},"
+        return (f"sector:{_nums(s.center)},{_num(s.radius)},"
                 f"{_num(s.theta0)},{_num(s.theta1)}")
     raise CliError(f"shape kind {s.kind!r} has no file representation")
 
@@ -105,241 +111,199 @@ def parse_domain(text: str) -> DomainSpec:
     raise CliError(f"unknown domain kind {kind!r}")
 
 
-def _num(v: float) -> str:
-    """Shortest exact decimal form (repr) for deterministic output."""
-    return repr(float(v))
-
-
 # ---------------------------------------------------------------------------
 # Scenario file format
 # ---------------------------------------------------------------------------
 
-_SECTION_KEYS = {
-    "domain": {"kind", "lo", "hi", "center", "radius", "resolution"},
-    "equation": {"lam", "rho", "nu_kind", "nu_max", "d_ramp", "n_empty"},
-    "kset": {"kind", "center", "radius", "schedule", "omega", "theta0",
-             "theta1", "k0", "k1", "period", "t1", "path", "point",
-             "velocity", "path_center", "path_radius", "phase"},
-    "time": {"t0", "t_end", "dt"},
-    "initial": {"kind", "value", "center", "radius", "height"},
-    "output": {"sample_every", "growth_cap", "solve_tol", "snapshot_times"},
+_F = (float, _num)
+_FS = (_floats, _nums)
+_I = (int, str)
+_S = (str, str)
+_SHAPE = (parse_shape, format_shape)
+
+#: section -> key -> (parse, format); sections are emitted in this order.
+_FORMAT = {
+    "domain": {"kind": _S, "lo": _FS, "hi": _FS, "center": _FS,
+               "radius": _F, "resolution": _I},
+    "equation": {"lam": _F, "rho": _F, "nu_kind": _S, "nu_max": _F,
+                 "d_ramp": _F, "n_empty": _F},
+    "kset": {"kind": _S, "center": _FS, "radius": _F, "schedule": _S,
+             "omega": _F, "theta0": _F, "theta1": _F, "k0": _SHAPE,
+             "k1": _SHAPE, "period": _F, "t1": _F, "path": _S,
+             "point": _FS, "velocity": _FS, "path_center": _FS,
+             "path_radius": _F, "phase": _F},
+    "time": {"t0": _F, "t_end": _F, "dt": _F},
+    "initial": {"kind": _S, "value": _F, "center": _FS, "radius": _F,
+                "height": _F},
+    "output": {"sample_every": _I, "growth_cap": _F, "solve_tol": _F,
+               "snapshot_times": _FS},
 }
 
 
-def _check_keys(cfg: dict, where: str) -> None:
-    for section, keys in cfg.items():
-        if section not in _SECTION_KEYS:
-            raise CliError(f"{where}: unknown section [{section}]")
-        for key in keys:
-            if key not in _SECTION_KEYS[section]:
-                raise CliError(
-                    f"{where}: unknown key {key!r} in section [{section}]")
+class _Section(dict):
+    """Typed values of one section; reading an absent key is a user error."""
 
+    def __init__(self, name: str, values: dict):
+        super().__init__(values)
+        self.name = name
 
-def _get(cfg, section, key, default=None, required=False):
-    val = cfg.get(section, {}).get(key)
-    if val is None:
-        if required:
-            raise CliError(f"missing required key {key!r} in [{section}]")
-        return default
-    return val
+    def __missing__(self, key):
+        raise CliError(f"missing required key {key!r} in [{self.name}]")
 
 
 def config_to_scenario(cfg: dict, label: str,
                        expected_status: str = "CONSISTENT",
                        hints: tuple = ()) -> Scenario:
     """Build a scenario from a section->key->string mapping."""
-    _check_keys(cfg, label)
-    g = _get
+    for section, keys in cfg.items():
+        if section not in _FORMAT:
+            raise CliError(f"{label}: unknown section [{section}]")
+        for key in keys:
+            if key not in _FORMAT[section]:
+                raise CliError(
+                    f"{label}: unknown key {key!r} in section [{section}]")
     try:
-        dkind = g(cfg, "domain", "kind", "rectangle")
+        d, eq, k, tm, i, o = (
+            _Section(sec, {key: _FORMAT[sec][key][0](v)
+                           for key, v in cfg.get(sec, {}).items()})
+            for sec in _FORMAT)
+        dkind = d.get("kind", "rectangle")
         if dkind == "rectangle":
-            domain = DomainSpec.rectangle(
-                _floats(g(cfg, "domain", "lo", required=True)),
-                _floats(g(cfg, "domain", "hi", required=True)))
+            domain = DomainSpec.rectangle(d["lo"], d["hi"])
         elif dkind == "disc":
-            domain = DomainSpec.disc(
-                _floats(g(cfg, "domain", "center", required=True)),
-                float(g(cfg, "domain", "radius", required=True)))
+            domain = DomainSpec.disc(d["center"], d["radius"])
         else:
             raise CliError(f"unknown domain kind {dkind!r}")
-        resolution = int(g(cfg, "domain", "resolution", "64"))
 
-        nu = NuProfile(kind=g(cfg, "equation", "nu_kind", "saturating"),
-                       nu_max=float(g(cfg, "equation", "nu_max", "1.0")),
-                       d_ramp=float(g(cfg, "equation", "d_ramp", "0.05")),
-                       n_empty=float(g(cfg, "equation", "n_empty", "1.0")))
-        moving = _config_to_kset(cfg)
-        params = EquationParams(
-            lam=float(g(cfg, "equation", "lam", required=True)),
-            rho=float(g(cfg, "equation", "rho", "2.0")),
-            nu=None if moving is None else nu, moving_set=moving)
+        nu = NuProfile(kind=eq.get("nu_kind", "saturating"),
+                       nu_max=eq.get("nu_max", 1.0),
+                       d_ramp=eq.get("d_ramp", 0.05),
+                       n_empty=eq.get("n_empty", 1.0))
+        moving = _kset_from_section(k)
+        params = EquationParams(lam=eq["lam"], rho=eq.get("rho", 2.0),
+                                nu=None if moving is None else nu,
+                                moving_set=moving)
+        scheme = SchemeConfig(dt=tm.get("dt", 0.002),
+                              solve_tol=o.get("solve_tol", 1e-10),
+                              growth_cap=o.get("growth_cap", 1e5))
 
-        scheme = SchemeConfig(
-            dt=float(g(cfg, "time", "dt", "0.002")),
-            solve_tol=float(g(cfg, "output", "solve_tol", "1e-10")),
-            growth_cap=float(g(cfg, "output", "growth_cap", "1e5")))
-
-        ikind = g(cfg, "initial", "kind", "constant")
+        ikind = i.get("kind", "constant")
         if ikind == "constant":
-            initial = InitialData.constant(float(g(cfg, "initial", "value",
-                                                   "1.0")))
+            initial = InitialData.constant(i.get("value", 1.0))
         elif ikind == "bump":
-            initial = InitialData.bump(
-                _floats(g(cfg, "initial", "center", required=True)),
-                float(g(cfg, "initial", "radius", required=True)),
-                float(g(cfg, "initial", "height", "1.0")))
+            initial = InitialData.bump(i["center"], i["radius"],
+                                       i.get("height", 1.0))
         else:
             raise CliError(f"unknown initial data kind {ikind!r} "
                            "(files support constant | bump)")
 
-        snaps = g(cfg, "output", "snapshot_times", "")
-        outputs = OutputPlan(
-            sample_every=int(g(cfg, "output", "sample_every", "10")),
-            snapshot_times=_floats(snaps) if snaps else ())
-        return Scenario(label=label, domain=domain, resolution=resolution,
-                        params=params, scheme=scheme,
-                        t0=float(g(cfg, "time", "t0", "0.0")),
-                        t_end=float(g(cfg, "time", "t_end", required=True)),
-                        initial=initial, outputs=outputs,
+        outputs = OutputPlan(sample_every=o.get("sample_every", 10),
+                             snapshot_times=o.get("snapshot_times", ()))
+        return Scenario(label=label, domain=domain,
+                        resolution=d.get("resolution", 64), params=params,
+                        scheme=scheme, t0=tm.get("t0", 0.0),
+                        t_end=tm["t_end"], initial=initial, outputs=outputs,
                         expected_status=expected_status, hints=hints)
     except ValueError as e:
         raise CliError(f"{label}: invalid scenario: {e}") from e
 
 
-def _config_to_kset(cfg: dict):
-    g = _get
-    kind = g(cfg, "kset", "kind", "none")
+def _kset_from_section(k: _Section):
+    kind = k.get("kind", "none")
     if kind == "none":
         return None
     if kind == "static-ball":
-        return StaticSet(SetShape.ball(
-            _floats(g(cfg, "kset", "center", required=True)),
-            float(g(cfg, "kset", "radius", required=True))))
+        return StaticSet(SetShape.ball(k["center"], k["radius"]))
     if kind == "radius-ball":
-        return RadiusBall(
-            tuple(_floats(g(cfg, "kset", "center", required=True))),
-            RadiusSchedule(g(cfg, "kset", "schedule", "constant"),
-                           float(g(cfg, "kset", "radius", required=True)),
-                           omega=float(g(cfg, "kset", "omega", "0.0"))))
+        return RadiusBall(k["center"], RadiusSchedule(
+            k.get("schedule", "constant"), k["radius"],
+            omega=k.get("omega", 0.0)))
     if kind == "rotating-sector":
-        return RotatingSector(
-            tuple(_floats(g(cfg, "kset", "center", required=True))),
-            float(g(cfg, "kset", "radius", required=True)),
-            float(g(cfg, "kset", "theta0", "0.0")),
-            float(g(cfg, "kset", "theta1", required=True)),
-            float(g(cfg, "kset", "omega", required=True)))
+        return RotatingSector(k["center"], k["radius"], k.get("theta0", 0.0),
+                              k["theta1"], k["omega"])
     if kind == "jumping":
-        return JumpingSets(parse_shape(g(cfg, "kset", "k0", required=True)),
-                           parse_shape(g(cfg, "kset", "k1", required=True)),
-                           period=float(g(cfg, "kset", "period",
-                                          required=True)),
-                           t1=float(g(cfg, "kset", "t1", required=True)))
+        return JumpingSets(k["k0"], k["k1"], period=k["period"], t1=k["t1"])
     if kind == "translating-ball":
-        path = g(cfg, "kset", "path", required=True)
+        path = k["path"]
         if path == "line":
-            curve = PathSchedule(
-                kind="line",
-                point=tuple(_floats(g(cfg, "kset", "point", required=True))),
-                velocity=tuple(_floats(g(cfg, "kset", "velocity",
-                                         required=True))))
+            curve = PathSchedule(kind="line", point=k["point"],
+                                 velocity=k["velocity"])
         elif path == "circle":
-            curve = PathSchedule(
-                kind="circle",
-                center=tuple(_floats(g(cfg, "kset", "path_center",
-                                       required=True))),
-                radius=float(g(cfg, "kset", "path_radius", required=True)),
-                omega=float(g(cfg, "kset", "omega", required=True)),
-                phase=float(g(cfg, "kset", "phase", "0.0")))
+            curve = PathSchedule(kind="circle", center=k["path_center"],
+                                 radius=k["path_radius"], omega=k["omega"],
+                                 phase=k.get("phase", 0.0))
         else:
             raise CliError(f"unknown path kind {path!r}")
         return TranslatingSet(
-            SetShape.ball(_floats(g(cfg, "kset", "center", "0,0")),
-                          float(g(cfg, "kset", "radius", required=True))),
-            curve)
+            SetShape.ball(k.get("center", (0.0, 0.0)), k["radius"]), curve)
     raise CliError(f"unknown kset kind {kind!r}")
 
 
 def scenario_to_config(s: Scenario) -> dict:
     """Canonical section->key->string mapping (inverse of config_to_scenario)."""
-    cfg: dict = {sec: {} for sec in _SECTION_KEYS}
     d = s.domain
     if d.kind == "rectangle":
-        cfg["domain"] = {"kind": "rectangle",
-                         "lo": ",".join(_num(v) for v in d.lo),
-                         "hi": ",".join(_num(v) for v in d.hi)}
+        domain = {"kind": "rectangle", "lo": d.lo, "hi": d.hi}
     else:
-        cfg["domain"] = {"kind": "disc",
-                         "center": ",".join(_num(v) for v in d.center),
-                         "radius": _num(d.radius)}
-    cfg["domain"]["resolution"] = str(s.resolution)
-
-    cfg["equation"] = {"lam": _num(s.params.lam), "rho": _num(s.params.rho)}
-    if s.params.nu is not None:
-        cfg["equation"].update({
-            "nu_kind": s.params.nu.kind, "nu_max": _num(s.params.nu.nu_max),
-            "d_ramp": _num(s.params.nu.d_ramp),
-            "n_empty": _num(s.params.nu.n_empty)})
-    cfg["kset"] = _kset_to_config(s.params.moving_set)
-    cfg["time"] = {"t0": _num(s.t0), "t_end": _num(s.t_end),
-                   "dt": _num(s.scheme.dt)}
+        domain = {"kind": "disc", "center": d.center, "radius": d.radius}
+    domain["resolution"] = s.resolution
+    equation = {"lam": s.params.lam, "rho": s.params.rho}
+    nu = s.params.nu
+    if nu is not None:
+        equation.update(nu_kind=nu.kind, nu_max=nu.nu_max,
+                        d_ramp=nu.d_ramp, n_empty=nu.n_empty)
+    kset = _kset_to_values(s.params.moving_set)
     init = s.initial
     if init.kind == "constant":
-        cfg["initial"] = {"kind": "constant", "value": _num(init.value)}
+        initial = {"kind": "constant", "value": init.value}
     elif init.kind == "bump":
-        cfg["initial"] = {"kind": "bump",
-                          "center": ",".join(_num(v) for v in init.center),
-                          "radius": _num(init.radius),
-                          "height": _num(init.value)}
+        initial = {"kind": "bump", "center": init.center,
+                   "radius": init.radius, "height": init.value}
     else:
         raise CliError(f"initial data kind {init.kind!r} has no file form")
-    cfg["output"] = {"sample_every": str(s.outputs.sample_every),
-                     "growth_cap": _num(s.scheme.growth_cap),
-                     "solve_tol": _num(s.scheme.solve_tol)}
+    output = {"sample_every": s.outputs.sample_every,
+              "growth_cap": s.scheme.growth_cap,
+              "solve_tol": s.scheme.solve_tol}
     if s.outputs.snapshot_times:
-        cfg["output"]["snapshot_times"] = ",".join(
-            _num(v) for v in s.outputs.snapshot_times)
-    return cfg
+        output["snapshot_times"] = s.outputs.snapshot_times
+    values = {"domain": domain, "equation": equation, "kset": kset,
+              "time": {"t0": s.t0, "t_end": s.t_end, "dt": s.scheme.dt},
+              "initial": initial, "output": output}
+    return {sec: {key: _FORMAT[sec][key][1](v) for key, v in body.items()}
+            for sec, body in values.items()}
 
 
-def _kset_to_config(spec) -> dict:
+def _kset_to_values(spec) -> dict:
     if spec is None:
         return {"kind": "none"}
     if isinstance(spec, StaticSet):
         if spec.base.kind != "ball":
             raise CliError("only ball static sets have a file form")
-        return {"kind": "static-ball",
-                "center": ",".join(_num(v) for v in spec.base.center),
-                "radius": _num(spec.base.radius)}
+        return {"kind": "static-ball", "center": spec.base.center,
+                "radius": spec.base.radius}
     if isinstance(spec, RadiusBall):
-        return {"kind": "radius-ball",
-                "center": ",".join(_num(v) for v in spec.center),
-                "radius": _num(spec.schedule.r0),
-                "schedule": spec.schedule.kind,
-                "omega": _num(spec.schedule.omega)}
+        return {"kind": "radius-ball", "center": spec.center,
+                "radius": spec.schedule.r0, "schedule": spec.schedule.kind,
+                "omega": spec.schedule.omega}
     if isinstance(spec, RotatingSector):
-        return {"kind": "rotating-sector",
-                "center": ",".join(_num(v) for v in spec.center),
-                "radius": _num(spec.r0), "theta0": _num(spec.theta0),
-                "theta1": _num(spec.theta1), "omega": _num(spec.omega)}
+        return {"kind": "rotating-sector", "center": spec.center,
+                "radius": spec.r0, "theta0": spec.theta0,
+                "theta1": spec.theta1, "omega": spec.omega}
     if isinstance(spec, JumpingSets):
-        return {"kind": "jumping", "k0": format_shape(spec.k0),
-                "k1": format_shape(spec.k1), "period": _num(spec.period),
-                "t1": _num(spec.t1)}
+        return {"kind": "jumping", "k0": spec.k0, "k1": spec.k1,
+                "period": spec.period, "t1": spec.t1}
     if isinstance(spec, TranslatingSet):
-        out = {"kind": "translating-ball",
-               "center": ",".join(_num(v) for v in spec.template.center),
-               "radius": _num(spec.template.radius)}
+        if spec.template.kind != "ball" or spec.rotation.kind != "none":
+            raise CliError("a rotating or non-ball translating set has no "
+                           "file form")
+        out = {"kind": "translating-ball", "center": spec.template.center,
+               "radius": spec.template.radius}
         c = spec.curve
         if c.kind == "line":
-            out.update({"path": "line",
-                        "point": ",".join(_num(v) for v in c.point),
-                        "velocity": ",".join(_num(v) for v in c.velocity)})
+            out.update(path="line", point=c.point, velocity=c.velocity)
         elif c.kind == "circle":
-            out.update({"path": "circle",
-                        "path_center": ",".join(_num(v) for v in c.center),
-                        "path_radius": _num(c.radius),
-                        "omega": _num(c.omega), "phase": _num(c.phase)})
+            out.update(path="circle", path_center=c.center,
+                       path_radius=c.radius, omega=c.omega, phase=c.phase)
         else:
             raise CliError(f"path kind {c.kind!r} has no file form")
         return out
@@ -349,17 +313,15 @@ def _kset_to_config(spec) -> dict:
 def emit_scenario_ini(s: Scenario) -> str:
     cfg = scenario_to_config(s)
     lines = []
-    for section in ("domain", "equation", "kset", "time", "initial", "output"):
-        body = cfg.get(section, {})
-        if not body:
-            continue
+    for section in _FORMAT:
         lines.append(f"[{section}]")
-        lines.extend(f"{k} = {v}" for k, v in body.items())
+        lines.extend(f"{k} = {v}" for k, v in cfg[section].items())
         lines.append("")
     return "\n".join(lines)
 
 
-def parse_scenario_file(path) -> Scenario:
+def parse_scenario_file(path, overrides=None) -> Scenario:
+    """Scenario file, with --set overrides applied before decoding."""
     path = Path(path)
     if not path.is_file():
         raise CliError(f"scenario file not found: {path}")
@@ -370,7 +332,7 @@ def parse_scenario_file(path) -> Scenario:
     except configparser.Error as e:
         raise CliError(f"{path}: syntax error: {e}") from e
     cfg = {sec: dict(parser.items(sec)) for sec in parser.sections()}
-    return config_to_scenario(cfg, label=path.stem)
+    return config_to_scenario(_apply_overrides(cfg, overrides), path.stem)
 
 
 def _apply_overrides(cfg: dict, overrides) -> dict:
@@ -395,11 +357,7 @@ def resolve_scenario(ref: str, overrides=None) -> Scenario:
                                   expected_status=base.expected_status,
                                   hints=base.hints)
     if Path(ref).is_file():
-        if overrides:
-            cfg = _apply_overrides(
-                scenario_to_config(parse_scenario_file(ref)), overrides)
-            return config_to_scenario(cfg, Path(ref).stem)
-        return parse_scenario_file(ref)
+        return parse_scenario_file(ref, overrides)
     raise CliError(f"unknown scenario label or missing file: {ref!r} "
                    f"(labels: {', '.join(reg)})")
 
@@ -423,8 +381,8 @@ def emit_snapshots(tr: Trajectory, out_dir: Path) -> None:
         display_max = 1.0
     for i, (t, f) in enumerate(tr.snapshots):
         write_pgm(f, out_dir / f"snapshot_{i:03d}.pgm", display_max)
-        (out_dir / f"snapshot_{i:03d}.pgm.txt").open("a").write(
-            f"t = {_num(t)}\n")
+        with open(out_dir / f"snapshot_{i:03d}.pgm.txt", "a") as fh:
+            fh.write(f"t = {_num(t)}\n")
 
 
 def checks_table(checks) -> str:

@@ -34,7 +34,6 @@ __all__ = [
     "Scenario",
     "Verdict",
     "TheoremCheck",
-    "ClassifyConfig",
     "scenario_grid",
     "realize_initial",
     "run_scenario",
@@ -166,16 +165,14 @@ def run_scenario(s: Scenario, grid: Grid | None = None) -> Trajectory:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassifyConfig:
-    min_records: int = 50
-    tail_fraction: float = 0.2      # net-increase window for grow-up
-    tail_growth: float = 2.0        # required cap / window-start ratio
-    window_fraction: float = 0.4    # trailing window for boundedness
-    n_blocks: int = 4
-    oscillation_tol: float = 0.01   # of the level, on block maxima
-    level_cap_ratio: float = 0.1
-    decay_ratio: float = 1e-6
+MIN_RECORDS = 50
+TAIL_FRACTION = 0.2      # net-increase window for grow-up
+TAIL_GROWTH = 2.0        # required cap / window-start ratio
+WINDOW_FRACTION = 0.4    # trailing window for boundedness
+N_BLOCKS = 4
+OSCILLATION_TOL = 0.01   # of the level, on block maxima
+LEVEL_CAP_RATIO = 0.1
+DECAY_RATIO = 1e-6
 
 
 @dataclass(frozen=True)
@@ -190,7 +187,7 @@ class Verdict:
         return self.kind in ("decay", "bounded")
 
 
-def classify(tr: Trajectory, cfg: ClassifyConfig = ClassifyConfig()) -> Verdict:
+def classify(tr: Trajectory) -> Verdict:
     """Desk-scale verdict from recorded sup-norms.
 
     Grow-up is asserted only as cap exceedance with a monotone-increasing
@@ -199,15 +196,15 @@ def classify(tr: Trajectory, cfg: ClassifyConfig = ClassifyConfig()) -> Verdict:
     periodically forced but saturated solution still reads as bounded.
     """
     sups = np.asarray(tr.sup_norms)
-    if len(sups) < cfg.min_records:
-        raise ValueError(f"need at least {cfg.min_records} records")
+    if len(sups) < MIN_RECORDS:
+        raise ValueError(f"need at least {MIN_RECORDS} records")
     if tr.cap_hit is not None:
         # the run aborts at the first cap exceedance, so the last record is
         # the running maximum; ask additionally for a clear net increase
         # across the trailing window to rule out a plateau brushing the cap
-        n_tail = max(int(len(sups) * cfg.tail_fraction), 2)
+        n_tail = max(int(len(sups) * TAIL_FRACTION), 2)
         tail = sups[-n_tail:]
-        if tail[-1] >= cfg.tail_growth * tail[0]:
+        if tail[-1] >= TAIL_GROWTH * tail[0]:
             return Verdict(kind="grow_up", cap_hit_time=tr.cap_hit,
                            evidence=f"cap {tr.growth_cap:g} exceeded at "
                                     f"t={tr.cap_hit:g} after a net "
@@ -216,21 +213,21 @@ def classify(tr: Trajectory, cfg: ClassifyConfig = ClassifyConfig()) -> Verdict:
         return Verdict(kind="inconclusive",
                        evidence="cap exceeded without sustained net growth "
                                 "over the trailing window")
-    if sups[-1] < cfg.decay_ratio * sups[0]:
+    if sups[-1] < DECAY_RATIO * sups[0]:
         return Verdict(kind="decay", bound_estimate=float(sups[-1]),
                        evidence=f"final sup-norm {sups[-1]:.3e} below "
-                                f"{cfg.decay_ratio:g} of the initial one")
-    n_win = max(int(len(sups) * cfg.window_fraction), cfg.n_blocks)
+                                f"{DECAY_RATIO:g} of the initial one")
+    n_win = max(int(len(sups) * WINDOW_FRACTION), N_BLOCKS)
     window = sups[-n_win:]
-    blocks = np.array_split(window, cfg.n_blocks)
+    blocks = np.array_split(window, N_BLOCKS)
     maxima = np.array([b.max() for b in blocks])
     level = float(maxima.max())
     osc = float(maxima.max() - maxima.min())
     if level == 0.0:
         return Verdict(kind="decay", bound_estimate=0.0,
                        evidence="identically zero tail")
-    if osc < cfg.oscillation_tol * level and \
-            level < cfg.level_cap_ratio * tr.growth_cap:
+    if osc < OSCILLATION_TOL * level and \
+            level < LEVEL_CAP_RATIO * tr.growth_cap:
         return Verdict(kind="bounded", bound_estimate=level,
                        evidence=f"trailing block maxima level {level:.6g} "
                                 f"with oscillation {osc:.2e}")
@@ -239,7 +236,7 @@ def classify(tr: Trajectory, cfg: ClassifyConfig = ClassifyConfig()) -> Verdict:
     # boundedness off the running maximum instead
     peak_idx = int(np.argmax(sups))
     peak = float(sups[peak_idx])
-    if peak_idx < len(sups) - n_win and peak < cfg.level_cap_ratio * \
+    if peak_idx < len(sups) - n_win and peak < LEVEL_CAP_RATIO * \
             tr.growth_cap:
         return Verdict(kind="bounded", bound_estimate=peak,
                        evidence=f"running maximum {peak:.6g} set at record "
@@ -388,18 +385,17 @@ def _check_moving_floor(s: Scenario, grid: Grid) -> TheoremCheck:
                          ("lam", s.params.lam)))
 
 
-def _ball_spectral_data(grid: Grid, e_shape: SetShape, d_shape: SetShape):
-    """Eigen data of a set E with a strictly interior ball D."""
-    m_e = mask_from_shape(grid, e_shape)
+def _ball_spectral_data(grid: Grid, pair_e, d_shape: SetShape):
+    """Eigen data of a set E, given its principal pair, with a strictly
+    interior ball D."""
     m_d = mask_from_shape(grid, d_shape)
-    pair_e = principal_eigenpair(grid, m_e)
-    lam2_e = second_eigenvalue(grid, m_e)
+    lam2_e = second_eigenvalue(grid, pair_e.mask)
     pair_d = principal_eigenpair(grid, m_d)
     phi_e, phi_d = pair_e.vector.values, pair_d.vector.values
     alpha1 = float(np.sum(phi_d * phi_e)) * grid.cell_volume
     inf_e_on_d = float(np.min(phi_e[m_d]))
     max_d = float(np.max(phi_d))
-    return pair_e, lam2_e, pair_d, alpha1, inf_e_on_d, max_d
+    return lam2_e, pair_d, alpha1, inf_e_on_d, max_d
 
 
 def _check_carried_growth(s: Scenario, grid: Grid) -> TheoremCheck:
@@ -439,13 +435,14 @@ def _check_carried_growth(s: Scenario, grid: Grid) -> TheoremCheck:
         return TheoremCheck(name, False, "none",
                             (("reason", "needs a static or rigidly "
                                         "translated ball"),))
-    pair_e, lam2_e, pair_d, alpha1, inf_e_on_d, max_d = \
-        _ball_spectral_data(grid, e_shape, d_shape)
+    pair_e = principal_eigenpair(grid, mask_from_shape(grid, e_shape))
     if lam <= pair_e.value:
         return TheoremCheck(name, False, "none",
                             (("lam", lam), ("lam1_e", pair_e.value),
                              ("reason", "growth rate below the set's "
                                         "principal eigenvalue")))
+    lam2_e, pair_d, alpha1, inf_e_on_d, max_d = \
+        _ball_spectral_data(grid, pair_e, d_shape)
     tau = tau_unbounded(TauInputs(
         dim=grid.dim, lam=lam, lam1_e=pair_e.value, lam2_e=lam2_e,
         c_inf=s.hint("c_inf", 1.0), v0_norm=1.0, alpha1=alpha1,
@@ -498,8 +495,9 @@ def _check_alternating(s: Scenario, grid: Grid) -> TheoremCheck:
                              ("lambda0_small", l0_small),
                              ("reason", "growth rate not between the two "
                                         "characteristic values")))
-    pair_e, lam2_e, pair_d, alpha1, inf_e_on_d, max_d = \
-        _ball_spectral_data(grid, big, small)
+    pair_e = principal_eigenpair(grid, mask_from_shape(grid, big))
+    lam2_e, pair_d, alpha1, inf_e_on_d, max_d = \
+        _ball_spectral_data(grid, pair_e, small)
     lam_eff = min(lam, pair_e.value + 0.9 * (lam2_e - pair_e.value))
     alpha = math.exp((lam_eff - pair_d.value) * short_len)
     tau = tau_unbounded(TauInputs(

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.ndimage as ndi
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.special import j0
+from scipy.special import jn_zeros
 
 from .geometry import DomainSpec, SetShape
 from .grid import (Field, Grid, MaskedOperator, mask_connected_components,
@@ -35,9 +35,6 @@ __all__ = [
     "bessel_j0_first_root",
     "linear_evolve",
 ]
-
-#: First positive zero of the Bessel function J0, computed once by bisection.
-J0_FIRST_ROOT = None  # set lazily by bessel_j0_first_root()
 
 
 @dataclass(frozen=True)
@@ -141,6 +138,8 @@ def second_eigenvalue(grid: Grid, mask: np.ndarray, tol: float = 1e-10) -> float
     often near-degenerate, which stalls plain power-type iterations.
     """
     _check_mask(mask)
+    if np.count_nonzero(mask) < 3:
+        raise ValueError("second eigenvalue needs a mask of at least 3 nodes")
     op = MaskedOperator(grid, mask)
     # fixed start vector keeps repeated calls bit-identical (the default is
     # drawn from the global RNG, which would break report determinism)
@@ -203,22 +202,9 @@ def lambda0_of_set(grid: Grid, k: SetShape, deltas=None,
     return Lambda0Estimate(deltas, tuple(values), "finite", float(extrapolated))
 
 
-def bessel_j0_first_root(tol: float = 1e-12) -> float:
-    """First positive zero of J0 by bisection on [2, 3]."""
-    global J0_FIRST_ROOT
-    if J0_FIRST_ROOT is not None:
-        return J0_FIRST_ROOT
-    a, b = 2.0, 3.0
-    fa = float(j0(a))
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        fm = float(j0(mid))
-        if fa * fm <= 0.0:
-            b = mid
-        else:
-            a, fa = mid, fm
-    J0_FIRST_ROOT = 0.5 * (a + b)
-    return J0_FIRST_ROOT
+def bessel_j0_first_root() -> float:
+    """First positive zero of J0."""
+    return float(jn_zeros(0, 1)[0])
 
 
 def analytic_lambda1(shape) -> float:

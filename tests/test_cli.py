@@ -1,5 +1,7 @@
 """Command-line surface: mini-language parsing, scenario files, outputs."""
 
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -11,7 +13,7 @@ from degenlog.cli import (CliError, config_to_scenario, emit_scenario_ini,
                           parse_domain, parse_scenario_file, parse_shape,
                           resolve_scenario, scenario_to_config)
 from degenlog.evolve import Trajectory
-from degenlog.geometry import SetShape
+from degenlog.geometry import AngleSchedule, SetShape
 from degenlog.scenarios import registry
 
 TINY_INI = """\
@@ -47,6 +49,38 @@ value = 1.0
 sample_every = 2
 growth_cap = 100.0
 """
+
+
+REGISTRY_INI_SHA256 = {
+    "trichotomy-low":
+        "99f708e4cc7302856929d5fb07c2ceb36f6aead8e7aded71a83c10949bccfc33",
+    "trichotomy-mid":
+        "39d16d158018ce22d9409999feb7c6926dc94dbcb2a41adb74e1b81e1703d2ac",
+    "trichotomy-high":
+        "138ca1bed8e1835871abaf1ae99ef3019eacfe15be0522599bbc9edee4298113",
+    "shrink-case1":
+        "af94c0200a20308210edb080850403492702e30812a9f076a0d2a72f5e793e55",
+    "shrink-case2":
+        "c703b0476b848898fb6803018c7eddae5550b73119bca3816327fdcb0b2c6a8a",
+    "shrink-case3":
+        "1f7d93e9b46171c66d2185b8942dc36a92f326f31993a00adb250d7e5a125266",
+    "rotating-slow":
+        "b7314185531d968726a013800eb7a46c500de345d9fec9d55ba1707d814a037e",
+    "rotating-fast":
+        "fa1baf391f7463bd3af65f9c909b204823c125f434ddff77cc418ed947ddbbcd",
+    "jumping-disjoint":
+        "c12faf3d6c421aef29d71b211f35ff04cc6204d090e5f2acea45cd0b3d7b69bd",
+    "jumping-control":
+        "3e75a7c880e7aac9f9064f8618b63e4749165275cf0be187c23c9ee722416399",
+    "translating-slow":
+        "77a40987326d2b328493eba9be5aa411eedff96e20858fa37a022a3009ccce64",
+    "carried-growth":
+        "39eb4fbebe70a9d49372fa0673dde7eaacbff29407eadf330cb2a7c86f3528b6",
+    "intermittent":
+        "e9df74d6bb5f00b1a78fcfa301df33a712a07534a6be4a0cf4d478b9e493381c",
+    "alternating-nested":
+        "eefa30ce840e098b488828c5918d7d223365e870d80a37e0ee7d9b1c7b8107f0",
+}
 
 
 class TestShapeLanguage:
@@ -112,7 +146,26 @@ class TestScenarioFiles:
         for label, s in registry().items():
             cfg = scenario_to_config(s)
             s2 = config_to_scenario(cfg, label, s.expected_status, s.hints)
+            assert s2 == s, label
             assert emit_scenario_ini(s2) == emit_scenario_ini(s), label
+
+    def test_registry_emission_digests(self):
+        # the emitted file format of every registry scenario must not drift
+        digests = {label: hashlib.sha256(
+            emit_scenario_ini(s).encode()).hexdigest()
+            for label, s in registry().items()}
+        assert digests == REGISTRY_INI_SHA256
+
+    @pytest.mark.parametrize("change", [
+        {"rotation": AngleSchedule("uniform", omega=1.0)},
+        {"template": SetShape.sector((0.0, 0.0), 0.3, 0.0, 1.0)}])
+    def test_lossy_translating_set_refused(self, change):
+        s = registry()["translating-slow"]
+        spec = dataclasses.replace(s.params.moving_set, **change)
+        s = dataclasses.replace(s, params=dataclasses.replace(
+            s.params, moving_set=spec))
+        with pytest.raises(CliError, match="has no file form"):
+            scenario_to_config(s)
 
     def test_emitted_ini_is_canonical(self, tmp_path):
         p = tmp_path / "tiny.ini"
@@ -142,6 +195,14 @@ class TestResolveScenario:
     def test_malformed_override(self):
         with pytest.raises(CliError):
             resolve_scenario("trichotomy-low", ["lam=3.5"])
+
+    def test_file_override_fills_missing_key(self, tmp_path):
+        p = tmp_path / "nolam.ini"
+        p.write_text(TINY_INI.replace("lam = 2.0\n", ""))
+        with pytest.raises(CliError, match="missing required key 'lam'"):
+            resolve_scenario(str(p))
+        s = resolve_scenario(str(p), ["equation.lam=3.0"])
+        assert s.label == "nolam" and s.params.lam == 3.0
 
 
 class TestTrajectoryCsv:
@@ -207,6 +268,12 @@ class TestCommands:
         assert main(["predict", "trichotomy-low"]) == 0
         out = capsys.readouterr().out
         assert "check" in out and "predicts" in out
+
+    def test_predict_single_node_sanctuary(self, capsys):
+        assert main(["predict", "trichotomy-mid",
+                     "--set", "kset.radius=0.02"]) == 0
+        out = capsys.readouterr().out
+        assert "growth rate below the set's principal eigenvalue" in out
 
     def test_cli_error_exit_code(self, tmp_path, capsys):
         assert main(["run", "no-such-label", "--out", str(tmp_path)]) == 2

@@ -8,10 +8,10 @@ import pytest
 from degenlog.evolve import EquationParams, SchemeConfig, Trajectory
 from degenlog.geometry import (DomainSpec, JumpingSets, NuProfile, SetShape,
                                StaticSet)
-from degenlog.scenarios import (ClassifyConfig, InitialData, OutputPlan,
-                                REGISTRY_LABELS, Scenario, classify,
-                                cross_check, predict, realize_initial,
-                                registry, run_scenario, scenario_grid)
+from degenlog.scenarios import (InitialData, OutputPlan, REGISTRY_LABELS,
+                                Scenario, classify, cross_check, predict,
+                                realize_initial, registry, run_scenario,
+                                scenario_grid)
 
 DOM = DomainSpec.rectangle((0.0, 0.0), (2.0, 2.0))
 NU = NuProfile(kind="saturating", nu_max=1.0, d_ramp=0.05, n_empty=1.0)

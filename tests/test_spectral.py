@@ -100,6 +100,25 @@ class TestSecondEigenvalue:
         m = mask_from_shape(g, SetShape.ball((0.5, 0.5), 0.35))
         assert second_eigenvalue(g, m) > principal_eigenvalue(g, m)
 
+    def test_needs_three_nodes(self):
+        g = build_grid(UNIT_SQ, 16)
+        m = np.zeros(g.shape, dtype=bool)
+        m[8, 7:9] = True
+        with pytest.raises(ValueError, match="at least 3 nodes"):
+            second_eigenvalue(g, m)
+        m[8, 9] = True
+        vals = np.linalg.eigvalsh(MaskedOperator(g, m).matrix.toarray())
+        assert second_eigenvalue(g, m) == pytest.approx(vals[1], rel=1e-10)
+
+    @pytest.mark.xfail(strict=True, reason="the constant Lanczos start "
+                       "vector is orthogonal to the second mode of this "
+                       "mask (overlap ~1e-15), so eigsh returns lambda_3")
+    def test_matches_dense_on_carried_growth_sanctuary(self):
+        g = build_grid(DomainSpec.rectangle((0.0, 0.0), (2.0, 2.0)), 64)
+        m = mask_from_shape(g, SetShape.ball((0.83, 1.0), 0.52))
+        vals = np.linalg.eigvalsh(MaskedOperator(g, m).matrix.toarray())
+        assert second_eigenvalue(g, m) == pytest.approx(vals[1], rel=1e-8)
+
 
 class TestDeltaSchedule:
     def test_geometric_down_to_resolution(self):
