@@ -247,6 +247,8 @@ def scenario_to_config(s: Scenario) -> dict:
     else:
         domain = {"kind": "disc", "center": d.center, "radius": d.radius}
     domain["resolution"] = s.resolution
+    if s.params.n_func is not None:
+        raise CliError("a custom coefficient n_func has no file form")
     equation = {"lam": s.params.lam, "rho": s.params.rho}
     nu = s.params.nu
     if nu is not None:

@@ -183,21 +183,28 @@ class SetShape:
         return len(self.center)
 
     def distance(self, points) -> np.ndarray:
-        p = _as_points(points)
+        return self._distance(_as_points(points), {})
+
+    def _distance(self, p: np.ndarray, polar: dict) -> np.ndarray:
+        """Distance from the points p; ``polar`` caches p in polar
+        coordinates about a center, for consecutive parts of a union or
+        intersection that share one (every rotating-sector snapshot)."""
         if self.kind == "empty":
             raise ValueError("distance to the empty set is undefined")
+        if self.kind in ("union", "intersection"):
+            # intersection: max is a lower bound, exact membership indicator
+            combine = np.minimum if self.kind == "union" else np.maximum
+            d = self.parts[0]._distance(p, polar).copy()
+            for part in self.parts[1:]:
+                combine(d, part._distance(p, polar), out=d)
+            return d
+        q, rho, phi = _polar(p, self.center, polar, self.kind == "sector")
         if self.kind == "ball":
-            d = np.linalg.norm(p - np.array(self.center), axis=1) - self.radius
-            return np.maximum(d, 0.0)
+            return np.maximum(rho - self.radius, 0.0)
         if self.kind == "point":
-            return np.linalg.norm(p - np.array(self.center), axis=1)
-        if self.kind == "sector":
-            return _sector_distance(p, self.center, self.radius,
-                                    self.theta0, self.theta1)
-        if self.kind == "union":
-            return np.min([part.distance(p) for part in self.parts], axis=0)
-        # intersection: lower bound, exact membership indicator
-        return np.max([part.distance(p) for part in self.parts], axis=0)
+            return rho
+        return _sector_distance(q, rho, phi, self.radius,
+                                self.theta0, self.theta1)
 
     def translated(self, v) -> "SetShape":
         v = np.asarray(v, dtype=float)
@@ -246,15 +253,29 @@ def _segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray
     return np.linalg.norm(p - proj, axis=1)
 
 
-def _sector_distance(p, center, r0, theta0, theta1) -> np.ndarray:
-    """Exact distance to a filled circular sector by case split.
+def _polar(p: np.ndarray, center: tuple, cache: dict, angle: bool):
+    """(q, |q|, polar angle of q or None) for q = p - center; the angle only
+    when asked for.  ``cache`` keeps the last center's arrays, so runs of
+    parts about one center share them while memory stays that of one."""
+    key = np.asarray(center, dtype=float).tobytes()  # keeps 0.0 and -0.0 apart
+    if key not in cache:
+        cache.clear()
+        q = p - np.array(center)
+        cache[key] = (q, np.linalg.norm(q, axis=1), None)
+    q, rho, phi = cache[key]
+    if angle and phi is None:
+        phi = np.arctan2(q[:, 1], q[:, 0])
+        cache[key] = (q, rho, phi)
+    return q, rho, phi
+
+
+def _sector_distance(q, rho, phi, r0, theta0, theta1) -> np.ndarray:
+    """Exact distance to a filled circular sector by case split, from the
+    offsets q of the points to its center, their norms rho and angles phi.
 
     Points whose polar angle falls inside [theta0, theta1] (mod 2 pi) see the
     arc face; all others see the nearest radial face.
     """
-    q = p - np.array(center)
-    rho = np.linalg.norm(q, axis=1)
-    phi = np.arctan2(q[:, 1], q[:, 0])
     width = theta1 - theta0
     if width >= 2.0 * math.pi:
         return np.maximum(rho - r0, 0.0)
@@ -534,20 +555,18 @@ def _sample_times(ta: float, tb: float, sample_dt: float) -> np.ndarray:
 def union_over_interval(spec, ta: float, tb: float, sample_dt: float) -> SetShape:
     """Union of snapshots sampled on [ta, tb] at spacing sample_dt.
 
-    A conservative discrete surrogate for the continuous union; callers pick
-    sample_dt small against the set's speed and add one grid cell of dilation
-    where a superset is required.
+    A discrete surrogate for the continuous union: it misses the motion
+    between samples, so it can under-cover the true union.  Callers pick
+    sample_dt small against the set's speed; none dilates the result
+    (``_check_envelopes`` uses it as K_sup as is, see ROADMAP item 5).
     """
     if not ta < tb:
         raise ValueError("need ta < tb")
     if sample_dt <= 0:
         raise ValueError("sample_dt must be positive")
-    shapes = []
-    for t in _sample_times(ta, tb, sample_dt):
-        s = snapshot(spec, t)
-        if not s.is_empty and s not in shapes:
-            shapes.append(s)
-    return SetShape.union(shapes)
+    # a dict dedups equal (hashable, frozen) snapshots in first-seen order
+    return SetShape.union(dict.fromkeys(
+        snapshot(spec, t) for t in _sample_times(ta, tb, sample_dt)))
 
 
 def default_sample_dt(tau0: float) -> float:
@@ -611,13 +630,12 @@ def k_inf(spec, tau0: float, horizon: float, sample_dt: float) -> SetShape:
         if r_eff <= 0.0:
             return SetShape.empty()
         return SetShape.ball(tuple(mid + base), r_eff)
-    shapes = []
+    shapes = {}
     for t in _sample_times(tau0, horizon, sample_dt):
         s = snapshot(spec, t)
         if s.is_empty:
             return SetShape.empty()
-        if s not in shapes:
-            shapes.append(s)
+        shapes[s] = None
     return SetShape.intersection(shapes)
 
 

@@ -1,7 +1,7 @@
 """Dirichlet eigenvalues on masked subdomains and the characteristic value.
 
-Principal and second eigenpairs of the discrete negative Laplacian are
-computed by inverse power iteration (with deflation for the second mode).
+The principal eigenpair of the discrete negative Laplacian is computed by
+inverse power iteration, the second eigenvalue by shift-invert Lanczos.
 The characteristic value of a compact set K is the limit of the principal
 eigenvalue of shrinking neighborhoods {d(x, K) <= delta}; it is estimated on
 a geometric delta schedule with first-order Richardson extrapolation, and
@@ -21,8 +21,7 @@ import scipy.sparse.linalg as spla
 from scipy.special import jn_zeros
 
 from .geometry import DomainSpec, SetShape
-from .grid import (Field, Grid, MaskedOperator, mask_connected_components,
-                   mask_within_distance)
+from .grid import Field, Grid, MaskedOperator, mask_connected_components
 
 __all__ = [
     "EigenPair",
@@ -71,20 +70,15 @@ def _check_mask(mask: np.ndarray) -> None:
         raise ValueError("eigenproblem needs a connected mask")
 
 
-def _inverse_iteration(op: MaskedOperator, tol: float, deflate=None,
-                       maxiter: int = 500):
-    """Smallest eigenpair of op.matrix, optionally orthogonal to `deflate`."""
+def _inverse_iteration(op: MaskedOperator, tol: float, maxiter: int = 500):
+    """Smallest eigenpair of op.matrix."""
     lu = spla.splu(op.matrix.tocsc())
     rng = np.random.default_rng(1234)
     x = np.ones(op.n) + 0.01 * rng.standard_normal(op.n)
-    if deflate is not None:
-        x = x - (deflate @ x) / (deflate @ deflate) * deflate
     x /= np.linalg.norm(x)
     lam = None
     for _ in range(maxiter):
         y = lu.solve(x)
-        if deflate is not None:
-            y = y - (deflate @ y) / (deflate @ deflate) * deflate
         y /= np.linalg.norm(y)
         lam = float(y @ (op.matrix @ y))
         residual = float(np.linalg.norm(op.matrix @ y - lam * y))
@@ -133,9 +127,9 @@ def principal_eigenvalue(grid: Grid, mask: np.ndarray,
 def second_eigenvalue(grid: Grid, mask: np.ndarray, tol: float = 1e-10) -> float:
     """Second Dirichlet eigenvalue via shift-invert Lanczos.
 
-    Lanczos is used here (rather than the deflated inverse iteration of the
-    principal pair) because second modes of discretized symmetric shapes are
-    often near-degenerate, which stalls plain power-type iterations.
+    Lanczos is used here (rather than a deflated inverse iteration) because
+    second modes of discretized symmetric shapes are often near-degenerate,
+    which stalls plain power-type iterations.
     """
     _check_mask(mask)
     if np.count_nonzero(mask) < 3:
@@ -165,10 +159,11 @@ def lambda0_of_set(grid: Grid, k: SetShape, deltas=None,
                    cap: float = 1e4, tol: float = 1e-10) -> Lambda0Estimate:
     """Characteristic value of a compact set via shrinking neighborhoods.
 
-    Computes lambda_1 of {x in the domain : d(x, k) <= delta} for each delta;
-    verdict "infinite" if the tightest neighborhood exceeds cap, otherwise
-    linear extrapolation of the reciprocal square root of the eigenvalue
-    (the length scale) from the two tightest neighborhoods to delta = 0.
+    Computes lambda_1 of {x in the domain : d(x, k) <= delta} for each delta,
+    thresholding one distance field d(., k) over the lattice; verdict
+    "infinite" if the tightest neighborhood exceeds cap, otherwise linear
+    extrapolation of the reciprocal square root of the eigenvalue (the
+    length scale) from the two tightest neighborhoods to delta = 0.
     """
     if k.is_empty:
         raise ValueError("characteristic value of the empty set is undefined")
@@ -180,10 +175,9 @@ def lambda0_of_set(grid: Grid, k: SetShape, deltas=None,
         raise ValueError("deltas must be strictly decreasing")
     if deltas[-1] < 2.0 * grid.h:
         raise ValueError("smallest delta is below grid resolution (2h)")
-    values = []
-    for d in deltas:
-        m = mask_within_distance(grid, k, d)
-        values.append(principal_eigenvalue(grid, m, tol))
+    dist = k.distance(grid.points()).reshape(grid.shape)
+    values = [principal_eigenvalue(grid, (dist <= d) & grid.mask, tol)
+              for d in deltas]
     if values[-1] > cap:
         return Lambda0Estimate(deltas, tuple(values), "infinite", math.inf)
     if len(values) >= 2:

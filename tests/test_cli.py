@@ -167,6 +167,13 @@ class TestScenarioFiles:
         with pytest.raises(CliError, match="has no file form"):
             scenario_to_config(s)
 
+    def test_custom_coefficient_refused(self):
+        s = registry()["trichotomy-mid"]
+        s = dataclasses.replace(s, params=dataclasses.replace(
+            s.params, n_func=lambda t, p: np.ones(len(p))))
+        with pytest.raises(CliError, match="has no file form"):
+            scenario_to_config(s)
+
     def test_emitted_ini_is_canonical(self, tmp_path):
         p = tmp_path / "tiny.ini"
         p.write_text(TINY_INI)

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from degenlog import scenarios
 from degenlog.geometry import (AngleSchedule, DomainSpec, JumpingSets,
                                NuProfile, PathSchedule, RadiusBall,
                                RadiusSchedule, RotatingSector, SetShape,
-                               StaticSet, TranslatingSet, distance_to_set,
-                               evaluate_n, k_inf, k_sup, shape_gap, snapshot,
-                               union_over_interval, validate_inside_domain)
+                               StaticSet, TranslatingSet, _sample_times,
+                               distance_to_set, evaluate_n, k_inf, k_sup,
+                               shape_gap, snapshot, union_over_interval,
+                               validate_inside_domain)
 
 
 class TestDomainSpec:
@@ -261,6 +263,65 @@ class TestEnvelopes:
                     if not low.is_empty:
                         in_low = low.distance(pts) <= 1e-9
                         assert np.all(in_snap[in_low])     # lower in snapshot
+
+
+def _envelope_shapes(label, monkeypatch):
+    """The K_sup / K_inf shapes _check_envelopes builds for a registry
+    scenario, with its grid."""
+    s = scenarios.registry()[label]
+    shapes = []
+
+    def record(grid, shape, cap=1e4):
+        shapes.append(shape)
+        return 1.0
+
+    monkeypatch.setattr(scenarios, "_lambda0", record)
+    grid = scenarios.scenario_grid(s)
+    scenarios._check_envelopes(s, grid)
+    return shapes, grid
+
+
+class TestCompoundDistances:
+    """Union and intersection distances fold their parts one at a time and
+    share polar coordinates between parts of one center; both must give
+    exactly the stacked min / max over independently computed parts."""
+
+    @pytest.mark.parametrize("label", ["rotating-slow", "shrink-case3",
+                                       "translating-slow"])
+    def test_envelope_union_matches_stacked_min(self, label, monkeypatch):
+        shapes, grid = _envelope_shapes(label, monkeypatch)
+        unions = [u for u in shapes if u.kind == "union"]
+        assert unions
+        p = grid.points()
+        for u in unions:
+            stacked = np.min([part.distance(p) for part in u.parts], axis=0)
+            assert np.array_equal(u.distance(p), stacked)
+
+    def test_intersection_matches_stacked_max(self):
+        spec = RotatingSector((1.0, 1.0), 0.5, 0.0, math.pi / 3.0, 0.5)
+        # an off-center part first, so a cache shared across centers shows
+        parts = [SetShape.ball((1.1, 0.9), 0.4),
+                 SetShape.ball((1.0, 1.0), 0.3)]
+        parts += [snapshot(spec, t) for t in np.linspace(0.0, 1.0, 9)]
+        inter = SetShape.intersection(parts)
+        assert inter.kind == "intersection"
+        p = scenarios.scenario_grid(
+            scenarios.registry()["rotating-slow"]).points()
+        stacked = np.max([part.distance(p) for part in parts], axis=0)
+        assert np.array_equal(inter.distance(p), stacked)
+
+    @pytest.mark.parametrize("label", ["rotating-slow", "shrink-case3",
+                                       "translating-slow", "intermittent",
+                                       "alternating-nested"])
+    def test_union_over_interval_keeps_first_seen_order(self, label):
+        spec = scenarios.registry()[label].params.moving_set
+        ta, tb, dt = 0.5, 10.0, 9.5 / 400.0
+        shapes = []
+        for t in _sample_times(ta, tb, dt):
+            s = snapshot(spec, t)
+            if not s.is_empty and s not in shapes:
+                shapes.append(s)
+        assert union_over_interval(spec, ta, tb, dt) == SetShape.union(shapes)
 
 
 class TestGapsAndValidation:

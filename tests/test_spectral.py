@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from degenlog.geometry import DomainSpec, SetShape
-from degenlog.grid import MaskedOperator, build_grid, mask_from_shape
+from degenlog.grid import (MaskedOperator, build_grid, mask_from_shape,
+                           mask_within_distance)
 from degenlog.spectral import (Lambda0Estimate, analytic_lambda1,
                                bessel_j0_first_root, default_delta_schedule,
                                lambda0_of_set, linear_evolve,
@@ -159,6 +160,28 @@ class TestLambda0:
         g = build_grid(UNIT_SQ, 16)
         with pytest.raises(ValueError):
             lambda0_of_set(g, SetShape.empty())
+
+    @pytest.mark.parametrize("k", [
+        SetShape.ball((1.0, 1.0), 0.45),
+        SetShape.union([SetShape.sector((1.0, 1.0), 0.5, a, a + 1.0)
+                        for a in np.linspace(0.0, 3.0, 7)])])
+    def test_one_distance_field_per_ladder(self, k, monkeypatch):
+        g = build_grid(DomainSpec.rectangle((0.0, 0.0), (2.0, 2.0)), 64)
+        calls = []
+        distance = SetShape.distance
+
+        def counted(self, points):
+            calls.append(self)
+            return distance(self, points)
+
+        monkeypatch.setattr(SetShape, "distance", counted)
+        est = lambda0_of_set(g, k)
+        assert calls == [k]
+        monkeypatch.undo()
+        per_delta = tuple(
+            principal_eigenvalue(g, mask_within_distance(g, k, d))
+            for d in est.deltas)
+        assert est.values == per_delta
 
     def test_nonmonotone_deltas_rejected(self):
         g = build_grid(UNIT_SQ, 32)
