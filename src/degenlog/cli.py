@@ -11,24 +11,20 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import math
 import multiprocessing
 import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .evolve import EquationParams, SchemeConfig, Trajectory
 from .geometry import (DomainSpec, JumpingSets, NuProfile, PathSchedule,
                        RadiusBall, RadiusSchedule, RotatingSector, SetShape,
                        StaticSet, TranslatingSet)
-from .grid import Field, MaskedOperator, build_grid, mask_from_shape, write_pgm
-from .oracles import OdeBoundParams, w_closed_form, w_inf, w_rk4
+from .grid import build_grid, mask_from_shape, write_pgm
+from .properties import suite_properties
 from .scenarios import (CrossCheckReport, InitialData, OutputPlan, Scenario,
                         classify, cross_check, predict, registry, run_scenario)
-from .spectral import (lambda0_of_set, principal_eigenpair,
-                       principal_eigenvalue, second_eigenvalue)
+from .spectral import lambda0_of_set, principal_eigenvalue, second_eigenvalue
 
 __all__ = ["main"]
 
@@ -417,11 +413,15 @@ def crosscheck_text(rep: CrossCheckReport) -> str:
 # ---------------------------------------------------------------------------
 
 
+def scenario_row(s: Scenario, rep: CrossCheckReport) -> tuple:
+    """One row of the suite's scenarios section."""
+    return (s.label, rep.predicted, rep.verdict.kind, rep.status,
+            s.expected_status, rep.verdict.evidence)
+
+
 def _crosscheck_label(label: str) -> tuple:
     s = registry()[label]
-    rep = cross_check(s)
-    return (label, rep.predicted, rep.verdict.kind, rep.status,
-            s.expected_status, rep.verdict.evidence)
+    return scenario_row(s, cross_check(s))
 
 
 def suite_scenarios(jobs: int = 1):
@@ -429,134 +429,28 @@ def suite_scenarios(jobs: int = 1):
     labels = list(registry())
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
-            rows = pool.map(_crosscheck_label, labels)
-    else:
-        rows = [_crosscheck_label(lb) for lb in labels]
-    return rows
-
-
-def suite_properties():
-    """Fast structural property checks; rows (name, ok, detail)."""
-    rows = []
-
-    def add(name, ok, detail):
-        rows.append((name, bool(ok), detail))
-
-    # golden eigenvalues against closed forms
-    square = DomainSpec.rectangle((0.0, 0.0), (1.0, 1.0))
-    gsq = build_grid(square, 128)
-    l1 = principal_eigenpair(gsq, gsq.mask).value
-    rel = abs(l1 - 2.0 * math.pi ** 2) / (2.0 * math.pi ** 2)
-    add("eigen-square-lambda1", rel < 0.005, f"rel_err={rel:.3g}")
-    l2 = second_eigenvalue(gsq, gsq.mask)
-    rel = abs(l2 - 5.0 * math.pi ** 2) / (5.0 * math.pi ** 2)
-    add("eigen-square-lambda2", rel < 0.01, f"rel_err={rel:.3g}")
-
-    # characteristic value of a regular set vs its own eigenvalue; of a point
-    dom = DomainSpec.rectangle((-1.0, -1.0), (1.0, 1.0))
-    g = build_grid(dom, 128)
-    ball = SetShape.ball((0.0, 0.0), 0.3)
-    est = lambda0_of_set(g, ball)
-    own = principal_eigenvalue(g, mask_from_shape(g, ball))
-    rel = abs(est.value - own) / own
-    add("lambda0-ball-matches-own", est.is_finite and rel < 0.02,
-        f"rel_err={rel:.3g}")
-    add("lambda0-values-monotone",
-        all(b >= a for a, b in zip(est.values, est.values[1:])),
-        "values nondecreasing as delta shrinks")
-    add("lambda0-point-infinite",
-        not lambda0_of_set(g, SetShape.point((0.0, 0.0)), cap=1e4).is_finite,
-        "verdict infinite at cap 1e4")
-
-    # comparison in the coefficient and in the initial data
-    rows.extend(_comparison_rows(n_pairs=10))
-
-    # ODE oracle agreement and envelope dominance
-    rng = np.random.default_rng(42)
-    worst = 0.0
-    for _ in range(10):
-        p = OdeBoundParams(lam=rng.uniform(-2, 4), nu0=rng.uniform(0.2, 2),
-                           rho=rng.uniform(1.3, 3.0), w0=rng.uniform(0.1, 5))
-        t = rng.uniform(0.1, 3.0)
-        worst = max(worst, abs(w_closed_form(p, t) - w_rk4(p, t)))
-    add("ode-closed-form-vs-rk4", worst < 1e-8, f"max_abs_diff={worst:.3g}")
-    ok = True
-    for _ in range(20):
-        lam, nu0, rho = rng.uniform(0.5, 5), rng.uniform(0.2, 2), \
-            rng.uniform(1.3, 3.0)
-        t = rng.uniform(0.1, 4.0)
-        p = OdeBoundParams(lam=lam, nu0=nu0, rho=rho, w0=rng.uniform(0.1, 50))
-        ok = ok and w_inf(lam, nu0, rho, t) >= w_closed_form(p, t) - 1e-12
-    add("ode-envelope-dominates", ok, "w_inf >= w at sampled points")
-    return rows
-
-
-def _comparison_rows(n_pairs: int):
-    """Nodewise comparison in the coefficient, initial data and scaling."""
-    rng = np.random.default_rng(7)
-    dom = DomainSpec.rectangle((0.0, 0.0), (1.0, 1.0))
-    grid = build_grid(dom, 16)
-    op = MaskedOperator(grid)
-    pts = grid.points()[op.mask.ravel()]
-    cfg = SchemeConfig(dt=1e-3)
-    rows = []
-
-    def evolve(u0, n_field, lam=5.0, rho=2.0, steps=50):
-        from .evolve import StepState, step
-        params = EquationParams(lam=lam, rho=rho,
-                                n_func=lambda t, p: n_field)
-        st = StepState(0.0, Field(grid, op.extend(u0)))
-        out = [u0]
-        for _ in range(steps):
-            st = step(st, params, cfg, op, pts)
-            out.append(op.restrict(st.u.values))
-        return out
-
-    worst = -math.inf
-    for _ in range(n_pairs):
-        n2 = rng.uniform(0.0, 1.0, op.n)
-        n1 = n2 + rng.uniform(0.0, 1.0, op.n)
-        u0 = rng.uniform(0.0, 2.0, op.n)
-        for a, b in zip(evolve(u0, n1), evolve(u0, n2)):
-            worst = max(worst, float(np.max(a - b)))
-    rows.append(("comparison-coefficient", worst <= 1e-10,
-                 f"worst_breach={worst:.3g}"))
-
-    worst = -math.inf
-    for _ in range(n_pairs):
-        n1 = rng.uniform(0.0, 1.0, op.n)
-        u0 = rng.uniform(0.0, 1.0, op.n)
-        v0 = u0 + rng.uniform(0.0, 1.0, op.n)
-        for a, b in zip(evolve(u0, n1), evolve(v0, n1)):
-            worst = max(worst, float(np.max(a - b)))
-    rows.append(("comparison-initial-data", worst <= 1e-10,
-                 f"worst_breach={worst:.3g}"))
-
-    worst = -math.inf
-    for alpha in (0.5, 2.0):
-        for _ in range(5):
-            n1 = rng.uniform(0.0, 1.0, op.n)
-            u0 = rng.uniform(0.0, 1.0, op.n)
-            for a, b in zip(evolve(alpha * u0, n1), evolve(u0, n1)):
-                breach = (np.max(a - alpha * b) if alpha >= 1.0
-                          else np.max(alpha * b - a))
-                worst = max(worst, float(breach))
-    rows.append(("comparison-scaling", worst <= 1e-10,
-                 f"worst_breach={worst:.3g}"))
-    return rows
+            return pool.map(_crosscheck_label, labels)
+    return [_crosscheck_label(lb) for lb in labels]
 
 
 def suite_report(name: str, jobs: int):
     """(text report, csv report, exit code) for a suite."""
+    scenario_rows = suite_scenarios(jobs) if name != "properties" else None
+    property_rows = suite_properties() if name != "paper-examples" else None
+    return render_suite(name, scenario_rows, property_rows)
+
+
+def render_suite(name: str, scenario_rows, property_rows):
+    """(text report, csv report, exit code) from computed rows; a section
+    whose rows are None is left out.  The exit code is 1 when a scenario
+    reads VIOLATION or a property fails."""
     text = [f"suite: {name}", ""]
     csv = ["suite,row,status,detail"]
     code = 0
-    if name in ("paper-examples", "all"):
-        rows = suite_scenarios(jobs)
-        text.append(f"{'label':22s} {'predicted':9s} {'verdict':12s} "
-                    f"{'status':11s} expected")
-        text.append("-" * 72)
-        for label, predicted, verdict, status, expected, _ in rows:
+    if scenario_rows is not None:
+        text += [f"{'label':22s} {'predicted':9s} {'verdict':12s} "
+                 f"{'status':11s} expected", "-" * 72]
+        for label, predicted, verdict, status, expected, _ in scenario_rows:
             text.append(f"{label:22s} {predicted:9s} {verdict:12s} "
                         f"{status:11s} {expected}")
             csv.append(f"scenarios,{label},{status},"
@@ -565,11 +459,9 @@ def suite_report(name: str, jobs: int):
             if status == "VIOLATION":
                 code = 1
         text.append("")
-    if name in ("properties", "all"):
-        rows = suite_properties()
-        text.append(f"{'check':32s} {'result':7s} detail")
-        text.append("-" * 72)
-        for cname, ok, detail in rows:
+    if property_rows is not None:
+        text += [f"{'check':32s} {'result':7s} detail", "-" * 72]
+        for cname, ok, detail in property_rows:
             result = "PASS" if ok else "FAIL"
             text.append(f"{cname:32s} {result:7s} {detail}")
             csv.append(f"properties,{cname},{result},{detail}")
@@ -637,10 +529,10 @@ def _cmd_lambda0(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    jobs = int(os.environ.get("DEGENLOG_JOBS", args.jobs))
-    if jobs < 1:
-        raise CliError("jobs must be a positive integer")
-    text, csv, code = suite_report(args.name, jobs)
+    jobs = os.environ.get("DEGENLOG_JOBS", str(args.jobs))
+    if not jobs.strip().isdecimal() or int(jobs) < 1:
+        raise CliError(f"jobs must be a positive integer, got {jobs!r}")
+    text, csv, code = suite_report(args.name, int(jobs))
     print(text)
     if args.out:
         out = Path(args.out)

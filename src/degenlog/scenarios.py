@@ -289,6 +289,9 @@ def _check_envelopes(s: Scenario, grid: Grid) -> list:
     # the grow-up side the smallest lower-envelope value
     best_sup, best_inf = -math.inf, math.inf
     rows = []
+    # one lambda0 ladder per distinct set: a static set's K_sup and K_inf
+    # are the same set at every tau0
+    ladders = {}
     for tau0 in sorted(set(float(t) for t in tau0_list)):
         if not 0 < tau0 < horizon:
             continue
@@ -296,8 +299,10 @@ def _check_envelopes(s: Scenario, grid: Grid) -> list:
         dt_s = max(default_sample_dt(tau0), (horizon - tau0) / 400.0)
         up = k_sup(spec, s.t0 + tau0, s.t0 + horizon, dt_s)
         low = k_inf(spec, s.t0 + tau0, s.t0 + horizon, dt_s)
-        l0_up = _lambda0(grid, up)
-        l0_low = _lambda0(grid, low)
+        for shape in (up, low):
+            if shape not in ladders:
+                ladders[shape] = _lambda0(grid, shape)
+        l0_up, l0_low = ladders[up], ladders[low]
         rows.append((tau0, l0_up, l0_low))
         best_sup = max(best_sup, l0_up)
         best_inf = min(best_inf, l0_low)

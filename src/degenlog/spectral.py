@@ -1,7 +1,9 @@
 """Dirichlet eigenvalues on masked subdomains and the characteristic value.
 
-The principal eigenpair of the discrete negative Laplacian is computed by
-inverse power iteration, the second eigenvalue by shift-invert Lanczos.
+The principal eigenpair and the second eigenvalue of the discrete negative
+Laplacian come from one path: shift-invert Lanczos about zero (ARPACK's
+eigsh) from a fixed start vector.  The principal pair is held to a residual
+bound and must be one-signed.
 The characteristic value of a compact set K is the limit of the principal
 eigenvalue of shrinking neighborhoods {d(x, K) <= delta}; it is estimated on
 a geometric delta schedule with first-order Richardson extrapolation, and
@@ -60,7 +62,7 @@ class Lambda0Estimate:
 
 
 class EigenFailure(RuntimeError):
-    """Inverse iteration did not converge."""
+    """An eigen solve did not converge or failed its residual check."""
 
 
 def _check_mask(mask: np.ndarray) -> None:
@@ -70,23 +72,23 @@ def _check_mask(mask: np.ndarray) -> None:
         raise ValueError("eigenproblem needs a connected mask")
 
 
-def _inverse_iteration(op: MaskedOperator, tol: float, maxiter: int = 500):
-    """Smallest eigenpair of op.matrix."""
-    lu = spla.splu(op.matrix.tocsc())
-    rng = np.random.default_rng(1234)
-    x = np.ones(op.n) + 0.01 * rng.standard_normal(op.n)
-    x /= np.linalg.norm(x)
-    lam = None
-    for _ in range(maxiter):
-        y = lu.solve(x)
-        y /= np.linalg.norm(y)
-        lam = float(y @ (op.matrix @ y))
-        residual = float(np.linalg.norm(op.matrix @ y - lam * y))
-        if residual <= tol * max(1.0, abs(lam)):
-            return lam, y
-        x = y
-    raise EigenFailure(f"inverse iteration stalled at eigenvalue {lam!r} "
-                       f"(residual {residual:.3e})")
+def _smallest_eigenpairs(op: MaskedOperator, k: int, tol: float):
+    """The k smallest eigenpairs of op.matrix: ascending values, and the
+    unit eigenvectors as columns."""
+    if op.n < 2:
+        # eigsh needs k < n; a one-node mask is its own 1x1 eigenproblem
+        return np.array([float(op.matrix[0, 0])]), np.ones((1, 1))
+    # fixed start vector keeps repeated calls bit-identical (the default is
+    # drawn from the global RNG, which would break report determinism)
+    v0 = np.full(op.n, 1.0 / math.sqrt(op.n))
+    try:
+        vals, vecs = spla.eigsh(op.matrix.tocsc(), k=k, sigma=0.0,
+                                which="LM", tol=tol, v0=v0)
+    except spla.ArpackNoConvergence as e:
+        raise EigenFailure(f"shift-invert Lanczos did not converge: {e}") \
+            from e
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
 
 
 def principal_eigenpair(grid: Grid, mask: np.ndarray,
@@ -94,7 +96,12 @@ def principal_eigenpair(grid: Grid, mask: np.ndarray,
     """Smallest Dirichlet eigenvalue and positive normalized eigenfunction."""
     _check_mask(mask)
     op = MaskedOperator(grid, mask)
-    lam, vec = _inverse_iteration(op, tol)
+    vals, vecs = _smallest_eigenpairs(op, 1, tol)
+    lam, vec = float(vals[0]), vecs[:, 0]
+    residual = float(np.linalg.norm(op.matrix @ vec - lam * vec))
+    if residual > tol * max(1.0, abs(lam)):
+        raise EigenFailure(f"principal eigenvalue {lam!r} fails its residual "
+                           f"check (residual {residual:.3e})")
     if vec.sum() < 0:
         vec = -vec
     if np.any(vec <= 0):
@@ -125,22 +132,16 @@ def principal_eigenvalue(grid: Grid, mask: np.ndarray,
 
 
 def second_eigenvalue(grid: Grid, mask: np.ndarray, tol: float = 1e-10) -> float:
-    """Second Dirichlet eigenvalue via shift-invert Lanczos.
+    """Second Dirichlet eigenvalue of a connected mask.
 
-    Lanczos is used here (rather than a deflated inverse iteration) because
-    second modes of discretized symmetric shapes are often near-degenerate,
-    which stalls plain power-type iterations.
+    Lanczos copes with the near-degenerate second modes of discretized
+    symmetric shapes, which stall plain power-type iterations.
     """
     _check_mask(mask)
     if np.count_nonzero(mask) < 3:
         raise ValueError("second eigenvalue needs a mask of at least 3 nodes")
-    op = MaskedOperator(grid, mask)
-    # fixed start vector keeps repeated calls bit-identical (the default is
-    # drawn from the global RNG, which would break report determinism)
-    v0 = np.full(op.n, 1.0 / math.sqrt(op.n))
-    vals = spla.eigsh(op.matrix.tocsc(), k=2, sigma=0.0, which="LM",
-                      tol=tol, v0=v0, return_eigenvectors=False)
-    return float(np.sort(vals)[1])
+    vals, _ = _smallest_eigenpairs(MaskedOperator(grid, mask), 2, tol)
+    return float(vals[1])
 
 
 def default_delta_schedule(delta0: float, h: float) -> tuple:

@@ -1,14 +1,16 @@
-"""Shared fixtures: scenario runs are expensive, so trajectories and
-cross-check reports are computed once per session and shared."""
+"""Shared fixtures: scenario runs and property checks are expensive, so
+trajectories, cross-check reports and property rows are computed once per
+session and shared."""
 
 import pytest
 
-from degenlog.scenarios import (cross_check, predict, registry, run_scenario,
+from degenlog.properties import suite_properties
+from degenlog.scenarios import (cross_check, registry, run_scenario,
                                 scenario_grid)
 
 
 class ScenarioCache:
-    """Lazily computed (scenario, grid, trajectory, checks, report) per label."""
+    """Lazily computed (trajectory, cross-check report) per label."""
 
     def __init__(self):
         self._reg = registry()
@@ -25,26 +27,23 @@ class ScenarioCache:
         if label not in self._data:
             s = self._reg[label]
             grid = scenario_grid(s)
-            checks = predict(s, grid)
             tr = run_scenario(s, grid)
-            rep = cross_check(s, tr, grid, checks=checks)
-            self._data[label] = {"scenario": s, "grid": grid, "checks": checks,
-                                 "trajectory": tr, "report": rep}
+            self._data[label] = (tr, cross_check(s, tr, grid))
         return self._data[label]
 
     def trajectory(self, label):
-        return self.entry(label)["trajectory"]
+        return self.entry(label)[0]
 
     def report(self, label):
-        return self.entry(label)["report"]
-
-    def checks(self, label):
-        return self.entry(label)["checks"]
-
-    def grid(self, label):
-        return self.entry(label)["grid"]
+        return self.entry(label)[1]
 
 
 @pytest.fixture(scope="session")
 def cache():
     return ScenarioCache()
+
+
+@pytest.fixture(scope="session")
+def properties():
+    """Rows (name, ok, detail) of acceptance criteria 01-05."""
+    return suite_properties()

@@ -4,21 +4,16 @@ cross-checks at pinned tolerances.  Each test prints one pass/fail line."""
 import math
 
 import numpy as np
-import pytest
 
-from degenlog.cli import suite_report
-from degenlog.evolve import (EquationParams, SchemeConfig, StepState, run,
-                             step)
-from degenlog.geometry import (DomainSpec, NuProfile, SetShape, StaticSet)
-from degenlog.grid import (Field, MaskedOperator, build_grid, mask_from_shape)
-from degenlog.oracles import (OdeBoundParams, TauInputs, blow_up_constant,
-                              tau_unbounded, w_closed_form, w_inf, w_rk4,
+from degenlog.cli import render_suite, scenario_row, suite_report
+from degenlog.evolve import EquationParams, SchemeConfig, StepState, run, step
+from degenlog.geometry import DomainSpec, NuProfile, SetShape, StaticSet
+from degenlog.grid import Field, MaskedOperator, build_grid
+from degenlog.oracles import (TauInputs, blow_up_constant, tau_unbounded,
                               z_radial)
 from degenlog.scenarios import (InitialData, Scenario,
                                 initial_data_independence, scenario_grid)
-from degenlog.spectral import (analytic_lambda1, bessel_j0_first_root,
-                               lambda0_of_set, linear_evolve,
-                               principal_eigenpair, principal_eigenvalue,
+from degenlog.spectral import (linear_evolve, principal_eigenpair,
                                second_eigenvalue)
 
 UNIT_SQ = DomainSpec.rectangle((0.0, 0.0), (1.0, 1.0))
@@ -33,184 +28,40 @@ def _line(num, detail):
 
 
 # ---------------------------------------------------------------------------
-# 1. eigenvalue golden values
+# 1-5. structural properties: the rows `degenlog suite properties` prints
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_01_eigenvalue_golden_values():
-    gsq = build_grid(UNIT_SQ, 128)
-    l1 = principal_eigenpair(gsq, gsq.mask).value
-    rel1 = abs(l1 - 2.0 * math.pi ** 2) / (2.0 * math.pi ** 2)
-    assert rel1 < 0.005, f"square lambda1 off by {rel1:.3g}"
-
-    l2 = second_eigenvalue(gsq, gsq.mask)
-    rel2 = abs(l2 - 5.0 * math.pi ** 2) / (5.0 * math.pi ** 2)
-    assert rel2 < 0.01, f"square lambda2 off by {rel2:.3g}"
-
-    gd = build_grid(DomainSpec.disc((0.0, 0.0), 1.0), 256)
-    ld = principal_eigenvalue(gd, gd.mask)
-    target = bessel_j0_first_root() ** 2
-    reld = abs(ld - target) / target
-    assert reld < 0.01, f"disc lambda1 off by {reld:.3g}"
-    _line(1, f"square rel errs {rel1:.2e}/{rel2:.2e}, disc {reld:.2e}")
+def _rows(properties, num, *names):
+    """Assert that the named property rows pass; print their details."""
+    rows = {name: (ok, detail) for name, ok, detail in properties}
+    assert all(rows[name][0] for name in names), \
+        f"criterion {num:02d}: {[(name, rows[name]) for name in names]}"
+    _line(num, "; ".join(f"{name} {rows[name][1]}" for name in names))
 
 
-# ---------------------------------------------------------------------------
-# 2. characteristic value of a compact set
-# ---------------------------------------------------------------------------
+def test_criterion_01_eigenvalue_golden_values(properties):
+    _rows(properties, 1, "eigen-square-lambda1", "eigen-square-lambda2",
+          "eigen-disc-lambda1")
 
 
-def test_criterion_02_characteristic_value():
-    g = build_grid(UNIT_SQ, 128)
-    ball = SetShape.ball((0.5, 0.5), 0.3)
-    est = lambda0_of_set(g, ball)
-    own = principal_eigenvalue(g, mask_from_shape(g, ball))
-    rel = abs(est.value - own) / own
-    assert est.is_finite and rel < 0.02, f"ball mismatch {rel:.3g}"
-    assert all(b >= a for a, b in zip(est.values, est.values[1:])), \
-        "neighborhood values not monotone"
-
-    pt = lambda0_of_set(g, SetShape.point((0.5, 0.5)), cap=1e4)
-    assert pt.verdict == "infinite", "point should read as infinite"
-    assert all(b >= a for a, b in zip(pt.values, pt.values[1:]))
-    _line(2, f"ball rel err {rel:.2e}, point infinite at cap 1e4")
+def test_criterion_02_characteristic_value(properties):
+    _rows(properties, 2, "lambda0-ball-matches-own", "lambda0-values-monotone",
+          "lambda0-point-infinite")
 
 
-# ---------------------------------------------------------------------------
-# 3. nodewise comparison and scaling
-# ---------------------------------------------------------------------------
+def test_criterion_03_comparison_and_scaling(properties):
+    _rows(properties, 3, "comparison-coefficient", "comparison-initial-data",
+          "comparison-scaling")
 
 
-def _evolve_16(op, pts, u0, n_field, steps=50, lam=5.0, rho=2.0):
-    params = EquationParams(lam=lam, rho=rho, n_func=lambda t, p: n_field)
-    cfg = SchemeConfig(dt=1e-3, solve_tol=1e-12)
-    st = StepState(0.0, Field(op.grid, op.extend(u0)))
-    out = [u0]
-    for _ in range(steps):
-        st = step(st, params, cfg, op, pts)
-        out.append(op.restrict(st.u.values))
-    return out
+def test_criterion_04_linear_bound(properties):
+    _rows(properties, 4, "linear-sup-norm-bound")
 
 
-def test_criterion_03_comparison_and_scaling():
-    grid = build_grid(UNIT_SQ, 16)
-    op = MaskedOperator(grid)
-    pts = grid.points()[op.mask.ravel()]
-    rng = np.random.default_rng(100)
-
-    worst_n = -math.inf
-    for _ in range(100):
-        n2 = rng.uniform(0.0, 1.0, op.n)
-        n1 = n2 + rng.uniform(0.0, 1.0, op.n)
-        u0 = rng.uniform(0.0, 2.0, op.n)
-        for a, b in zip(_evolve_16(op, pts, u0, n1),
-                        _evolve_16(op, pts, u0, n2)):
-            worst_n = max(worst_n, float(np.max(a - b)))
-    assert worst_n <= 1e-10, f"coefficient ordering breached by {worst_n:.3g}"
-
-    worst_u = -math.inf
-    for _ in range(100):
-        n1 = rng.uniform(0.0, 1.0, op.n)
-        u0 = rng.uniform(0.0, 1.0, op.n)
-        v0 = u0 + rng.uniform(0.0, 1.0, op.n)
-        for a, b in zip(_evolve_16(op, pts, u0, n1),
-                        _evolve_16(op, pts, v0, n1)):
-            worst_u = max(worst_u, float(np.max(a - b)))
-    assert worst_u <= 1e-10, f"initial ordering breached by {worst_u:.3g}"
-
-    worst_s = -math.inf
-    for alpha in (0.5, 2.0):
-        for _ in range(10):
-            n1 = rng.uniform(0.0, 1.0, op.n)
-            u0 = rng.uniform(0.0, 1.0, op.n)
-            for a, b in zip(_evolve_16(op, pts, alpha * u0, n1),
-                            _evolve_16(op, pts, u0, n1)):
-                breach = (np.max(a - alpha * b) if alpha >= 1.0
-                          else np.max(alpha * b - a))
-                worst_s = max(worst_s, float(breach))
-    assert worst_s <= 1e-10, f"scaling ordering breached by {worst_s:.3g}"
-    _line(3, f"worst breaches {worst_n:.1e}/{worst_u:.1e}/{worst_s:.1e}")
-
-
-# ---------------------------------------------------------------------------
-# 4. linear sup-norm bound
-# ---------------------------------------------------------------------------
-
-
-def test_criterion_04_linear_bound():
-    grid = build_grid(UNIT_SQ, 16)
-    lam1h = principal_eigenpair(grid, grid.mask).value
-    op = MaskedOperator(grid)
-    rng = np.random.default_rng(41)
-    worst = 0.0
-    for _ in range(30):
-        lam = rng.uniform(-2.0, 20.0)
-        dt = rng.uniform(5e-4, 1e-3)
-        t_end = rng.uniform(0.2, 0.4)
-        u0 = Field(grid, np.where(grid.mask,
-                                  rng.uniform(0.0, 1.0, grid.shape), 0.0))
-        params = EquationParams(lam=lam, rho=2.0)
-        st = StepState(0.0, u0)
-        sup0 = u0.sup_norm()
-        for _ in range(int(round(t_end / dt))):
-            st = step(st, params, SchemeConfig(dt=dt, solve_tol=1e-12), op)
-            bound = math.exp((lam - lam1h) * st.t) * sup0
-            worst = max(worst, st.u.sup_norm() / bound)
-    assert worst <= 1.0 + 1e-8, f"sup-norm bound breached, ratio {worst:.6g}"
-    _line(4, f"30 runs, worst sup/bound ratio {worst:.6g}")
-
-
-# ---------------------------------------------------------------------------
-# 5. saturation ODE oracles and envelope dominance
-# ---------------------------------------------------------------------------
-
-
-def _w_breach(dt):
-    """Largest relative excess of simulated sup-norms over the exact
-    saturation envelope W when the coefficient has a global floor."""
-    grid = build_grid(UNIT_SQ, 16)
-    lam, nu0, rho, w0 = 5.0, 1.0, 2.0, 8.0
-    params = EquationParams(lam=lam, rho=rho,
-                            n_func=lambda t, p: np.full(len(p), nu0))
-    u0 = Field(grid, np.where(grid.mask, w0, 0.0))
-    tr = run(grid, params, SchemeConfig(dt=dt, solve_tol=1e-12), u0,
-             0.0, 1.0, sample_every=1)
-    p = OdeBoundParams(lam=lam, nu0=nu0, rho=rho, w0=w0)
-    breach = 0.0
-    for t, s in zip(tr.times[1:], tr.sup_norms[1:]):
-        w = w_closed_form(p, t)
-        breach = max(breach, (s - w) / w)
-    return breach
-
-
-def test_criterion_05_saturation_ode():
-    rng = np.random.default_rng(55)
-    for _ in range(20):
-        p = OdeBoundParams(lam=rng.uniform(-3, 8), nu0=rng.uniform(0.2, 3),
-                           rho=rng.uniform(1.5, 3.5), w0=rng.uniform(0.1, 5))
-        t = rng.uniform(0.1, 2.0)
-        a, b = w_closed_form(p, t), w_rk4(p, t)
-        assert abs(a - b) <= 1e-8 * max(1.0, abs(a)), \
-            f"closed form vs RK4 differ by {abs(a - b):.3g}"
-
-    for _ in range(50):
-        lam = rng.uniform(0.5, 8.0)
-        nu0 = rng.uniform(0.2, 3.0)
-        rho = rng.uniform(1.5, 3.0)
-        t = rng.uniform(0.05, 4.0)
-        p = OdeBoundParams(lam=lam, nu0=nu0, rho=rho, w0=rng.uniform(0.1, 100))
-        assert w_inf(lam, nu0, rho, t) >= w_closed_form(p, t) - 1e-12
-
-    b_coarse, b_fine = _w_breach(5e-4), _w_breach(2.5e-4)
-    # first-order scheme: any excess over W is O(dt) and shrinks with dt
-    assert b_coarse <= 0.1 * 5e-4, f"envelope breach {b_coarse:.3g}"
-    assert b_fine <= 0.1 * 2.5e-4, f"envelope breach {b_fine:.3g}"
-    if b_coarse > 1e-12:
-        assert b_fine <= 0.75 * b_coarse, \
-            f"halving dt did not shrink the breach ({b_coarse:.3g} -> " \
-            f"{b_fine:.3g})"
-    _line(5, f"W-dominance breach {b_coarse:.2e} @dt=5e-4, "
-             f"{b_fine:.2e} @dt=2.5e-4")
+def test_criterion_05_saturation_ode(properties):
+    _rows(properties, 5, "ode-closed-form-vs-rk4", "ode-envelope-dominates",
+          "w-dominance-refinement")
 
 
 # ---------------------------------------------------------------------------
@@ -487,10 +338,15 @@ def _eroded(mask):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_14_deterministic_reports():
-    text1, csv1, code1 = suite_report("all", 1)
-    text2, csv2, code2 = suite_report("all", 1)
+def test_criterion_14_deterministic_reports(cache, properties):
+    # the session's rows (one independent computation in this process)
+    # against one fresh suite run whose scenarios run in worker processes
+    rows = [scenario_row(cache.scenario(lb), cache.report(lb))
+            for lb in cache.labels]
+    text1, csv1, code1 = render_suite("all", rows, properties)
+    text2, csv2, code2 = suite_report("all", jobs=2)
     assert text1 == text2, "text reports differ between runs"
     assert csv1 == csv2, "csv reports differ between runs"
     assert code1 == code2 == 0, f"suite reported failures (exit {code1})"
-    _line(14, f"two full-suite runs byte-identical ({len(text1)} chars)")
+    _line(14, f"cached and fresh full-suite reports byte-identical "
+              f"({len(text1)} chars)")

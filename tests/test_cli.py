@@ -287,6 +287,20 @@ class TestCommands:
         assert "error:" in capsys.readouterr().err
 
     def test_jobs_env_override(self, monkeypatch, capsys):
-        monkeypatch.setenv("DEGENLOG_JOBS", "0")
-        assert main(["suite", "properties"]) == 2
-        assert "jobs" in capsys.readouterr().err
+        for value in ("0", "abc"):
+            monkeypatch.setenv("DEGENLOG_JOBS", value)
+            assert main(["suite", "properties"]) == 2
+            assert "jobs" in capsys.readouterr().err
+
+    def test_failing_property_exits_1(self, properties, tmp_path,
+                                      monkeypatch, capsys):
+        name = "linear-sup-norm-bound"
+        rows = [(n, ok and n != name, d) for n, ok, d in properties]
+        monkeypatch.setattr(cli, "suite_properties", lambda: rows)
+        assert main(["suite", "properties", "--out", str(tmp_path)]) == 1
+        text = (tmp_path / "report.txt").read_text()
+        assert f"{name:32s} FAIL " in text
+        assert text.count("FAIL") == 1
+        csv = (tmp_path / "report.csv").read_text().splitlines()
+        assert [line for line in csv if ",FAIL," in line] == \
+            [f"properties,{n},FAIL,{d}" for n, _, d in rows if n == name]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from degenlog import scenarios
 from degenlog.evolve import EquationParams, SchemeConfig, Trajectory
 from degenlog.geometry import (DomainSpec, JumpingSets, NuProfile, SetShape,
                                StaticSet)
@@ -12,6 +13,7 @@ from degenlog.scenarios import (InitialData, OutputPlan, REGISTRY_LABELS,
                                 Scenario, classify, cross_check, predict,
                                 realize_initial, registry, run_scenario,
                                 scenario_grid)
+from degenlog.spectral import lambda0_of_set
 
 DOM = DomainSpec.rectangle((0.0, 0.0), (2.0, 2.0))
 NU = NuProfile(kind="saturating", nu_max=1.0, d_ramp=0.05, n_empty=1.0)
@@ -197,3 +199,35 @@ class TestPredictAndCrossCheck:
                          cap_hit=79.0)
         rep2 = cross_check(s, cap_traj, grid, checks=checks)
         assert rep2.status == "VIOLATION"
+
+    @pytest.mark.parametrize("label, ladders", [
+        ("trichotomy-mid", 1), ("jumping-control", 1),
+        ("rotating-slow", 4), ("shrink-case3", 4)])
+    def test_one_ladder_per_distinct_envelope_set(self, label, ladders,
+                                                   monkeypatch):
+        s = registry()[label]
+        grid = scenario_grid(s)
+        calls, envelopes = [], []
+
+        def counted(grid, shape, **kw):
+            calls.append(shape)
+            return lambda0_of_set(grid, shape, **kw)
+
+        def recorded(envelope):
+            def wrapper(*args):
+                envelopes.append(envelope(*args))
+                return envelopes[-1]
+            return wrapper
+
+        monkeypatch.setattr(scenarios, "lambda0_of_set", counted)
+        for name in ("k_sup", "k_inf"):
+            monkeypatch.setattr(scenarios, name,
+                                recorded(getattr(scenarios, name)))
+        checks = predict(s, grid)
+        monkeypatch.undo()
+        assert len(calls) == len(set(calls)) == ladders
+        # each tau0 row holds fresh ladders of that tau0's K_sup and K_inf
+        fresh = [scenarios._lambda0(grid, k) for k in envelopes]
+        rows = [[v for key, v in c.details if key.startswith("tau0=")]
+                for c in checks[:2]]
+        assert rows == 2 * [list(zip(fresh[::2], fresh[1::2]))]
