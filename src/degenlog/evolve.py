@@ -11,6 +11,10 @@ multiplier.  The system matrix is an M-matrix, so the scheme preserves
 nonnegativity and nodewise comparison (in initial data, in the coefficient n,
 and under domain inclusion) — the structural properties the continuous
 comparison arguments rest on — at first-order accuracy in dt.
+
+The state is the packed vector of u on the operator's mask (MaskedOperator
+order); run() keeps it packed from the first step to the last and extends
+it to the full lattice only for snapshots.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from .grid import Field, Grid, MaskedOperator
 __all__ = [
     "EquationParams",
     "SchemeConfig",
-    "StepState",
     "Trajectory",
     "step",
     "run",
@@ -86,12 +89,6 @@ class SchemeConfig:
 
 
 @dataclass
-class StepState:
-    t: float
-    u: Field
-
-
-@dataclass
 class Trajectory:
     """Recorded norms and snapshots of one run."""
 
@@ -102,32 +99,28 @@ class Trajectory:
     snapshots: list = field(default_factory=list)   # (t, Field)
     cap_hit: float | None = None
     growth_cap: float = 0.0
+    cell_volume: float = 1.0      # lattice cell volume weighting the norms
 
-    def record(self, state: StepState) -> None:
-        self.times.append(state.t)
-        self.sup_norms.append(state.u.sup_norm())
-        self.l2_norms.append(state.u.l2_norm())
-        self.masses.append(state.u.mass())
+    def record(self, t: float, u: np.ndarray) -> None:
+        """Append the norms of the packed vector u at time t."""
+        self.times.append(t)
+        self.sup_norms.append(float(np.max(np.abs(u))))
+        self.l2_norms.append(float(np.sqrt(np.sum(u ** 2) * self.cell_volume)))
+        self.masses.append(float(np.sum(u) * self.cell_volume))
 
     def __len__(self) -> int:
         return len(self.times)
 
 
-def step(state: StepState, params: EquationParams, cfg: SchemeConfig,
-         op: MaskedOperator, points: np.ndarray | None = None) -> StepState:
-    """Advance one step; state.u must be nonnegative."""
-    cfg.validate(params.lam)
-    grid = state.u.grid
-    if points is None:
-        points = grid.points()[op.mask.ravel()]
-    u = op.restrict(state.u.values)
-    t_next = state.t + cfg.dt
-    n_next = params.n_values(t_next, points)
+def step(u: np.ndarray, t: float, params: EquationParams, cfg: SchemeConfig,
+         op: MaskedOperator) -> np.ndarray:
+    """Advance the packed, nonnegative u on op.mask from t to t + dt."""
+    n_next = params.n_values(t + cfg.dt, op.points)
     c = cfg.dt * n_next * np.power(u, params.rho - 1.0)
     rhs = (1.0 + cfg.dt * params.lam) * u
-    sol = op.solve_spd(rhs, a=1.0, b=cfg.dt, c=c, tol=cfg.solve_tol, x0=u)
+    sol = op.solve_spd(rhs, cfg.dt, c, tol=cfg.solve_tol, x0=u)
     np.maximum(sol, 0.0, out=sol)   # clip solver roundoff
-    return StepState(t=t_next, u=Field(grid, op.extend(sol)))
+    return sol
 
 
 def run(grid: Grid, params: EquationParams, cfg: SchemeConfig, u0: Field,
@@ -135,32 +128,35 @@ def run(grid: Grid, params: EquationParams, cfg: SchemeConfig, u0: Field,
         snapshot_times=()) -> Trajectory:
     """Iterate step over [t0, t_end], recording norms and snapshots.
 
-    Aborts early (after recording) once the sup-norm exceeds the growth cap;
-    the cap-hit time is stored on the trajectory.
+    u0 must be nonnegative and vanish off the grid's mask.  Aborts early
+    (after recording) once the sup-norm exceeds the growth cap; the cap-hit
+    time is stored on the trajectory.
     """
     cfg.validate(params.lam)
     if t_end < t0:
         raise ValueError("t_end must not precede t0")
     if np.any(u0.values < 0):
         raise ValueError("initial data must be nonnegative")
+    if np.any(u0.values[~grid.mask] != 0):
+        raise ValueError("initial data must vanish off the domain's mask")
     op = MaskedOperator(grid)
-    points = grid.points()[op.mask.ravel()]
-    state = StepState(t=t0, u=u0.copy())
-    tr = Trajectory(growth_cap=cfg.growth_cap)
-    tr.record(state)
-    pending_snaps = sorted(float(t) for t in snapshot_times)
+    t, u = t0, op.restrict(u0.values)
+    tr = Trajectory(growth_cap=cfg.growth_cap, cell_volume=grid.cell_volume)
+    tr.record(t, u)
+    pending_snaps = sorted(float(ts) for ts in snapshot_times)
     if pending_snaps and abs(pending_snaps[0] - t0) <= 0.5 * cfg.dt:
-        tr.snapshots.append((state.t, state.u.copy()))
+        tr.snapshots.append((t, u0.copy()))
         pending_snaps.pop(0)
     n_steps = int(round((t_end - t0) / cfg.dt))
     for k in range(1, n_steps + 1):
-        state = step(state, params, cfg, op, points)
-        if pending_snaps and state.t >= pending_snaps[0] - 0.5 * cfg.dt:
-            tr.snapshots.append((state.t, state.u.copy()))
+        u = step(u, t, params, cfg, op)
+        t += cfg.dt
+        if pending_snaps and t >= pending_snaps[0] - 0.5 * cfg.dt:
+            tr.snapshots.append((t, Field(grid, op.extend(u))))
             pending_snaps.pop(0)
         if k % sample_every == 0 or k == n_steps:
-            tr.record(state)
+            tr.record(t, u)
             if tr.sup_norms[-1] > cfg.growth_cap:
-                tr.cap_hit = state.t
+                tr.cap_hit = t
                 break
     return tr

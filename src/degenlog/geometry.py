@@ -233,16 +233,6 @@ class SetShape:
                             theta0=self.theta0 + angle, theta1=self.theta1 + angle)
         return SetShape(kind=self.kind, center=center, radius=self.radius)
 
-    def bounding_radius(self, about) -> float:
-        """Radius of a ball about ``about`` containing the shape."""
-        a = np.asarray(about, dtype=float)
-        if self.kind == "empty":
-            return 0.0
-        if self.kind in ("union", "intersection"):
-            return max(s.bounding_radius(a) for s in self.parts)
-        d = float(np.linalg.norm(np.array(self.center) - a))
-        return d + self.radius
-
 
 def _segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Distance from points p (M, 2) to the segment [a, b]."""
@@ -321,13 +311,6 @@ class RadiusSchedule:
         if self.kind == "oscillating":
             return self.r0 * (1.0 + abs(math.sin(self.omega * t)))
         raise ValueError(f"unknown radius schedule {self.kind!r}")
-
-    def max_radius(self) -> float:
-        if self.kind in ("constant", "harmonic_shrink"):
-            return self.r0
-        if self.kind == "approach":
-            return self.r0
-        return 2.0 * self.r0
 
     def min_radius(self, ta: float, tb: float) -> float:
         """Exact infimum of the radius over [ta, tb]."""
@@ -454,17 +437,6 @@ class JumpingSets:
         if s < 0:
             s += self.period
         return self.k0 if 0.0 < s <= self.t1 else self.k1
-
-    def jump_times(self, t_end: float):
-        """All jump instants in (0, t_end]."""
-        times = []
-        n = 0
-        while n * self.period < t_end:
-            for tj in (n * self.period + self.t1, (n + 1) * self.period):
-                if 0.0 < tj <= t_end:
-                    times.append(tj)
-            n += 1
-        return times
 
 
 @dataclass(frozen=True)
@@ -612,7 +584,7 @@ def k_inf(spec, tau0: float, horizon: float, sample_dt: float) -> SetShape:
             return spec.k0
         if spec.k0.is_empty or spec.k1.is_empty:
             return SetShape.empty()
-        if _shapes_disjoint(spec.k0, spec.k1):
+        if shape_gap(spec.k0, spec.k1) > 0.0:
             return SetShape.empty()
         return SetShape.intersection((spec.k0, spec.k1))
     if isinstance(spec, TranslatingSet) and spec.template.kind == "ball" \
@@ -637,10 +609,6 @@ def k_inf(spec, tau0: float, horizon: float, sample_dt: float) -> SetShape:
             return SetShape.empty()
         shapes[s] = None
     return SetShape.intersection(shapes)
-
-
-def _shapes_disjoint(a: SetShape, b: SetShape) -> bool:
-    return shape_gap(a, b) > 0.0
 
 
 def shape_gap(a: SetShape, b: SetShape, samples: int = 96) -> float:

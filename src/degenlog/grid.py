@@ -9,6 +9,7 @@ realizes the homogeneous Dirichlet condition in the 3/5-point stencil.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.ndimage as ndi
@@ -24,7 +25,6 @@ __all__ = [
     "build_grid",
     "apply_laplacian",
     "mask_from_shape",
-    "dilate_mask",
     "mask_connected_components",
     "MaskedOperator",
     "write_pgm",
@@ -163,16 +163,6 @@ def mask_within_distance(grid: Grid, s: SetShape, delta: float) -> np.ndarray:
     return (d <= delta) & grid.mask
 
 
-def dilate_mask(grid: Grid, m: np.ndarray, delta: float) -> np.ndarray:
-    """Nodes within Euclidean distance delta of the mask, clipped to the grid."""
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    if not m.any() or delta == 0.0:
-        return m & grid.mask
-    dist = ndi.distance_transform_edt(~m, sampling=grid.h)
-    return (dist <= delta + 1e-12 * grid.h) & grid.mask
-
-
 def mask_connected_components(m: np.ndarray) -> int:
     """Number of orthogonally connected components."""
     structure = ndi.generate_binary_structure(m.ndim, 1)
@@ -183,9 +173,10 @@ def mask_connected_components(m: np.ndarray) -> int:
 class MaskedOperator:
     """Negative Laplacian restricted to a mask, with SPD solves.
 
-    Assembles the sparse matrix once; solves (a I + b A + diag(c)) u = rhs by
+    Assembles the sparse matrix once; solves (I + dt A + diag(c)) u = rhs by
     preconditioned conjugate gradients with a plain diagonal preconditioner.
-    Solves are deterministic and single-threaded.
+    Solves are deterministic and single-threaded.  Packed vectors list the
+    mask's nodes in C order, as `points` does.
     """
 
     def __init__(self, grid: Grid, mask: np.ndarray | None = None):
@@ -220,6 +211,11 @@ class MaskedOperator:
             shape=(self.n, self.n))
         return a.tocsr()
 
+    @cached_property
+    def points(self) -> np.ndarray:
+        """Coordinates of the mask's nodes, shape (n, dim)."""
+        return self.grid.points()[self.mask.ravel()]
+
     def restrict(self, values: np.ndarray) -> np.ndarray:
         return values[self.mask]
 
@@ -232,27 +228,22 @@ class MaskedOperator:
         """Discrete L2 inner product on the mask."""
         return float(u @ v) * self.grid.cell_volume
 
-    def solve_spd(self, rhs: np.ndarray, a: float = 1.0, b: float = 1.0,
-                  c: np.ndarray | None = None, tol: float = 1e-10,
-                  x0: np.ndarray | None = None,
-                  maxiter: int | None = None) -> np.ndarray:
-        """Solve (a I + b A + diag(c)) u = rhs to relative residual <= tol."""
-        if c is not None and np.any(c < 0):
+    def solve_spd(self, rhs: np.ndarray, dt: float, c: np.ndarray,
+                  tol: float = 1e-10,
+                  x0: np.ndarray | None = None) -> np.ndarray:
+        """Solve (I + dt A + diag(c)) u = rhs to relative residual <= tol."""
+        if np.any(c < 0):
             raise ValueError("reaction coefficient c must be nonnegative")
         A = self.matrix
 
         def matvec(x):
-            y = a * x + b * (A @ x)
-            if c is not None:
-                y = y + c * x
-            return y
+            return x + dt * (A @ x) + c * x
 
-        diag = a + b * A.diagonal() + (c if c is not None else 0.0)
+        diag = 1.0 + dt * A.diagonal() + c
         op = spla.LinearOperator((self.n, self.n), matvec=matvec)
         pre = spla.LinearOperator((self.n, self.n), matvec=lambda x: x / diag)
-        maxiter = maxiter if maxiter is not None else max(4 * self.n, 200)
         sol, info = spla.cg(op, rhs, x0=x0, rtol=tol, atol=0.0,
-                            maxiter=maxiter, M=pre)
+                            maxiter=max(4 * self.n, 200), M=pre)
         rhs_norm = float(np.linalg.norm(rhs))
         res = float(np.linalg.norm(matvec(sol) - rhs))
         if rhs_norm > 0 and res > 4.0 * tol * rhs_norm:

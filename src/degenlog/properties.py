@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .evolve import EquationParams, SchemeConfig, StepState, run, step
+from .evolve import EquationParams, SchemeConfig, run, step
 from .geometry import DomainSpec, SetShape
 from .grid import Field, MaskedOperator, build_grid, mask_from_shape
 from .oracles import OdeBoundParams, w_closed_form, w_inf, w_rk4
@@ -66,7 +66,6 @@ def comparison_rows():
     on the 16-cell unit square."""
     grid = build_grid(UNIT_SQ, 16)
     op = MaskedOperator(grid)
-    pts = grid.points()[op.mask.ravel()]
     cfg = SchemeConfig(dt=1e-3, solve_tol=1e-12)
     rng = np.random.default_rng(100)
 
@@ -75,11 +74,10 @@ def comparison_rows():
 
     def evolve(u0, n_field):
         params = EquationParams(lam=5.0, rho=2.0, n_func=lambda t, p: n_field)
-        st = StepState(0.0, Field(grid, op.extend(u0)))
-        out = [u0]
+        t, out = 0.0, [u0]
         for _ in range(50):
-            st = step(st, params, cfg, op, pts)
-            out.append(op.restrict(st.u.values))
+            out.append(step(out[-1], t, params, cfg, op))
+            t += cfg.dt
         return out
 
     def breach(lower, upper):

@@ -12,18 +12,18 @@ cross_check() confronts the two routes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry as geo
 from .geometry import (DomainSpec, JumpingSets, NuProfile, RadiusBall,
                        RotatingSector, SetShape, StaticSet, TranslatingSet,
-                       default_sample_dt, k_inf, k_sup, shape_gap, snapshot,
+                       default_sample_dt, k_inf, k_sup, shape_gap,
                        union_over_interval)
-from .evolve import EquationParams, SchemeConfig, Trajectory
+from .evolve import EquationParams, SchemeConfig, Trajectory, step
 from .evolve import run as evolve_run
-from .grid import (Field, Grid, build_grid, mask_from_shape,
+from .grid import (Field, Grid, MaskedOperator, build_grid, mask_from_shape,
                    mask_within_distance)
 from .oracles import TauInputs, tau_unbounded, w_inf
 from .spectral import lambda0_of_set, principal_eigenpair, second_eigenvalue
@@ -585,39 +585,32 @@ def initial_data_independence(s: Scenario, u0: Field, v0: Field, delta: float,
     largest nodewise breach of alpha*u <= v <= beta*u over the sample times
     (nonpositive means the sandwich holds).
     """
-    from .grid import MaskedOperator
-    from .evolve import StepState, step
-
-    grid = scenario_grid(s)
-    op = MaskedOperator(grid)
-    pts = grid.points()[op.mask.ravel()]
+    op = MaskedOperator(scenario_grid(s))
     dt = s.scheme.dt
     n_settle = int(round(delta / dt))
-    su = StepState(s.t0, u0.copy())
-    sv = StepState(s.t0, v0.copy())
+
+    def advance(u, v, t):
+        return (step(u, t, s.params, s.scheme, op),
+                step(v, t, s.params, s.scheme, op), t + dt)
+
+    t, u, v = s.t0, op.restrict(u0.values), op.restrict(v0.values)
     for _ in range(n_settle):
-        su = step(su, s.params, s.scheme, op, pts)
-        sv = step(sv, s.params, s.scheme, op, pts)
-    uu = op.restrict(su.u.values)
-    vv = op.restrict(sv.u.values)
-    if np.any(uu <= 0.0):
+        u, v, t = advance(u, v, t)
+    if np.any(u <= 0.0):
         raise RuntimeError(
             "reference evolution vanished at an interior node after the "
             "settling time; refine dt or the grid")
-    ratio = vv / uu
+    ratio = v / u
     alpha, beta = float(ratio.min()), float(ratio.max())
     horizon = s.t_end - (s.t0 + delta)
     sample_gap = max(int(round(horizon / dt / n_samples)), 1)
     worst = -math.inf
     for k in range(n_samples * sample_gap):
-        su = step(su, s.params, s.scheme, op, pts)
-        sv = step(sv, s.params, s.scheme, op, pts)
+        u, v, t = advance(u, v, t)
         if (k + 1) % sample_gap == 0:
-            uu = op.restrict(su.u.values)
-            vv = op.restrict(sv.u.values)
-            scale = max(float(np.max(vv)), 1e-300)
-            breach_low = float(np.max(alpha * uu - vv)) / scale
-            breach_high = float(np.max(vv - beta * uu)) / scale
+            scale = max(float(np.max(v)), 1e-300)
+            breach_low = float(np.max(alpha * u - v)) / scale
+            breach_high = float(np.max(v - beta * u)) / scale
             worst = max(worst, breach_low, breach_high)
     return alpha, beta, worst
 

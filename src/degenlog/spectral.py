@@ -2,8 +2,8 @@
 
 The principal eigenpair and the second eigenvalue of the discrete negative
 Laplacian come from one path: shift-invert Lanczos about zero (ARPACK's
-eigsh) from a fixed start vector.  The principal pair is held to a residual
-bound and must be one-signed.
+eigsh) from a fixed start vector.  Both pairs are held to a residual bound,
+and the principal eigenvector must be one-signed.
 The characteristic value of a compact set K is the limit of the principal
 eigenvalue of shrinking neighborhoods {d(x, K) <= delta}; it is estimated on
 a geometric delta schedule with first-order Richardson extrapolation, and
@@ -91,6 +91,15 @@ def _smallest_eigenpairs(op: MaskedOperator, k: int, tol: float):
     return vals[order], vecs[:, order]
 
 
+def _check_residual(op: MaskedOperator, lam: float, vec: np.ndarray,
+                    bound: float, which: str) -> None:
+    """Raise EigenFailure unless ||A vec - lam vec|| <= bound max(1, |lam|)."""
+    residual = float(np.linalg.norm(op.matrix @ vec - lam * vec))
+    if residual > bound * max(1.0, abs(lam)):
+        raise EigenFailure(f"{which} eigenvalue {lam!r} fails its residual "
+                           f"check (residual {residual:.3e})")
+
+
 def principal_eigenpair(grid: Grid, mask: np.ndarray,
                         tol: float = 1e-10) -> EigenPair:
     """Smallest Dirichlet eigenvalue and positive normalized eigenfunction."""
@@ -98,10 +107,7 @@ def principal_eigenpair(grid: Grid, mask: np.ndarray,
     op = MaskedOperator(grid, mask)
     vals, vecs = _smallest_eigenpairs(op, 1, tol)
     lam, vec = float(vals[0]), vecs[:, 0]
-    residual = float(np.linalg.norm(op.matrix @ vec - lam * vec))
-    if residual > tol * max(1.0, abs(lam)):
-        raise EigenFailure(f"principal eigenvalue {lam!r} fails its residual "
-                           f"check (residual {residual:.3e})")
+    _check_residual(op, lam, vec, tol, "principal")
     if vec.sum() < 0:
         vec = -vec
     if np.any(vec <= 0):
@@ -135,13 +141,19 @@ def second_eigenvalue(grid: Grid, mask: np.ndarray, tol: float = 1e-10) -> float
     """Second Dirichlet eigenvalue of a connected mask.
 
     Lanczos copes with the near-degenerate second modes of discretized
-    symmetric shapes, which stall plain power-type iterations.
+    symmetric shapes, which stall plain power-type iterations.  The pair is
+    held to the residual bound sqrt(tol) max(1, |lambda|): the eigenvalue
+    error is quadratic in the residual, and near-degenerate second modes
+    converge less tightly than the principal one.
     """
     _check_mask(mask)
     if np.count_nonzero(mask) < 3:
         raise ValueError("second eigenvalue needs a mask of at least 3 nodes")
-    vals, _ = _smallest_eigenpairs(MaskedOperator(grid, mask), 2, tol)
-    return float(vals[1])
+    op = MaskedOperator(grid, mask)
+    vals, vecs = _smallest_eigenpairs(op, 2, tol)
+    lam = float(vals[1])
+    _check_residual(op, lam, vecs[:, 1], math.sqrt(tol), "second")
+    return lam
 
 
 def default_delta_schedule(delta0: float, h: float) -> tuple:

@@ -1,14 +1,18 @@
 """Semi-implicit stepping: positivity, comparison structure, recording."""
 
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from degenlog.geometry import (DomainSpec, NuProfile, SetShape, StaticSet)
+from degenlog.cli import emit_trajectory_csv, resolve_scenario
+from degenlog.geometry import DomainSpec, SetShape, StaticSet
 from degenlog.grid import Field, MaskedOperator, build_grid
-from degenlog.evolve import (EquationParams, SchemeConfig, StepState,
-                             Trajectory, run, step)
+from degenlog.evolve import (EquationParams, SchemeConfig, Trajectory, run,
+                             step)
+from degenlog.scenarios import registry, run_scenario
 from degenlog.spectral import principal_eigenpair
 
 UNIT_SQ = DomainSpec.rectangle((0.0, 0.0), (1.0, 1.0))
@@ -53,6 +57,13 @@ class TestValidation:
             run(g, EquationParams(lam=0.0, rho=2.0), SchemeConfig(dt=1e-3),
                 u0, 0.0, 0.01)
 
+    def test_initial_data_off_mask_rejected(self):
+        g = build_grid(DomainSpec.disc((0.0, 0.0), 1.0), 16)
+        u0 = Field(g, np.ones(g.shape))
+        with pytest.raises(ValueError, match="vanish off"):
+            run(g, EquationParams(lam=0.0, rho=2.0), SchemeConfig(dt=1e-3),
+                u0, 0.0, 0.01)
+
 
 class TestStep:
     def test_preserves_nonnegativity(self):
@@ -62,10 +73,10 @@ class TestStep:
             lam=5.0, rho=2.0,
             n_func=lambda t, p: rng.uniform(0.0, 3.0, len(p)))
         op = MaskedOperator(g)
-        state = StepState(0.0, _random_u0(g, rng))
-        for _ in range(20):
-            state = step(state, params, SchemeConfig(dt=2e-3), op)
-            assert np.all(state.u.values >= 0.0)
+        u = _random_u0(g, rng).values[g.mask]
+        for k in range(20):
+            u = step(u, k * 2e-3, params, SchemeConfig(dt=2e-3), op)
+            assert np.all(u >= 0.0)
 
     def test_linear_principal_mode_factor(self):
         g = _grid(32)
@@ -73,13 +84,13 @@ class TestStep:
         op = MaskedOperator(g)
         lam, dt = 3.0, 1e-3
         params = EquationParams(lam=lam, rho=2.0)
-        state = StepState(0.0, pair.vector.copy())
-        nxt = step(state, params, SchemeConfig(dt=dt, solve_tol=1e-13), op)
+        mode = pair.vector.values[g.mask]
+        nxt = step(mode, 0.0, params, SchemeConfig(dt=dt, solve_tol=1e-13),
+                   op)
         # one semi-implicit step multiplies an eigenmode by
         # (1 + dt lam) / (1 + dt lam1_h)
         factor = (1.0 + dt * lam) / (1.0 + dt * pair.value)
-        ratio = nxt.u.values[g.mask] / pair.vector.values[g.mask]
-        assert np.allclose(ratio, factor, rtol=1e-9)
+        assert np.allclose(nxt / mode, factor, rtol=1e-9)
 
     def test_ordering_in_initial_data(self):
         g = _grid()
@@ -90,12 +101,12 @@ class TestStep:
         lo = _random_u0(g, rng)
         hi = Field(g, lo.values + np.where(g.mask, rng.uniform(0, 1, g.shape),
                                            0.0))
-        s_lo, s_hi = StepState(0.0, lo), StepState(0.0, hi)
+        u_lo, u_hi = lo.values[g.mask], hi.values[g.mask]
         cfg = SchemeConfig(dt=2e-3, solve_tol=1e-12)
-        for _ in range(25):
-            s_lo = step(s_lo, params, cfg, op)
-            s_hi = step(s_hi, params, cfg, op)
-            assert np.all(s_lo.u.values <= s_hi.u.values + 1e-10)
+        for k in range(25):
+            u_lo = step(u_lo, k * cfg.dt, params, cfg, op)
+            u_hi = step(u_hi, k * cfg.dt, params, cfg, op)
+            assert np.all(u_lo <= u_hi + 1e-10)
 
     def test_ordering_in_coefficient(self):
         g = _grid()
@@ -111,14 +122,13 @@ class TestStep:
         p_large = EquationParams(lam=4.0, rho=2.0,
                                  n_func=lambda t, p: reshape(base + bump, p))
         op = MaskedOperator(g)
-        u0 = _random_u0(g, rng)
-        s_small, s_large = StepState(0.0, u0.copy()), StepState(0.0, u0.copy())
+        u_small = u_large = _random_u0(g, rng).values[g.mask]
         cfg = SchemeConfig(dt=2e-3, solve_tol=1e-12)
-        for _ in range(25):
-            s_small = step(s_small, p_small, cfg, op)
-            s_large = step(s_large, p_large, cfg, op)
+        for k in range(25):
+            u_small = step(u_small, k * cfg.dt, p_small, cfg, op)
+            u_large = step(u_large, k * cfg.dt, p_large, cfg, op)
             # larger coefficient saturates harder
-            assert np.all(s_large.u.values <= s_small.u.values + 1e-10)
+            assert np.all(u_large <= u_small + 1e-10)
 
 
 class TestRun:
@@ -176,10 +186,43 @@ class TestRun:
 class TestTrajectory:
     def test_record(self):
         g = _grid()
-        tr = Trajectory(growth_cap=1.0)
+        tr = Trajectory(growth_cap=1.0, cell_volume=g.cell_volume)
         f = Field.from_function(g, lambda p: np.ones(len(p)))
-        tr.record(StepState(0.5, f))
+        tr.record(0.5, f.values[g.mask])
         assert tr.times == [0.5]
         assert tr.sup_norms == [1.0]
         assert tr.l2_norms[0] == pytest.approx(f.l2_norm())
         assert tr.masses[0] == pytest.approx(f.mass())
+
+
+def _run_200_steps(s):
+    return run_scenario(dataclasses.replace(
+        s, t_end=s.t0 + 200 * s.scheme.dt,
+        outputs=dataclasses.replace(s.outputs, sample_every=1)))
+
+
+class TestPinnedTrajectories:
+    """sha256 of 200-step runs, each step recorded, pinned before the state
+    was kept packed on the mask: any reordered floating-point operation in
+    the step shows here."""
+
+    CSV_SHA256 = {
+        "trichotomy-high":
+            "edf83b8253561639d63489e43d10aa0ff1fdbfa392f1fcb728ce3fa628002cc1",
+        "jumping-control":
+            "4aeaf6ca932a79f39eb5b53819ef74bc93be968503a2a9d4ec4f2c4d58f40dd9",
+    }
+
+    @pytest.mark.parametrize("label", CSV_SHA256)
+    def test_registry_csv(self, label, tmp_path):
+        path = tmp_path / "trajectory.csv"
+        emit_trajectory_csv(_run_200_steps(registry()[label]), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            self.CSV_SHA256[label]
+
+    def test_disc_sup_norms(self):
+        s = resolve_scenario("trichotomy-mid", [
+            "domain.kind=disc", "domain.center=1,1", "domain.radius=1"])
+        sups = repr(_run_200_steps(s).sup_norms).encode()
+        assert hashlib.sha256(sups).hexdigest() == \
+            "ed34adadb6935d956ef973599c369a6826238377c7e56e1bcf4f141347352c8b"

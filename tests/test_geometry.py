@@ -88,10 +88,6 @@ class TestSetShape:
         r = SetShape.ball((1.0, 0.0), 0.5).rotated(math.pi / 2)
         assert r.center == pytest.approx((0.0, 1.0))
 
-    def test_bounding_radius(self):
-        b = SetShape.ball((3.0, 0.0), 1.0)
-        assert b.bounding_radius((0.0, 0.0)) == pytest.approx(4.0)
-
 
 class TestSchedules:
     def test_radius_laws(self):
@@ -101,7 +97,6 @@ class TestSchedules:
         assert RadiusSchedule("approach", 2.0).radius(1.0) == pytest.approx(1.0)
         osc = RadiusSchedule("oscillating", 1.0, omega=math.pi / 2)
         assert osc.radius(1.0) == pytest.approx(2.0)
-        assert osc.max_radius() == 2.0
 
     def test_path_positions_and_speed(self):
         line = PathSchedule(kind="line", point=(0.0, 0.0), velocity=(1.0, 0.0))
@@ -134,14 +129,13 @@ class TestMovingSets:
         assert snap.theta0 == pytest.approx(-1.0)
         assert snap.theta1 == pytest.approx(0.0)
 
-    def test_jumping_phases_and_jump_times(self):
+    def test_jumping_phases(self):
         j = JumpingSets(SetShape.ball((0, 0), 1.0), SetShape.empty(),
                         period=1.0, t1=0.4)
         assert snapshot(j, 0.2).kind == "ball"
         assert snapshot(j, 0.4).kind == "ball"      # right endpoint included
         assert snapshot(j, 0.5).is_empty
         assert snapshot(j, 1.0).is_empty            # period boundary
-        assert j.jump_times(2.0) == pytest.approx([0.4, 1.0, 1.4, 2.0])
 
     def test_jumping_invalid_t1(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import pytest
 
 from degenlog.geometry import DomainSpec, SetShape
 from degenlog.grid import (Field, MaskedOperator, SolveFailure, apply_laplacian,
-                           build_grid, dilate_mask, mask_connected_components,
+                           build_grid, mask_connected_components,
                            mask_from_shape, mask_within_distance, write_pgm)
 
 UNIT_SQ = DomainSpec.rectangle((0.0, 0.0), (1.0, 1.0))
@@ -106,27 +106,11 @@ class TestMasks:
         assert np.all(m1[m0])
         assert m1.sum() > m0.sum()
 
-    def test_dilate_mask_matches_exact_dilation_of_ball(self):
-        g = build_grid(UNIT_SQ, 64)
-        s = SetShape.ball((0.5, 0.5), 0.2)
-        m = mask_from_shape(g, s)
-        # grid dilation of the nodal mask vs exact dilation of the shape:
-        # equal up to one cell of boundary discretization
-        approx = dilate_mask(g, m, 0.1)
-        exact = mask_within_distance(g, s, 0.1)
-        assert np.all(exact[approx & ~_ring(g, s, 0.1)])
-
     def test_connected_components(self):
         g = build_grid(UNIT_SQ, 32)
         two = (mask_from_shape(g, SetShape.ball((0.25, 0.25), 0.1))
                | mask_from_shape(g, SetShape.ball((0.75, 0.75), 0.1)))
         assert mask_connected_components(two) == 2
-
-
-def _ring(g, s, delta):
-    inner = mask_within_distance(g, s, delta - 1.5 * g.h)
-    outer = mask_within_distance(g, s, delta + 1.5 * g.h)
-    return outer & ~inner
 
 
 class TestMaskedOperator:
@@ -145,27 +129,34 @@ class TestMaskedOperator:
         v = np.arange(op.n, dtype=float)
         assert np.array_equal(op.restrict(op.extend(v)), v)
 
+    def test_points_in_packed_order(self):
+        g = build_grid(DomainSpec.disc((0.0, 0.0), 1.0), 16)
+        op = MaskedOperator(g)
+        x = g.points()[:, 0].reshape(g.shape)
+        assert np.array_equal(op.extend(op.points[:, 0]),
+                              np.where(g.mask, x, 0.0))
+
     def test_solve_spd_accuracy(self):
         g = build_grid(UNIT_SQ, 32)
         op = MaskedOperator(g)
         rng = np.random.default_rng(7)
         x_true = rng.standard_normal(op.n)
         c = rng.uniform(0.0, 2.0, op.n)
-        rhs = 1.5 * x_true + 0.25 * (op.matrix @ x_true) + c * x_true
-        x = op.solve_spd(rhs, a=1.5, b=0.25, c=c, tol=1e-12)
+        rhs = x_true + 0.25 * (op.matrix @ x_true) + c * x_true
+        x = op.solve_spd(rhs, 0.25, c, tol=1e-12)
         assert np.allclose(x, x_true, atol=1e-9)
 
     def test_negative_reaction_rejected(self):
         g = build_grid(UNIT_SQ, 16)
         op = MaskedOperator(g)
         with pytest.raises(ValueError):
-            op.solve_spd(np.ones(op.n), c=-np.ones(op.n))
+            op.solve_spd(np.ones(op.n), 1.0, -np.ones(op.n))
 
     def test_solve_failure_reported(self):
         g = build_grid(UNIT_SQ, 16)
         op = MaskedOperator(g)
         with pytest.raises(SolveFailure):
-            op.solve_spd(np.ones(op.n), tol=1e-14, maxiter=1)
+            op.solve_spd(np.ones(op.n), 1.0, np.zeros(op.n), tol=1e-30)
 
     def test_empty_mask_rejected(self):
         g = build_grid(UNIT_SQ, 16)

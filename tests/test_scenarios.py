@@ -1,16 +1,13 @@
 """Scenario descriptions, the verdict classifier and the prediction layer."""
 
-import math
-
 import numpy as np
 import pytest
 
 from degenlog import scenarios
 from degenlog.evolve import EquationParams, SchemeConfig, Trajectory
-from degenlog.geometry import (DomainSpec, JumpingSets, NuProfile, SetShape,
-                               StaticSet)
-from degenlog.scenarios import (InitialData, OutputPlan, REGISTRY_LABELS,
-                                Scenario, classify, cross_check, predict,
+from degenlog.geometry import DomainSpec, NuProfile, SetShape, StaticSet
+from degenlog.scenarios import (InitialData, REGISTRY_LABELS, Scenario,
+                                classify, cross_check, predict,
                                 realize_initial, registry, run_scenario,
                                 scenario_grid)
 from degenlog.spectral import lambda0_of_set

@@ -8,7 +8,8 @@ import pytest
 from degenlog.geometry import DomainSpec, SetShape
 from degenlog.grid import (MaskedOperator, build_grid, mask_from_shape,
                            mask_within_distance)
-from degenlog.spectral import (Lambda0Estimate, analytic_lambda1,
+from degenlog import spectral
+from degenlog.spectral import (EigenFailure, Lambda0Estimate, analytic_lambda1,
                                bessel_j0_first_root, default_delta_schedule,
                                lambda0_of_set, linear_evolve,
                                principal_eigenpair, principal_eigenvalue,
@@ -110,6 +111,20 @@ class TestSecondEigenvalue:
         m[8, 9] = True
         vals = np.linalg.eigvalsh(MaskedOperator(g, m).matrix.toarray())
         assert second_eigenvalue(g, m) == pytest.approx(vals[1], rel=1e-10)
+
+    def test_loose_pair_raises(self, monkeypatch):
+        g = build_grid(UNIT_SQ, 16)
+        solve = spectral._smallest_eigenpairs
+        noise = np.random.default_rng(5).standard_normal(g.mask.sum())
+
+        def perturbed(op, k, tol):
+            vals, vecs = solve(op, k, tol)
+            vecs[:, 1] += 1e-5 * noise / np.linalg.norm(noise)
+            return vals, vecs
+
+        monkeypatch.setattr(spectral, "_smallest_eigenpairs", perturbed)
+        with pytest.raises(EigenFailure, match="second eigenvalue"):
+            second_eigenvalue(g, g.mask)
 
     @pytest.mark.xfail(strict=True, reason="the constant Lanczos start "
                        "vector is orthogonal to the second mode of this "
