@@ -16,6 +16,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .evolve import EquationParams, SchemeConfig, Trajectory
 from .geometry import (DomainSpec, JumpingSets, NuProfile, PathSchedule,
                        RadiusBall, RadiusSchedule, RotatingSector, SetShape,
@@ -374,11 +376,12 @@ def emit_trajectory_csv(tr: Trajectory, path) -> None:
 
 
 def emit_snapshots(tr: Trajectory, out_dir: Path) -> None:
-    display_max = max((f.sup_norm() for _, f in tr.snapshots), default=0.0)
+    display_max = max((float(np.max(np.abs(a))) for _, a in tr.snapshots),
+                      default=0.0)
     if display_max <= 0.0:
         display_max = 1.0
-    for i, (t, f) in enumerate(tr.snapshots):
-        write_pgm(f, out_dir / f"snapshot_{i:03d}.pgm", display_max)
+    for i, (t, a) in enumerate(tr.snapshots):
+        write_pgm(a, out_dir / f"snapshot_{i:03d}.pgm", display_max)
         with open(out_dir / f"snapshot_{i:03d}.pgm.txt", "a") as fh:
             fh.write(f"t = {_num(t)}\n")
 

@@ -24,12 +24,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import MovingSet, NuProfile, evaluate_n
-from .grid import Field, Grid, MaskedOperator
+from .grid import Grid, MaskedOperator
 
 __all__ = [
     "EquationParams",
     "SchemeConfig",
     "Trajectory",
+    "check_outputs",
     "step",
     "run",
 ]
@@ -96,7 +97,7 @@ class Trajectory:
     sup_norms: list = field(default_factory=list)
     l2_norms: list = field(default_factory=list)
     masses: list = field(default_factory=list)
-    snapshots: list = field(default_factory=list)   # (t, Field)
+    snapshots: list = field(default_factory=list)   # (t, lattice array)
     cap_hit: float | None = None
     growth_cap: float = 0.0
     cell_volume: float = 1.0      # lattice cell volume weighting the norms
@@ -107,9 +108,6 @@ class Trajectory:
         self.sup_norms.append(float(np.max(np.abs(u))))
         self.l2_norms.append(float(np.sqrt(np.sum(u ** 2) * self.cell_volume)))
         self.masses.append(float(np.sum(u) * self.cell_volume))
-
-    def __len__(self) -> int:
-        return len(self.times)
 
 
 def step(u: np.ndarray, t: float, params: EquationParams, cfg: SchemeConfig,
@@ -123,24 +121,40 @@ def step(u: np.ndarray, t: float, params: EquationParams, cfg: SchemeConfig,
     return sol
 
 
-def run(grid: Grid, params: EquationParams, cfg: SchemeConfig, u0: Field,
+def check_outputs(t0: float, t_end: float, sample_every: int,
+                  snapshot_times) -> None:
+    """Raise ValueError unless records come every sample_every >= 1 steps
+    and every snapshot time lies in [t0, t_end]."""
+    if sample_every < 1:
+        raise ValueError(f"sample_every must be >= 1, got {sample_every}")
+    outside = [ts for ts in snapshot_times if not t0 <= ts <= t_end]
+    if outside:
+        raise ValueError(f"snapshot times {outside} lie outside "
+                         f"[t0, t_end] = [{t0:g}, {t_end:g}]")
+
+
+def run(grid: Grid, params: EquationParams, cfg: SchemeConfig, u0: np.ndarray,
         t0: float, t_end: float, sample_every: int = 1,
         snapshot_times=()) -> Trajectory:
     """Iterate step over [t0, t_end], recording norms and snapshots.
 
-    u0 must be nonnegative and vanish off the grid's mask.  Aborts early
-    (after recording) once the sup-norm exceeds the growth cap; the cap-hit
-    time is stored on the trajectory.
+    u0 is a lattice array of shape grid.shape, nonnegative and zero off the
+    grid's mask.  Aborts early (after recording) once the sup-norm exceeds
+    the growth cap; the cap-hit time is stored on the trajectory.
     """
     cfg.validate(params.lam)
     if t_end < t0:
         raise ValueError("t_end must not precede t0")
-    if np.any(u0.values < 0):
+    check_outputs(t0, t_end, sample_every, snapshot_times)
+    if u0.shape != grid.shape:
+        raise ValueError(f"initial data has shape {u0.shape}, not the "
+                         f"grid's lattice shape {grid.shape}")
+    if np.any(u0 < 0):
         raise ValueError("initial data must be nonnegative")
-    if np.any(u0.values[~grid.mask] != 0):
+    if np.any(u0[~grid.mask] != 0):
         raise ValueError("initial data must vanish off the domain's mask")
     op = MaskedOperator(grid)
-    t, u = t0, op.restrict(u0.values)
+    t, u = t0, op.restrict(u0)
     tr = Trajectory(growth_cap=cfg.growth_cap, cell_volume=grid.cell_volume)
     tr.record(t, u)
     pending_snaps = sorted(float(ts) for ts in snapshot_times)
@@ -152,7 +166,7 @@ def run(grid: Grid, params: EquationParams, cfg: SchemeConfig, u0: Field,
         u = step(u, t, params, cfg, op)
         t += cfg.dt
         if pending_snaps and t >= pending_snaps[0] - 0.5 * cfg.dt:
-            tr.snapshots.append((t, Field(grid, op.extend(u))))
+            tr.snapshots.append((t, op.extend(u)))
             pending_snaps.pop(0)
         if k % sample_every == 0 or k == n_steps:
             tr.record(t, u)

@@ -30,8 +30,6 @@ __all__ = [
     "JumpingSets",
     "TranslatingSet",
     "NuProfile",
-    "snapshot",
-    "distance_to_set",
     "evaluate_n",
     "union_over_interval",
     "k_sup",
@@ -455,19 +453,6 @@ class TranslatingSet:
 MovingSet = StaticSet | RadiusBall | RotatingSector | JumpingSets | TranslatingSet
 
 
-def snapshot(spec, t: float) -> SetShape:
-    """Realized compact set K(t) (possibly empty)."""
-    return spec.snapshot(t)
-
-
-def distance_to_set(x, s: SetShape):
-    """Euclidean distance from x (a point or an (M, d) batch) to the set."""
-    if s.is_empty:
-        raise ValueError("distance to the empty set is undefined")
-    d = s.distance(x)
-    return float(d[0]) if np.asarray(x).ndim == 1 else d
-
-
 # ---------------------------------------------------------------------------
 # Logistic coefficient
 # ---------------------------------------------------------------------------
@@ -505,7 +490,7 @@ class NuProfile:
 
 def evaluate_n(spec, nu: NuProfile, t: float, x):
     """Logistic coefficient n(t, x); zero exactly on K(t)."""
-    shape = snapshot(spec, t)
+    shape = spec.snapshot(t)
     p = _as_points(x)
     if shape.is_empty:
         out = np.full(len(p), nu.n_empty)
@@ -538,7 +523,7 @@ def union_over_interval(spec, ta: float, tb: float, sample_dt: float) -> SetShap
         raise ValueError("sample_dt must be positive")
     # a dict dedups equal (hashable, frozen) snapshots in first-seen order
     return SetShape.union(dict.fromkeys(
-        snapshot(spec, t) for t in _sample_times(ta, tb, sample_dt)))
+        spec.snapshot(t) for t in _sample_times(ta, tb, sample_dt)))
 
 
 def default_sample_dt(tau0: float) -> float:
@@ -604,7 +589,7 @@ def k_inf(spec, tau0: float, horizon: float, sample_dt: float) -> SetShape:
         return SetShape.ball(tuple(mid + base), r_eff)
     shapes = {}
     for t in _sample_times(tau0, horizon, sample_dt):
-        s = snapshot(spec, t)
+        s = spec.snapshot(t)
         if s.is_empty:
             return SetShape.empty()
         shapes[s] = None
@@ -652,7 +637,7 @@ def _cover_points(s: SetShape, samples: int) -> np.ndarray:
 def validate_inside_domain(spec, domain: DomainSpec, times) -> None:
     """Reject configurations whose K(t) leaves the domain at a sampled time."""
     for t in times:
-        s = snapshot(spec, t)
+        s = spec.snapshot(t)
         if s.is_empty:
             continue
         pts = _cover_points(s, 64) if s.kind != "union" else np.concatenate(

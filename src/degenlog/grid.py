@@ -1,9 +1,10 @@
-"""Uniform Cartesian discretization, masked fields and the Dirichlet Laplacian.
+"""Uniform Cartesian lattice, interior masks and the Dirichlet Laplacian.
 
 Nodes live on a uniform lattice over the domain's bounding box; a node belongs
-to the computational mask iff its center lies in the open domain.  Fields are
-stored on the full lattice and are identically zero outside their mask, which
-realizes the homogeneous Dirichlet condition in the 3/5-point stencil.
+to the computational mask iff its center lies in the open domain.  A grid
+function is a plain array of shape `Grid.shape` that is zero off the mask,
+which realizes the homogeneous Dirichlet condition in the 3/5-point stencil;
+MaskedOperator packs it to the mask's nodes and extends it back.
 """
 
 from __future__ import annotations
@@ -20,10 +21,8 @@ from .geometry import DomainSpec, SetShape
 
 __all__ = [
     "Grid",
-    "Field",
     "SolveFailure",
     "build_grid",
-    "apply_laplacian",
     "mask_from_shape",
     "mask_connected_components",
     "MaskedOperator",
@@ -64,37 +63,6 @@ class Grid:
         return self.h ** self.dim
 
 
-@dataclass
-class Field:
-    """Scalar grid function, zero outside its grid's mask by convention."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
-
-    def l2_norm(self) -> float:
-        return float(np.sqrt(np.sum(self.values ** 2) * self.grid.cell_volume))
-
-    def mass(self) -> float:
-        return float(np.sum(self.values) * self.grid.cell_volume)
-
-    @staticmethod
-    def zeros(grid: Grid) -> "Field":
-        return Field(grid, np.zeros(grid.shape))
-
-    @staticmethod
-    def from_function(grid: Grid, fn) -> "Field":
-        """Sample fn on node coordinates; zero outside the mask."""
-        vals = np.asarray(fn(grid.points()), dtype=float).reshape(grid.shape)
-        vals = np.where(grid.mask, vals, 0.0)
-        return Field(grid, vals)
-
-
 def build_grid(domain: DomainSpec, n) -> Grid:
     """Lattice with n cells per axis; nodes are cell corners strictly inside.
 
@@ -124,18 +92,6 @@ def build_grid(domain: DomainSpec, n) -> Grid:
         raise ValueError("degenerate domain: no interior nodes")
     object.__setattr__(grid, "mask", mask)
     return grid
-
-
-def apply_laplacian(f: Field) -> Field:
-    """Discrete negative Laplacian (central stencil, Dirichlet exterior)."""
-    g = f.grid
-    u = np.where(g.mask, f.values, 0.0)
-    out = 2.0 * g.dim * u
-    for axis in range(g.dim):
-        for shift in (1, -1):
-            out -= np.roll(u, shift, axis=axis) * _roll_valid(g.shape, axis, shift)
-    out /= g.h ** 2
-    return Field(g, np.where(g.mask, out, 0.0))
 
 
 def _roll_valid(shape, axis, shift):
@@ -224,10 +180,6 @@ class MaskedOperator:
         out[self.mask] = vec
         return out
 
-    def inner(self, u: np.ndarray, v: np.ndarray) -> float:
-        """Discrete L2 inner product on the mask."""
-        return float(u @ v) * self.grid.cell_volume
-
     def solve_spd(self, rhs: np.ndarray, dt: float, c: np.ndarray,
                   tol: float = 1e-10,
                   x0: np.ndarray | None = None) -> np.ndarray:
@@ -253,7 +205,7 @@ class MaskedOperator:
         return sol
 
 
-def write_pgm(field: Field, path, display_max: float) -> None:
+def write_pgm(values: np.ndarray, path, display_max: float) -> None:
     """8-bit binary PGM snapshot with a sidecar recording the scaling.
 
     Values are mapped affinely from [0, display_max] to [0, 255]; the sidecar
@@ -261,10 +213,9 @@ def write_pgm(field: Field, path, display_max: float) -> None:
     """
     if display_max <= 0:
         raise ValueError("display_max must be positive")
-    vals = field.values
-    if vals.ndim == 1:
-        vals = vals[None, :]
-    scaled = np.clip(vals / display_max, 0.0, 1.0)
+    if values.ndim == 1:
+        values = values[None, :]
+    scaled = np.clip(values / display_max, 0.0, 1.0)
     bytes_ = np.round(scaled * 255.0).astype(np.uint8)
     h, w = bytes_.shape
     with open(path, "wb") as fh:

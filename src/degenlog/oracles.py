@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .grid import Field
 from .spectral import EigenPair
 
 __all__ = [
@@ -281,11 +280,11 @@ def tau_unbounded(p: TauInputs) -> float:
     return max(first, second)
 
 
-def subsolution_growth(lam: float, eigen: EigenPair, u0: Field,
-                       t: float) -> Field:
-    """One-mode lower bound e^{(lam - lam1) t} <u0, phi1> phi1."""
-    grid = u0.grid
-    phi = eigen.vector.values
-    coeff = float(np.sum(u0.values * phi)) * grid.cell_volume
+def subsolution_growth(lam: float, eigen: EigenPair, u0: np.ndarray,
+                       t: float, cell_volume: float) -> np.ndarray:
+    """One-mode lower bound e^{(lam - lam1) t} <u0, phi1> phi1 on the
+    lattice; cell_volume weights the discrete inner product."""
+    phi = eigen.vector
+    coeff = float(np.sum(u0 * phi)) * cell_volume
     factor = math.exp((lam - eigen.value) * t) * coeff
-    return Field(grid, factor * phi)
+    return factor * phi

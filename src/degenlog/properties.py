@@ -12,7 +12,7 @@ import numpy as np
 
 from .evolve import EquationParams, SchemeConfig, run, step
 from .geometry import DomainSpec, SetShape
-from .grid import Field, MaskedOperator, build_grid, mask_from_shape
+from .grid import MaskedOperator, build_grid, mask_from_shape
 from .oracles import OdeBoundParams, w_closed_form, w_inf, w_rk4
 from .spectral import (bessel_j0_first_root, lambda0_of_set,
                        principal_eigenpair, principal_eigenvalue,
@@ -117,8 +117,7 @@ def linear_bound_rows():
         lam = rng.uniform(-2.0, 20.0)
         dt = rng.uniform(5e-4, 1e-3)
         t_end = rng.uniform(0.2, 0.4)
-        u0 = Field(grid, np.where(grid.mask,
-                                  rng.uniform(0.0, 1.0, grid.shape), 0.0))
+        u0 = np.where(grid.mask, rng.uniform(0.0, 1.0, grid.shape), 0.0)
         tr = run(grid, EquationParams(lam=lam, rho=2.0),
                  SchemeConfig(dt=dt, solve_tol=1e-12), u0, 0.0, t_end)
         sup0 = tr.sup_norms[0]
@@ -135,7 +134,7 @@ def _w_breach(dt: float) -> float:
     lam, nu0, rho, w0 = 5.0, 1.0, 2.0, 8.0
     params = EquationParams(lam=lam, rho=rho,
                             n_func=lambda t, p: np.full(len(p), nu0))
-    u0 = Field(grid, np.where(grid.mask, w0, 0.0))
+    u0 = np.where(grid.mask, w0, 0.0)
     tr = run(grid, params, SchemeConfig(dt=dt, solve_tol=1e-12), u0, 0.0, 1.0)
     p = OdeBoundParams(lam=lam, nu0=nu0, rho=rho, w0=w0)
     breach = 0.0

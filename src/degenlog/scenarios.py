@@ -21,10 +21,9 @@ from .geometry import (DomainSpec, JumpingSets, NuProfile, RadiusBall,
                        RotatingSector, SetShape, StaticSet, TranslatingSet,
                        default_sample_dt, k_inf, k_sup, shape_gap,
                        union_over_interval)
-from .evolve import EquationParams, SchemeConfig, Trajectory, step
+from .evolve import EquationParams, SchemeConfig, Trajectory, check_outputs
 from .evolve import run as evolve_run
-from .grid import (Field, Grid, MaskedOperator, build_grid, mask_from_shape,
-                   mask_within_distance)
+from .grid import Grid, build_grid, mask_from_shape, mask_within_distance
 from .oracles import TauInputs, tau_unbounded, w_inf
 from .spectral import lambda0_of_set, principal_eigenpair, second_eigenvalue
 
@@ -41,7 +40,6 @@ __all__ = [
     "predict",
     "cross_check",
     "CrossCheckReport",
-    "initial_data_independence",
     "registry",
     "REGISTRY_LABELS",
 ]
@@ -112,6 +110,8 @@ class Scenario:
         if not self.t_end > self.t0:
             raise ValueError("t_end must exceed t0")
         self.scheme.validate(self.params.lam)
+        check_outputs(self.t0, self.t_end, self.outputs.sample_every,
+                      self.outputs.snapshot_times)
 
     def hint(self, key: str, default=None):
         for k, v in self.hints:
@@ -124,10 +124,11 @@ def scenario_grid(s: Scenario) -> Grid:
     return build_grid(s.domain, s.resolution)
 
 
-def realize_initial(s: Scenario, grid: Grid) -> Field:
+def realize_initial(s: Scenario, grid: Grid) -> np.ndarray:
+    """The initial data as a lattice array, zero off the grid's mask."""
     init = s.initial
     if init.kind == "constant":
-        return Field(grid, np.where(grid.mask, init.value, 0.0))
+        return np.where(grid.mask, init.value, 0.0)
     if init.kind == "bump":
         c = np.array(init.center)
 
@@ -135,15 +136,14 @@ def realize_initial(s: Scenario, grid: Grid) -> Field:
             q = 1.0 - (np.linalg.norm(pts - c, axis=1) / init.radius) ** 2
             return init.value * np.maximum(q, 0.0) ** 2
 
-        return Field.from_function(grid, f)
+        return np.where(grid.mask, f(grid.points()).reshape(grid.shape), 0.0)
     if init.kind == "eigenfunction":
         m = mask_from_shape(grid, init.shape)
-        pair = principal_eigenpair(grid, m)
-        vals = pair.vector.values
-        return Field(grid, init.value * vals / np.max(vals))
+        vals = principal_eigenpair(grid, m).vector
+        return init.value * vals / np.max(vals)
     if init.kind == "custom":
         vals = np.asarray(init.values, dtype=float).reshape(grid.shape)
-        return Field(grid, np.where(grid.mask, vals, 0.0))
+        return np.where(grid.mask, vals, 0.0)
     raise ValueError(f"unknown initial data kind {init.kind!r}")
 
 
@@ -153,7 +153,7 @@ def run_scenario(s: Scenario, grid: Grid | None = None) -> Trajectory:
         times = np.linspace(s.t0, s.t_end, 33)
         geo.validate_inside_domain(s.params.moving_set, s.domain, times)
     u0 = realize_initial(s, grid)
-    if not np.any(u0.values > 0):
+    if not np.any(u0 > 0):
         raise ValueError("initial data must not vanish identically")
     return evolve_run(grid, s.params, s.scheme, u0, s.t0, s.t_end,
                       sample_every=s.outputs.sample_every,
@@ -396,7 +396,7 @@ def _ball_spectral_data(grid: Grid, pair_e, d_shape: SetShape):
     m_d = mask_from_shape(grid, d_shape)
     lam2_e = second_eigenvalue(grid, pair_e.mask)
     pair_d = principal_eigenpair(grid, m_d)
-    phi_e, phi_d = pair_e.vector.values, pair_d.vector.values
+    phi_e, phi_d = pair_e.vector, pair_d.vector
     alpha1 = float(np.sum(phi_d * phi_e)) * grid.cell_volume
     inf_e_on_d = float(np.min(phi_e[m_d]))
     max_d = float(np.max(phi_d))
@@ -569,50 +569,6 @@ def cross_check(s: Scenario, trajectory: Trajectory | None = None,
     return CrossCheckReport(label=s.label, checks=tuple(checks),
                             verdict=verdict, predicted=predicted,
                             status=status)
-
-
-# ---------------------------------------------------------------------------
-# Initial-data independence
-# ---------------------------------------------------------------------------
-
-
-def initial_data_independence(s: Scenario, u0: Field, v0: Field, delta: float,
-                              n_samples: int = 10):
-    """Sandwich test: after a settling time delta, the two evolutions stay
-    ordered by the nodewise ratios measured at that time.
-
-    Returns (alpha, beta, worst_violation) where worst_violation is the
-    largest nodewise breach of alpha*u <= v <= beta*u over the sample times
-    (nonpositive means the sandwich holds).
-    """
-    op = MaskedOperator(scenario_grid(s))
-    dt = s.scheme.dt
-    n_settle = int(round(delta / dt))
-
-    def advance(u, v, t):
-        return (step(u, t, s.params, s.scheme, op),
-                step(v, t, s.params, s.scheme, op), t + dt)
-
-    t, u, v = s.t0, op.restrict(u0.values), op.restrict(v0.values)
-    for _ in range(n_settle):
-        u, v, t = advance(u, v, t)
-    if np.any(u <= 0.0):
-        raise RuntimeError(
-            "reference evolution vanished at an interior node after the "
-            "settling time; refine dt or the grid")
-    ratio = v / u
-    alpha, beta = float(ratio.min()), float(ratio.max())
-    horizon = s.t_end - (s.t0 + delta)
-    sample_gap = max(int(round(horizon / dt / n_samples)), 1)
-    worst = -math.inf
-    for k in range(n_samples * sample_gap):
-        u, v, t = advance(u, v, t)
-        if (k + 1) % sample_gap == 0:
-            scale = max(float(np.max(v)), 1e-300)
-            breach_low = float(np.max(alpha * u - v)) / scale
-            breach_high = float(np.max(v - beta * u)) / scale
-            worst = max(worst, breach_low, breach_high)
-    return alpha, beta, worst
 
 
 # ---------------------------------------------------------------------------

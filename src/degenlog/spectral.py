@@ -18,12 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.ndimage as ndi
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.special import jn_zeros
 
 from .geometry import DomainSpec, SetShape
-from .grid import Field, Grid, MaskedOperator, mask_connected_components
+from .grid import Grid, MaskedOperator, mask_connected_components
 
 __all__ = [
     "EigenPair",
@@ -34,16 +33,16 @@ __all__ = [
     "lambda0_of_set",
     "analytic_lambda1",
     "bessel_j0_first_root",
-    "linear_evolve",
 ]
 
 
 @dataclass(frozen=True)
 class EigenPair:
-    """Eigenvalue with its L2-normalized, positive principal eigenfunction."""
+    """Eigenvalue with its L2-normalized, positive principal eigenfunction
+    as a lattice array, zero off the mask."""
 
     value: float
-    vector: Field
+    vector: np.ndarray
     mask: np.ndarray
 
 
@@ -116,8 +115,8 @@ def principal_eigenpair(grid: Grid, mask: np.ndarray,
         if np.min(vec) < -1e-8 * np.max(vec):
             raise EigenFailure("principal eigenvector is not one-signed")
         vec = np.maximum(vec, np.finfo(float).tiny)
-    vec = vec / math.sqrt(op.inner(vec, vec))
-    return EigenPair(value=lam, vector=Field(grid, op.extend(vec)), mask=mask)
+    vec = vec / math.sqrt(float(vec @ vec) * grid.cell_volume)
+    return EigenPair(value=lam, vector=op.extend(vec), mask=mask)
 
 
 def principal_eigenvalue(grid: Grid, mask: np.ndarray,
@@ -230,14 +229,3 @@ def analytic_lambda1(shape) -> float:
             return bessel_j0_first_root() ** 2 / shape.radius ** 2
         return math.pi ** 2 / (4.0 * shape.radius ** 2)
     raise ValueError(f"no closed-form eigenvalue for {shape!r}")
-
-
-def linear_evolve(op: MaskedOperator, v0: np.ndarray, t: float,
-                  lam: float = 0.0) -> np.ndarray:
-    """Exact-in-time linear flow exp(t (lam I - A)) v0 on a mask."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    if t == 0.0:
-        return v0.copy()
-    gen = sp.identity(op.n, format="csr") * lam - op.matrix
-    return spla.expm_multiply(gen * t, v0)

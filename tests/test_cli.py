@@ -2,11 +2,14 @@
 
 import dataclasses
 import hashlib
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import degenlog
 from degenlog import cli
 from degenlog.cli import (CliError, config_to_scenario, emit_scenario_ini,
                           emit_trajectory_csv, format_shape, main,
@@ -238,6 +241,18 @@ class TestTrajectoryCsv:
 
 
 class TestCommands:
+    # snapshot and sidecar sha256s, pinned before grid.Field was deleted
+    SNAPSHOT_SHA256 = {
+        "snapshot_000.pgm":
+            "e76fab1fa6b7a776d2b0edf7ab4cae66e4393cfed690bc7fdde3e0ba4f07dfcd",
+        "snapshot_000.pgm.txt":
+            "fa79ba114ed18bd019e5c6c5a72af84254c74a63605aac6742c71f63d012b970",
+        "snapshot_001.pgm":
+            "7df3395cc46651262768428bd6020251a46d4792f233ac3ee546adc522b0a9f1",
+        "snapshot_001.pgm.txt":
+            "ea9a3e6b5ab0569853f999a8f10ac7e5116ff702d924bad5ab60c25e06ff6609",
+    }
+
     def test_eig_square(self, capsys):
         assert main(["eig", "--domain", "rect:0,0,1,1", "--n", "32",
                      "--second"]) == 0
@@ -270,6 +285,17 @@ class TestCommands:
         assert snap.read_bytes().startswith(b"P5\n")
         sidecar = (out_dir / "snapshot_000.pgm.txt").read_text()
         assert "display_max" in sidecar and "t = 0.0" in sidecar
+        for name, digest in self.SNAPSHOT_SHA256.items():
+            assert hashlib.sha256((out_dir / name).read_bytes()).hexdigest() \
+                == digest, name
+
+    @pytest.mark.parametrize("override", [
+        "output.snapshot_times=-1,99", "output.sample_every=0"])
+    def test_run_rejects_bad_outputs(self, override, tmp_path, capsys):
+        assert main(["run", "trichotomy-mid", "--set", override,
+                     "--set", "time.t_end=0.2", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "error: trichotomy-mid: invalid scenario:" in err
 
     def test_predict_prints_table(self, capsys):
         assert main(["predict", "trichotomy-low"]) == 0
@@ -304,3 +330,11 @@ class TestCommands:
         csv = (tmp_path / "report.csv").read_text().splitlines()
         assert [line for line in csv if ",FAIL," in line] == \
             [f"properties,{n},FAIL,{d}" for n, _, d in rows if n == name]
+
+
+@pytest.mark.parametrize("name", sorted(
+    m.name for m in pkgutil.iter_modules(degenlog.__path__)))
+def test_exports_resolve(name):
+    module = importlib.import_module(f"degenlog.{name}")
+    assert [n for n in getattr(module, "__all__", ())
+            if not hasattr(module, n)] == []

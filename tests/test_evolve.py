@@ -9,7 +9,7 @@ import pytest
 
 from degenlog.cli import emit_trajectory_csv, resolve_scenario
 from degenlog.geometry import DomainSpec, SetShape, StaticSet
-from degenlog.grid import Field, MaskedOperator, build_grid
+from degenlog.grid import MaskedOperator, build_grid
 from degenlog.evolve import (EquationParams, SchemeConfig, Trajectory, run,
                              step)
 from degenlog.scenarios import registry, run_scenario
@@ -24,7 +24,11 @@ def _grid(n=16):
 
 def _random_u0(grid, rng, scale=1.0):
     vals = rng.uniform(0.0, scale, grid.shape)
-    return Field(grid, np.where(grid.mask, vals, 0.0))
+    return np.where(grid.mask, vals, 0.0)
+
+
+def _ones(grid):
+    return np.where(grid.mask, 1.0, 0.0)
 
 
 class TestValidation:
@@ -52,14 +56,14 @@ class TestValidation:
 
     def test_negative_initial_data_rejected(self):
         g = _grid()
-        u0 = Field(g, np.where(g.mask, -1.0, 0.0))
+        u0 = np.where(g.mask, -1.0, 0.0)
         with pytest.raises(ValueError):
             run(g, EquationParams(lam=0.0, rho=2.0), SchemeConfig(dt=1e-3),
                 u0, 0.0, 0.01)
 
     def test_initial_data_off_mask_rejected(self):
         g = build_grid(DomainSpec.disc((0.0, 0.0), 1.0), 16)
-        u0 = Field(g, np.ones(g.shape))
+        u0 = np.ones(g.shape)
         with pytest.raises(ValueError, match="vanish off"):
             run(g, EquationParams(lam=0.0, rho=2.0), SchemeConfig(dt=1e-3),
                 u0, 0.0, 0.01)
@@ -73,7 +77,7 @@ class TestStep:
             lam=5.0, rho=2.0,
             n_func=lambda t, p: rng.uniform(0.0, 3.0, len(p)))
         op = MaskedOperator(g)
-        u = _random_u0(g, rng).values[g.mask]
+        u = _random_u0(g, rng)[g.mask]
         for k in range(20):
             u = step(u, k * 2e-3, params, SchemeConfig(dt=2e-3), op)
             assert np.all(u >= 0.0)
@@ -84,7 +88,7 @@ class TestStep:
         op = MaskedOperator(g)
         lam, dt = 3.0, 1e-3
         params = EquationParams(lam=lam, rho=2.0)
-        mode = pair.vector.values[g.mask]
+        mode = pair.vector[g.mask]
         nxt = step(mode, 0.0, params, SchemeConfig(dt=dt, solve_tol=1e-13),
                    op)
         # one semi-implicit step multiplies an eigenmode by
@@ -99,9 +103,8 @@ class TestStep:
             lam=4.0, rho=2.0, n_func=lambda t, p: np.ones(len(p)))
         op = MaskedOperator(g)
         lo = _random_u0(g, rng)
-        hi = Field(g, lo.values + np.where(g.mask, rng.uniform(0, 1, g.shape),
-                                           0.0))
-        u_lo, u_hi = lo.values[g.mask], hi.values[g.mask]
+        hi = lo + np.where(g.mask, rng.uniform(0, 1, g.shape), 0.0)
+        u_lo, u_hi = lo[g.mask], hi[g.mask]
         cfg = SchemeConfig(dt=2e-3, solve_tol=1e-12)
         for k in range(25):
             u_lo = step(u_lo, k * cfg.dt, params, cfg, op)
@@ -122,7 +125,7 @@ class TestStep:
         p_large = EquationParams(lam=4.0, rho=2.0,
                                  n_func=lambda t, p: reshape(base + bump, p))
         op = MaskedOperator(g)
-        u_small = u_large = _random_u0(g, rng).values[g.mask]
+        u_small = u_large = _random_u0(g, rng)[g.mask]
         cfg = SchemeConfig(dt=2e-3, solve_tol=1e-12)
         for k in range(25):
             u_small = step(u_small, k * cfg.dt, p_small, cfg, op)
@@ -135,10 +138,9 @@ class TestRun:
     def test_record_cadence_and_final_record(self):
         g = _grid()
         params = EquationParams(lam=0.0, rho=2.0)
-        u0 = Field.from_function(g, lambda p: np.ones(len(p)))
-        tr = run(g, params, SchemeConfig(dt=1e-3), u0, 0.0, 0.05,
+        tr = run(g, params, SchemeConfig(dt=1e-3), _ones(g), 0.0, 0.05,
                  sample_every=10)
-        assert len(tr) == 6                      # t0 plus every 10th of 50
+        assert len(tr.times) == 6                # t0 plus every 10th of 50
         assert tr.times[0] == 0.0
         assert tr.times[-1] == pytest.approx(0.05)
         assert tr.cap_hit is None
@@ -146,8 +148,7 @@ class TestRun:
     def test_cap_abort(self):
         g = _grid()
         params = EquationParams(lam=20.0, rho=2.0)   # linear growth, no brake
-        u0 = Field.from_function(g, lambda p: np.ones(len(p)))
-        tr = run(g, params, SchemeConfig(dt=1e-3, growth_cap=2.0), u0,
+        tr = run(g, params, SchemeConfig(dt=1e-3, growth_cap=2.0), _ones(g),
                  0.0, 5.0, sample_every=5)
         assert tr.cap_hit is not None
         assert tr.sup_norms[-1] > 2.0
@@ -157,42 +158,58 @@ class TestRun:
     def test_snapshots_near_requested_times(self):
         g = _grid()
         params = EquationParams(lam=0.0, rho=2.0)
-        u0 = Field.from_function(g, lambda p: np.ones(len(p)))
-        tr = run(g, params, SchemeConfig(dt=1e-3), u0, 0.0, 0.1,
+        tr = run(g, params, SchemeConfig(dt=1e-3), _ones(g), 0.0, 0.1,
                  snapshot_times=(0.0, 0.05, 0.1))
         assert len(tr.snapshots) == 3
-        for want, (got, field) in zip((0.0, 0.05, 0.1), tr.snapshots):
+        for want, (got, snap) in zip((0.0, 0.05, 0.1), tr.snapshots):
             assert got == pytest.approx(want, abs=1e-3)
-            assert isinstance(field, Field)
+            assert snap.shape == g.shape
+            assert np.all(snap[~g.mask] == 0.0)
 
     def test_pure_decay_rate(self):
         g = _grid(32)
         pair = principal_eigenpair(g, g.mask, tol=1e-12)
         params = EquationParams(lam=0.0, rho=2.0)
         tr = run(g, params, SchemeConfig(dt=5e-4, solve_tol=1e-12),
-                 pair.vector.copy(), 0.0, 0.2, sample_every=100)
+                 pair.vector, 0.0, 0.2, sample_every=100)
         # first-order-in-dt approximation of e^{-lam1 t}
         got = tr.sup_norms[-1] / tr.sup_norms[0]
         assert got == pytest.approx(math.exp(-pair.value * 0.2), rel=2e-2)
 
     def test_reversed_time_rejected(self):
         g = _grid()
-        u0 = Field.zeros(g)
         with pytest.raises(ValueError):
             run(g, EquationParams(lam=0.0, rho=2.0), SchemeConfig(dt=1e-3),
-                u0, 1.0, 0.0)
+                np.zeros(g.shape), 1.0, 0.0)
+
+    @pytest.mark.parametrize("outputs, error", [
+        ({"snapshot_times": (-1.0,)}, "outside"),
+        ({"snapshot_times": (0.0, 99.0)}, "outside"),
+        ({"sample_every": 0}, "sample_every")])
+    def test_bad_outputs_rejected(self, outputs, error):
+        g = _grid()
+        with pytest.raises(ValueError, match=error):
+            run(g, EquationParams(lam=0.0, rho=2.0), SchemeConfig(dt=1e-3),
+                _ones(g), 0.0, 0.2, **outputs)
+
+    def test_packed_initial_data_rejected(self):
+        g = _grid()
+        packed = _ones(g)[g.mask]
+        with pytest.raises(ValueError, match=r"\(225,\).*\(15, 15\)"):
+            run(g, EquationParams(lam=0.0, rho=2.0), SchemeConfig(dt=1e-3),
+                packed, 0.0, 0.01)
 
 
 class TestTrajectory:
     def test_record(self):
         g = _grid()
         tr = Trajectory(growth_cap=1.0, cell_volume=g.cell_volume)
-        f = Field.from_function(g, lambda p: np.ones(len(p)))
-        tr.record(0.5, f.values[g.mask])
+        tr.record(0.5, np.ones(int(g.mask.sum())))
         assert tr.times == [0.5]
         assert tr.sup_norms == [1.0]
-        assert tr.l2_norms[0] == pytest.approx(f.l2_norm())
-        assert tr.masses[0] == pytest.approx(f.mass())
+        # 15^2 interior nodes of a 16^2-cell unit square
+        assert tr.masses[0] == pytest.approx((15 / 16) ** 2)
+        assert tr.l2_norms[0] == pytest.approx(15 / 16)
 
 
 def _run_200_steps(s):

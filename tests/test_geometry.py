@@ -8,9 +8,8 @@ from degenlog.geometry import (AngleSchedule, DomainSpec, JumpingSets,
                                NuProfile, PathSchedule, RadiusBall,
                                RadiusSchedule, RotatingSector, SetShape,
                                StaticSet, TranslatingSet, _sample_times,
-                               distance_to_set, evaluate_n, k_inf, k_sup,
-                               shape_gap, snapshot, union_over_interval,
-                               validate_inside_domain)
+                               evaluate_n, k_inf, k_sup, shape_gap,
+                               union_over_interval, validate_inside_domain)
 
 
 class TestDomainSpec:
@@ -38,33 +37,33 @@ class TestDomainSpec:
 class TestSetShape:
     def test_ball_distance(self):
         b = SetShape.ball((0.0, 0.0), 1.0)
-        assert distance_to_set((2.0, 0.0), b) == pytest.approx(1.0)
-        assert distance_to_set((0.5, 0.0), b) == 0.0
+        assert b.distance((2.0, 0.0))[0] == pytest.approx(1.0)
+        assert b.distance((0.5, 0.0))[0] == 0.0
 
     def test_point_distance(self):
         p = SetShape.point((1.0, 1.0))
-        assert distance_to_set((1.0, 2.0), p) == pytest.approx(1.0)
+        assert p.distance((1.0, 2.0))[0] == pytest.approx(1.0)
 
     def test_sector_distance_inside_wedge(self):
         s = SetShape.sector((0.0, 0.0), 1.0, 0.0, math.pi / 2)
         # along the bisector, beyond the arc
-        assert distance_to_set((math.sqrt(2), math.sqrt(2)), s) == \
+        assert s.distance((math.sqrt(2), math.sqrt(2)))[0] == \
             pytest.approx(1.0)
-        assert distance_to_set((0.5, 0.5), s) == 0.0
+        assert s.distance((0.5, 0.5))[0] == 0.0
 
     def test_sector_distance_outside_wedge(self):
         s = SetShape.sector((0.0, 0.0), 1.0, 0.0, math.pi / 2)
         # below the x-axis the nearest face is the radial edge along x
-        assert distance_to_set((0.5, -0.3), s) == pytest.approx(0.3)
+        assert s.distance((0.5, -0.3))[0] == pytest.approx(0.3)
 
     def test_full_sector_is_ball(self):
         s = SetShape.sector((0.0, 0.0), 1.0, 0.0, 2.0 * math.pi)
-        assert distance_to_set((3.0, 0.0), s) == pytest.approx(2.0)
+        assert s.distance((3.0, 0.0))[0] == pytest.approx(2.0)
 
     def test_union_distance_is_min(self):
         u = SetShape.union([SetShape.point((0.0, 0.0)),
                             SetShape.point((4.0, 0.0))])
-        assert distance_to_set((3.0, 0.0), u) == pytest.approx(1.0)
+        assert u.distance((3.0, 0.0))[0] == pytest.approx(1.0)
 
     def test_union_drops_empty_parts(self):
         u = SetShape.union([SetShape.empty(), SetShape.ball((0, 0), 1.0)])
@@ -75,12 +74,12 @@ class TestSetShape:
         a = SetShape.ball((0.0, 0.0), 1.0)
         b = SetShape.ball((1.0, 0.0), 1.0)
         i = SetShape.intersection([a, b])
-        assert distance_to_set((0.5, 0.0), i) == 0.0       # in both
-        assert distance_to_set((-0.5, 0.0), i) > 0.0       # only in a
+        assert i.distance((0.5, 0.0))[0] == 0.0       # in both
+        assert i.distance((-0.5, 0.0))[0] > 0.0       # only in a
 
     def test_empty_distance_raises(self):
         with pytest.raises(ValueError):
-            distance_to_set((0.0, 0.0), SetShape.empty())
+            SetShape.empty().distance((0.0, 0.0))
 
     def test_translated_rotated(self):
         b = SetShape.ball((1.0, 0.0), 0.5).translated((0.0, 1.0))
@@ -115,27 +114,27 @@ class TestSchedules:
 class TestMovingSets:
     def test_static(self):
         s = StaticSet(SetShape.ball((0, 0), 1.0))
-        assert snapshot(s, 0.0) == snapshot(s, 100.0)
+        assert s.snapshot(0.0) == s.snapshot(100.0)
 
     def test_radius_ball_degenerates_to_point(self):
         s = RadiusBall((0.0, 0.0), RadiusSchedule("harmonic_shrink", 1.0))
-        assert snapshot(s, 0.0).kind == "ball"
+        assert s.snapshot(0.0).kind == "ball"
         approach = RadiusBall((0.0, 0.0), RadiusSchedule("approach", 1.0))
-        assert snapshot(approach, 0.0).kind == "point"
+        assert approach.snapshot(0.0).kind == "point"
 
     def test_rotating_sector_spins(self):
         s = RotatingSector((0.0, 0.0), 1.0, 0.0, 1.0, omega=0.5)
-        snap = snapshot(s, 2.0)
+        snap = s.snapshot(2.0)
         assert snap.theta0 == pytest.approx(-1.0)
         assert snap.theta1 == pytest.approx(0.0)
 
     def test_jumping_phases(self):
         j = JumpingSets(SetShape.ball((0, 0), 1.0), SetShape.empty(),
                         period=1.0, t1=0.4)
-        assert snapshot(j, 0.2).kind == "ball"
-        assert snapshot(j, 0.4).kind == "ball"      # right endpoint included
-        assert snapshot(j, 0.5).is_empty
-        assert snapshot(j, 1.0).is_empty            # period boundary
+        assert j.snapshot(0.2).kind == "ball"
+        assert j.snapshot(0.4).kind == "ball"      # right endpoint included
+        assert j.snapshot(0.5).is_empty
+        assert j.snapshot(1.0).is_empty            # period boundary
 
     def test_jumping_invalid_t1(self):
         with pytest.raises(ValueError):
@@ -145,7 +144,7 @@ class TestMovingSets:
         s = TranslatingSet(SetShape.ball((0.0, 0.0), 0.5),
                            PathSchedule(kind="line", point=(1.0, 0.0),
                                         velocity=(0.0, 1.0)))
-        snap = snapshot(s, 2.0)
+        snap = s.snapshot(2.0)
         assert snap.center == pytest.approx((1.0, 2.0))
 
 
@@ -195,7 +194,7 @@ class TestEnvelopes:
         assert low.radius == pytest.approx(0.5)
         up = k_sup(s, 0.0, 1.0, 0.1)
         # union of concentric balls: largest radius wins in the distance
-        assert distance_to_set((2.0, 0.0), up) == pytest.approx(1.0)
+        assert up.distance((2.0, 0.0))[0] == pytest.approx(1.0)
 
     def test_k_inf_rotating_sector_shrinks_to_point(self):
         s = RotatingSector((0.0, 0.0), 1.0, 0.0, 0.5, omega=1.0)
@@ -214,8 +213,8 @@ class TestEnvelopes:
         nested = JumpingSets(a, SetShape.ball((0.0, 0.0), 0.5),
                              period=1.0, t1=0.5)
         i = k_inf(nested, 0.0, 3.0, 0.1)
-        assert distance_to_set((0.7, 0.0), i) > 0.0
-        assert distance_to_set((0.3, 0.0), i) == 0.0
+        assert i.distance((0.7, 0.0))[0] > 0.0
+        assert i.distance((0.3, 0.0))[0] == 0.0
 
     def test_k_inf_translating_ball(self):
         s = TranslatingSet(SetShape.ball((0.0, 0.0), 1.0),
@@ -250,7 +249,7 @@ class TestEnvelopes:
                 up = k_sup(spec, tau0, 2.0, 0.02)
                 low = k_inf(spec, tau0, 2.0, 0.02)
                 for t in np.linspace(tau0, 2.0, 7):
-                    snap = snapshot(spec, t)
+                    snap = spec.snapshot(t)
                     in_snap = snap.distance(pts) == 0.0
                     in_up = up.distance(pts) == 0.0
                     assert np.all(in_up[in_snap])          # snapshot in upper
@@ -296,7 +295,7 @@ class TestCompoundDistances:
         # an off-center part first, so a cache shared across centers shows
         parts = [SetShape.ball((1.1, 0.9), 0.4),
                  SetShape.ball((1.0, 1.0), 0.3)]
-        parts += [snapshot(spec, t) for t in np.linspace(0.0, 1.0, 9)]
+        parts += [spec.snapshot(t) for t in np.linspace(0.0, 1.0, 9)]
         inter = SetShape.intersection(parts)
         assert inter.kind == "intersection"
         p = scenarios.scenario_grid(
@@ -312,7 +311,7 @@ class TestCompoundDistances:
         ta, tb, dt = 0.5, 10.0, 9.5 / 400.0
         shapes = []
         for t in _sample_times(ta, tb, dt):
-            s = snapshot(spec, t)
+            s = spec.snapshot(t)
             if not s.is_empty and s not in shapes:
                 shapes.append(s)
         assert union_over_interval(spec, ta, tb, dt) == SetShape.union(shapes)

@@ -1,4 +1,4 @@
-"""Lattice construction, masked fields, the discrete Laplacian and solves."""
+"""Lattice construction, masks, the discrete Laplacian and solves."""
 
 import math
 
@@ -6,11 +6,22 @@ import numpy as np
 import pytest
 
 from degenlog.geometry import DomainSpec, SetShape
-from degenlog.grid import (Field, MaskedOperator, SolveFailure, apply_laplacian,
+from degenlog.grid import (MaskedOperator, SolveFailure, _roll_valid,
                            build_grid, mask_connected_components,
                            mask_from_shape, mask_within_distance, write_pgm)
 
 UNIT_SQ = DomainSpec.rectangle((0.0, 0.0), (1.0, 1.0))
+
+
+def apply_laplacian(g, values):
+    """Discrete negative Laplacian (central stencil, Dirichlet exterior)."""
+    u = np.where(g.mask, values, 0.0)
+    out = 2.0 * g.dim * u
+    for axis in range(g.dim):
+        for shift in (1, -1):
+            out -= np.roll(u, shift, axis=axis) * _roll_valid(g.shape, axis, shift)
+    out /= g.h ** 2
+    return np.where(g.mask, out, 0.0)
 
 
 class TestBuildGrid:
@@ -50,46 +61,23 @@ class TestBuildGrid:
         assert g.shape == (31,)
 
 
-class TestField:
-    def test_norms_of_constant(self):
-        g = build_grid(UNIT_SQ, 16)
-        f = Field.from_function(g, lambda p: np.ones(len(p)))
-        assert f.sup_norm() == 1.0
-        # 15^2 interior nodes of a 16^2-cell unit square
-        assert f.mass() == pytest.approx((15 / 16) ** 2)
-        assert f.l2_norm() == pytest.approx(15 / 16)
-
-    def test_from_function_zero_outside_mask(self):
-        dom = DomainSpec.disc((0.0, 0.0), 1.0)
-        g = build_grid(dom, 32)
-        f = Field.from_function(g, lambda p: np.ones(len(p)))
-        assert np.all(f.values[~g.mask] == 0.0)
-
-    def test_copy_is_independent(self):
-        g = build_grid(UNIT_SQ, 16)
-        f = Field.zeros(g)
-        f2 = f.copy()
-        f2.values[3, 3] = 1.0
-        assert f.values[3, 3] == 0.0
-
-
 class TestLaplacian:
     def test_eigenfunction_of_unit_square(self):
         g = build_grid(UNIT_SQ, 64)
-        f = Field.from_function(
-            g, lambda p: np.sin(math.pi * p[:, 0]) * np.sin(math.pi * p[:, 1]))
-        lap = apply_laplacian(f)
+        p = g.points()
+        f = (np.sin(math.pi * p[:, 0]) * np.sin(math.pi * p[:, 1])).reshape(
+            g.shape)
         # discrete eigenvalue of the 5-point stencil
         lam_h = 4.0 / g.h ** 2 * math.sin(math.pi * g.h / 2.0) ** 2 * 2.0
-        assert np.allclose(lap.values, lam_h * f.values, atol=1e-10)
+        assert np.allclose(apply_laplacian(g, f), lam_h * f, atol=1e-10)
 
     def test_matches_masked_operator(self):
         g = build_grid(UNIT_SQ, 16)
         rng = np.random.default_rng(0)
-        f = Field(g, rng.standard_normal(g.shape))
+        f = rng.standard_normal(g.shape)
         op = MaskedOperator(g)
-        via_matrix = op.extend(op.matrix @ op.restrict(f.values))
-        assert np.allclose(apply_laplacian(f).values, via_matrix)
+        via_matrix = op.extend(op.matrix @ op.restrict(f))
+        assert np.allclose(apply_laplacian(g, f), via_matrix)
 
 
 class TestMasks:
@@ -172,9 +160,8 @@ def _diag_of(a):
 class TestPgm:
     def test_header_payload_and_sidecar(self, tmp_path):
         g = build_grid(UNIT_SQ, 16)
-        f = Field.from_function(g, lambda p: p[:, 0])
         path = tmp_path / "snap.pgm"
-        write_pgm(f, path, display_max=2.0)
+        write_pgm(g.points()[:, 0].reshape(g.shape), path, display_max=2.0)
         raw = path.read_bytes()
         assert raw.startswith(b"P5\n15 15\n255\n")
         assert len(raw) == len(b"P5\n15 15\n255\n") + 15 * 15
@@ -183,8 +170,7 @@ class TestPgm:
 
     def test_values_clipped_to_display_max(self, tmp_path):
         g = build_grid(UNIT_SQ, 16)
-        f = Field.from_function(g, lambda p: np.full(len(p), 10.0))
         path = tmp_path / "snap.pgm"
-        write_pgm(f, path, display_max=1.0)
+        write_pgm(np.full(g.shape, 10.0), path, display_max=1.0)
         payload = path.read_bytes()[len(b"P5\n15 15\n255\n"):]
         assert max(payload) == 255

@@ -150,11 +150,11 @@ class TestSubsolution:
         dom = DomainSpec.rectangle((0.0, 0.0), (1.0, 1.0))
         g = build_grid(dom, 24)
         pair = principal_eigenpair(g, g.mask)
-        u0 = pair.vector.copy()
         lam = pair.value + 3.0
-        out = subsolution_growth(lam, pair, u0, t=0.5)
+        out = subsolution_growth(lam, pair, pair.vector, t=0.5,
+                                 cell_volume=g.cell_volume)
         # u0 = phi1 has unit principal component, so the bound is
         # e^{(lam - lam1) t} phi1
         expected = math.exp(3.0 * 0.5)
-        ratio = out.values[g.mask] / pair.vector.values[g.mask]
+        ratio = out[g.mask] / pair.vector[g.mask]
         assert np.allclose(ratio, expected, rtol=1e-8)

@@ -6,8 +6,8 @@ import pytest
 from degenlog import scenarios
 from degenlog.evolve import EquationParams, SchemeConfig, Trajectory
 from degenlog.geometry import DomainSpec, NuProfile, SetShape, StaticSet
-from degenlog.scenarios import (InitialData, REGISTRY_LABELS, Scenario,
-                                classify, cross_check, predict,
+from degenlog.scenarios import (InitialData, OutputPlan, REGISTRY_LABELS,
+                                Scenario, classify, cross_check, predict,
                                 realize_initial, registry, run_scenario,
                                 scenario_grid)
 from degenlog.spectral import lambda0_of_set
@@ -52,8 +52,8 @@ class TestInitialData:
         s = _scenario()
         g = scenario_grid(s)
         u0 = realize_initial(s, g)
-        assert u0.sup_norm() == 1.0
-        assert np.all(u0.values[~g.mask] == 0.0)
+        assert np.max(u0) == 1.0
+        assert np.all(u0[~g.mask] == 0.0)
 
     def test_realize_bump_support_and_height(self):
         s = _scenario(initial=InitialData.bump((1.0, 1.0), 0.4, 2.0))
@@ -61,8 +61,18 @@ class TestInitialData:
         u0 = realize_initial(s, g)
         pts = g.points()
         far = np.linalg.norm(pts - (1.0, 1.0), axis=1).reshape(g.shape) > 0.4
-        assert np.all(u0.values[far] == 0.0)
-        assert u0.sup_norm() == pytest.approx(2.0, rel=0.1)
+        assert np.all(u0[far] == 0.0)
+        assert np.max(u0) == pytest.approx(2.0, rel=0.1)
+
+    def test_realize_zero_off_mask(self):
+        # the bump reaches past the disc into the bounding box's corners
+        s = _scenario(domain=DomainSpec.disc((1.0, 1.0), 1.0),
+                      initial=InitialData.bump((1.0, 1.0), 1.5, 1.0))
+        g = scenario_grid(s)
+        u0 = realize_initial(s, g)
+        assert not g.mask.all()
+        assert np.all(u0[~g.mask] == 0.0)
+        assert np.all(u0[g.mask] > 0.0)
 
     def test_realize_eigenfunction_normalized_height(self):
         s = _scenario(resolution=32,
@@ -70,13 +80,21 @@ class TestInitialData:
                           SetShape.ball((1.0, 1.0), 0.5), height=3.0))
         g = scenario_grid(s)
         u0 = realize_initial(s, g)
-        assert u0.sup_norm() == pytest.approx(3.0)
+        assert np.max(u0) == pytest.approx(3.0)
 
 
 class TestScenarioValidation:
     def test_reversed_times(self):
         with pytest.raises(ValueError):
             _scenario(t0=2.0, t_end=1.0)
+
+    @pytest.mark.parametrize("plan, error", [
+        (OutputPlan(snapshot_times=(-1.0,)), "outside"),
+        (OutputPlan(snapshot_times=(0.0, 99.0)), "outside"),
+        (OutputPlan(sample_every=0), "sample_every")])
+    def test_bad_output_plan(self, plan, error):
+        with pytest.raises(ValueError, match=error):
+            _scenario(outputs=plan)
 
     def test_scheme_incompatible_with_lam(self):
         with pytest.raises(ValueError):
@@ -155,8 +173,8 @@ class TestRegistry:
         for s in registry().values():
             g = scenario_grid(s)
             u0 = realize_initial(s, g)
-            assert np.any(u0.values > 0)
-            assert np.all(u0.values >= 0)
+            assert np.any(u0 > 0)
+            assert np.all(u0 >= 0)
 
 
 class TestPredictAndCrossCheck:
