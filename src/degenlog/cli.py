@@ -24,8 +24,9 @@ from .geometry import (DomainSpec, JumpingSets, NuProfile, PathSchedule,
                        StaticSet, TranslatingSet)
 from .grid import build_grid, mask_from_shape, write_pgm
 from .properties import suite_properties
-from .scenarios import (CrossCheckReport, InitialData, OutputPlan, Scenario,
-                        classify, cross_check, predict, registry, run_scenario)
+from .scenarios import (MIN_RECORDS, CrossCheckReport, InitialData,
+                        OutputPlan, Scenario, classify, cross_check, predict,
+                        registry, run_scenario, scenario_grid)
 from .spectral import lambda0_of_set, principal_eigenvalue, second_eigenvalue
 
 __all__ = ["main"]
@@ -293,9 +294,8 @@ def _kset_to_values(spec) -> dict:
         return {"kind": "jumping", "k0": spec.k0, "k1": spec.k1,
                 "period": spec.period, "t1": spec.t1}
     if isinstance(spec, TranslatingSet):
-        if spec.template.kind != "ball" or spec.rotation.kind != "none":
-            raise CliError("a rotating or non-ball translating set has no "
-                           "file form")
+        if spec.template.kind != "ball":
+            raise CliError("a non-ball translating set has no file form")
         out = {"kind": "translating-ball", "center": spec.template.center,
                "radius": spec.template.radius}
         c = spec.curve
@@ -479,6 +479,14 @@ def render_suite(name: str, scenario_rows, property_rows):
 # ---------------------------------------------------------------------------
 
 
+def _require_records(tr: Trajectory) -> None:
+    """classify() reads a verdict off at least MIN_RECORDS records."""
+    if len(tr.times) < MIN_RECORDS:
+        raise CliError(f"the run wrote {len(tr.times)} records (last at "
+                       f"t={tr.times[-1]:g}); a verdict needs at least "
+                       f"{MIN_RECORDS}")
+
+
 def _cmd_run(args) -> int:
     s = resolve_scenario(args.scenario, args.set)
     out = Path(args.out)
@@ -487,6 +495,7 @@ def _cmd_run(args) -> int:
     emit_trajectory_csv(tr, out / "trajectory.csv")
     emit_snapshots(tr, out)
     (out / "scenario.ini").write_text(emit_scenario_ini(s))
+    _require_records(tr)
     verdict = classify(tr)
     (out / "verdict.txt").write_text(
         f"label = {s.label}\nverdict = {verdict.kind}\n"
@@ -503,7 +512,10 @@ def _cmd_predict(args) -> int:
 
 def _cmd_crosscheck(args) -> int:
     s = resolve_scenario(args.scenario, args.set)
-    rep = cross_check(s)
+    grid = scenario_grid(s)
+    tr = run_scenario(s, grid)
+    _require_records(tr)
+    rep = cross_check(s, tr, grid)
     print(crosscheck_text(rep))
     return 1 if rep.status == "VIOLATION" else 0
 

@@ -14,7 +14,7 @@ function of its inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ __all__ = [
     "SetShape",
     "RadiusSchedule",
     "PathSchedule",
-    "AngleSchedule",
     "StaticSet",
     "RadiusBall",
     "RotatingSector",
@@ -181,28 +180,25 @@ class SetShape:
         return len(self.center)
 
     def distance(self, points) -> np.ndarray:
-        return self._distance(_as_points(points), {})
+        return self._distance(_as_points(points))
 
-    def _distance(self, p: np.ndarray, polar: dict) -> np.ndarray:
-        """Distance from the points p; ``polar`` caches p in polar
-        coordinates about a center, for consecutive parts of a union or
-        intersection that share one (every rotating-sector snapshot)."""
+    def _distance(self, p: np.ndarray) -> np.ndarray:
         if self.kind == "empty":
             raise ValueError("distance to the empty set is undefined")
         if self.kind in ("union", "intersection"):
             # intersection: max is a lower bound, exact membership indicator
             combine = np.minimum if self.kind == "union" else np.maximum
-            d = self.parts[0]._distance(p, polar).copy()
+            d = self.parts[0]._distance(p).copy()
             for part in self.parts[1:]:
-                combine(d, part._distance(p, polar), out=d)
+                combine(d, part._distance(p), out=d)
             return d
-        q, rho, phi = _polar(p, self.center, polar, self.kind == "sector")
+        q = p - np.array(self.center)
+        rho = np.linalg.norm(q, axis=1)
         if self.kind == "ball":
             return np.maximum(rho - self.radius, 0.0)
         if self.kind == "point":
             return rho
-        return _sector_distance(q, rho, phi, self.radius,
-                                self.theta0, self.theta1)
+        return _sector_distance(q, rho, self.radius, self.theta0, self.theta1)
 
     def translated(self, v) -> "SetShape":
         v = np.asarray(v, dtype=float)
@@ -214,23 +210,6 @@ class SetShape:
         return SetShape(kind=self.kind, center=tuple(np.array(self.center) + v),
                         radius=self.radius, theta0=self.theta0, theta1=self.theta1)
 
-    def rotated(self, angle: float) -> "SetShape":
-        """Rotate about the origin (2-d only; 1-d shapes reject nonzero angles)."""
-        if angle == 0.0 or self.kind == "empty":
-            return self
-        if self.dim != 2:
-            raise ValueError("rotation needs a 2-d shape")
-        if self.kind in ("union", "intersection"):
-            return SetShape(kind=self.kind,
-                            parts=tuple(s.rotated(angle) for s in self.parts))
-        c, s = math.cos(angle), math.sin(angle)
-        x, y = self.center
-        center = (c * x - s * y, s * x + c * y)
-        if self.kind == "sector":
-            return SetShape(kind="sector", center=center, radius=self.radius,
-                            theta0=self.theta0 + angle, theta1=self.theta1 + angle)
-        return SetShape(kind=self.kind, center=center, radius=self.radius)
-
 
 def _segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Distance from points p (M, 2) to the segment [a, b]."""
@@ -241,25 +220,9 @@ def _segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray
     return np.linalg.norm(p - proj, axis=1)
 
 
-def _polar(p: np.ndarray, center: tuple, cache: dict, angle: bool):
-    """(q, |q|, polar angle of q or None) for q = p - center; the angle only
-    when asked for.  ``cache`` keeps the last center's arrays, so runs of
-    parts about one center share them while memory stays that of one."""
-    key = np.asarray(center, dtype=float).tobytes()  # keeps 0.0 and -0.0 apart
-    if key not in cache:
-        cache.clear()
-        q = p - np.array(center)
-        cache[key] = (q, np.linalg.norm(q, axis=1), None)
-    q, rho, phi = cache[key]
-    if angle and phi is None:
-        phi = np.arctan2(q[:, 1], q[:, 0])
-        cache[key] = (q, rho, phi)
-    return q, rho, phi
-
-
-def _sector_distance(q, rho, phi, r0, theta0, theta1) -> np.ndarray:
+def _sector_distance(q, rho, r0, theta0, theta1) -> np.ndarray:
     """Exact distance to a filled circular sector by case split, from the
-    offsets q of the points to its center, their norms rho and angles phi.
+    offsets q of the points to its center and their norms rho.
 
     Points whose polar angle falls inside [theta0, theta1] (mod 2 pi) see the
     arc face; all others see the nearest radial face.
@@ -267,6 +230,7 @@ def _sector_distance(q, rho, phi, r0, theta0, theta1) -> np.ndarray:
     width = theta1 - theta0
     if width >= 2.0 * math.pi:
         return np.maximum(rho - r0, 0.0)
+    phi = np.arctan2(q[:, 1], q[:, 0])
     rel = np.mod(phi - theta0, 2.0 * math.pi)
     inside_wedge = rel <= width
     d = np.empty(len(q))
@@ -310,30 +274,26 @@ class RadiusSchedule:
             return self.r0 * (1.0 + abs(math.sin(self.omega * t)))
         raise ValueError(f"unknown radius schedule {self.kind!r}")
 
-    def min_radius(self, ta: float, tb: float) -> float:
-        """Exact infimum of the radius over [ta, tb]."""
-        if self.kind == "constant":
-            return self.r0
-        if self.kind == "harmonic_shrink":
-            return self.r0 / (tb + 1.0)
-        if self.kind == "approach":
-            return self.r0 * (1.0 - 1.0 / (ta + 1.0))
-        if self.kind == "oscillating":
-            # |sin(omega t)| vanishes at multiples of pi/omega; otherwise the
-            # minimum over the interval sits at an endpoint.
-            if self.omega != 0.0:
-                half = math.pi / abs(self.omega)
-                if math.floor(tb / half) >= math.ceil(ta / half):
-                    return self.r0
-            return min(self.radius(ta), self.radius(tb))
-        raise ValueError(f"unknown radius schedule {self.kind!r}")
+    def radius_range(self, ta: float, tb: float) -> tuple:
+        """Exact (infimum, supremum) of the radius over [ta, tb]."""
+        lo, hi = sorted((self.radius(ta), self.radius(tb)))
+        if self.kind == "oscillating" and self.omega != 0.0:
+            # |sin(omega t)| is 0 at multiples of pi/omega and 1 at odd
+            # multiples of pi/(2 omega); monotone in between, so elsewhere
+            # the extremes sit at the endpoints
+            half = math.pi / abs(self.omega)
+            if math.floor(tb / half) >= math.ceil(ta / half):
+                lo = self.r0
+            if math.floor(tb / half - 0.5) >= math.ceil(ta / half - 0.5):
+                hi = 2.0 * self.r0
+        return lo, hi
 
 
 @dataclass(frozen=True)
 class PathSchedule:
     """Curve gamma(t) carrying a translated template."""
 
-    kind: str  # "fixed" | "circle" | "line"
+    kind: str  # "circle" | "line"
     point: tuple = ()
     center: tuple = ()
     radius: float = 0.0
@@ -342,8 +302,6 @@ class PathSchedule:
     velocity: tuple = ()
 
     def position(self, t: float) -> np.ndarray:
-        if self.kind == "fixed":
-            return np.array(self.point, dtype=float)
         if self.kind == "circle":
             a = self.omega * t + self.phase
             return np.array(self.center) + self.radius * np.array(
@@ -353,27 +311,9 @@ class PathSchedule:
         raise ValueError(f"unknown path schedule {self.kind!r}")
 
     def max_speed(self) -> float:
-        if self.kind == "fixed":
-            return 0.0
         if self.kind == "circle":
             return abs(self.omega) * self.radius
         return float(np.linalg.norm(self.velocity))
-
-
-@dataclass(frozen=True)
-class AngleSchedule:
-    """Rigid rotation angle as a function of time."""
-
-    kind: str = "none"  # "none" | "uniform"
-    omega: float = 0.0
-    phase: float = 0.0
-
-    def angle(self, t: float) -> float:
-        if self.kind == "none":
-            return 0.0
-        if self.kind == "uniform":
-            return self.phase + self.omega * t
-        raise ValueError(f"unknown angle schedule {self.kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +335,13 @@ class RadiusBall:
     schedule: RadiusSchedule
 
     def snapshot(self, t: float) -> SetShape:
-        r = self.schedule.radius(t)
-        if r <= 0.0:
-            return SetShape.point(self.center)
-        return SetShape.ball(self.center, r)
+        return _ball_or_point(self.center, self.schedule.radius(t))
+
+
+def _ball_or_point(center, r: float) -> SetShape:
+    if r <= 0.0:
+        return SetShape.point(center)
+    return SetShape.ball(center, r)
 
 
 @dataclass(frozen=True)
@@ -439,15 +382,13 @@ class JumpingSets:
 
 @dataclass(frozen=True)
 class TranslatingSet:
-    """Rigid motion of a template: K(t) = gamma(t) + R(t) K0."""
+    """Rigid translation of a template: K(t) = gamma(t) + K0."""
 
     template: SetShape
     curve: PathSchedule
-    rotation: AngleSchedule = field(default_factory=AngleSchedule)
 
     def snapshot(self, t: float) -> SetShape:
-        return self.template.rotated(self.rotation.angle(t)).translated(
-            self.curve.position(t))
+        return self.template.translated(self.curve.position(t))
 
 
 MovingSet = StaticSet | RadiusBall | RotatingSector | JumpingSets | TranslatingSet
@@ -510,20 +451,14 @@ def _sample_times(ta: float, tb: float, sample_dt: float) -> np.ndarray:
 
 
 def union_over_interval(spec, ta: float, tb: float, sample_dt: float) -> SetShape:
-    """Union of snapshots sampled on [ta, tb] at spacing sample_dt.
-
-    A discrete surrogate for the continuous union: it misses the motion
-    between samples, so it can under-cover the true union.  Callers pick
-    sample_dt small against the set's speed; none dilates the result
-    (``_check_envelopes`` uses it as K_sup as is, see ROADMAP item 5).
-    """
+    """Union of snapshots sampled on [ta, tb] at spacing sample_dt, in time
+    order."""
     if not ta < tb:
         raise ValueError("need ta < tb")
     if sample_dt <= 0:
         raise ValueError("sample_dt must be positive")
-    # a dict dedups equal (hashable, frozen) snapshots in first-seen order
-    return SetShape.union(dict.fromkeys(
-        spec.snapshot(t) for t in _sample_times(ta, tb, sample_dt)))
+    return SetShape.union(
+        spec.snapshot(t) for t in _sample_times(ta, tb, sample_dt))
 
 
 def default_sample_dt(tau0: float) -> float:
@@ -531,9 +466,31 @@ def default_sample_dt(tau0: float) -> float:
 
 
 def k_sup(spec, tau0: float, horizon: float, sample_dt: float) -> SetShape:
-    """Finite-horizon surrogate of the closed union of K(t) over t >= tau0."""
+    """Finite-horizon surrogate of the closed union of K(t) over t >= tau0.
+
+    Exact closed forms for every variant except translating sets, whose
+    snapshots are sampled at spacing sample_dt.
+    """
     if not horizon > tau0:
         raise ValueError("horizon must exceed tau0")
+    if isinstance(spec, StaticSet):
+        return spec.base
+    if isinstance(spec, RadiusBall):
+        return _ball_or_point(spec.center,
+                              spec.schedule.radius_range(tau0, horizon)[1])
+    if isinstance(spec, RotatingSector):
+        # edges move as theta - omega*t; the union spans their extremes
+        ends = (spec.omega * tau0, spec.omega * horizon)
+        return SetShape.sector(spec.center, spec.r0, spec.theta0 - max(ends),
+                               spec.theta1 - min(ends))
+    if isinstance(spec, JumpingSets):
+        # the phase at tau0, then every phase that begins before the horizon
+        phases = [spec.snapshot(tau0)]
+        for shape, offset in ((spec.k0, 0.0), (spec.k1, spec.t1)):
+            n = math.ceil((tau0 - offset) / spec.period)
+            if offset + n * spec.period < horizon and shape not in phases:
+                phases.append(shape)
+        return SetShape.union(phases)
     return union_over_interval(spec, tau0, horizon, sample_dt)
 
 
@@ -549,10 +506,8 @@ def k_inf(spec, tau0: float, horizon: float, sample_dt: float) -> SetShape:
     if isinstance(spec, StaticSet):
         return spec.base
     if isinstance(spec, RadiusBall):
-        rmin = spec.schedule.min_radius(tau0, horizon)
-        if rmin <= 0.0:
-            return SetShape.point(spec.center)
-        return SetShape.ball(spec.center, rmin)
+        return _ball_or_point(spec.center,
+                              spec.schedule.radius_range(tau0, horizon)[0])
     if isinstance(spec, RotatingSector):
         width = spec.theta1 - spec.theta0
         if width >= 2.0 * math.pi:
@@ -572,8 +527,7 @@ def k_inf(spec, tau0: float, horizon: float, sample_dt: float) -> SetShape:
         if shape_gap(spec.k0, spec.k1) > 0.0:
             return SetShape.empty()
         return SetShape.intersection((spec.k0, spec.k1))
-    if isinstance(spec, TranslatingSet) and spec.template.kind == "ball" \
-            and spec.rotation.kind == "none":
+    if isinstance(spec, TranslatingSet) and spec.template.kind == "ball":
         times = _sample_times(tau0, horizon, sample_dt)
         centers = np.array([spec.curve.position(t) for t in times])
         base = np.array(spec.template.center)

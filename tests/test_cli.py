@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import math
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from degenlog.cli import (CliError, config_to_scenario, emit_scenario_ini,
                           parse_domain, parse_scenario_file, parse_shape,
                           resolve_scenario, scenario_to_config)
 from degenlog.evolve import Trajectory
-from degenlog.geometry import AngleSchedule, SetShape
+from degenlog.geometry import SetShape, StaticSet
 from degenlog.scenarios import registry
 
 TINY_INI = """\
@@ -159,12 +160,11 @@ class TestScenarioFiles:
             for label, s in registry().items()}
         assert digests == REGISTRY_INI_SHA256
 
-    @pytest.mark.parametrize("change", [
-        {"rotation": AngleSchedule("uniform", omega=1.0)},
-        {"template": SetShape.sector((0.0, 0.0), 0.3, 0.0, 1.0)}])
-    def test_lossy_translating_set_refused(self, change):
+    def test_lossy_translating_set_refused(self):
         s = registry()["translating-slow"]
-        spec = dataclasses.replace(s.params.moving_set, **change)
+        spec = dataclasses.replace(
+            s.params.moving_set,
+            template=SetShape.sector((0.0, 0.0), 0.3, 0.0, 1.0))
         s = dataclasses.replace(s, params=dataclasses.replace(
             s.params, moving_set=spec))
         with pytest.raises(CliError, match="has no file form"):
@@ -176,6 +176,14 @@ class TestScenarioFiles:
             s.params, n_func=lambda t, p: np.ones(len(p))))
         with pytest.raises(CliError, match="has no file form"):
             scenario_to_config(s)
+
+    def test_readme_example_parses(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        p = tmp_path / "example.ini"
+        p.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+        s = parse_scenario_file(p)
+        assert s.params.moving_set == StaticSet(SetShape.ball((0.5, 0.5), 0.2))
+        assert s.outputs.snapshot_times == (0.0, 0.3)
 
     def test_emitted_ini_is_canonical(self, tmp_path):
         p = tmp_path / "tiny.ini"
@@ -296,6 +304,21 @@ class TestCommands:
                      "--set", "time.t_end=0.2", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "error: trichotomy-mid: invalid scenario:" in err
+
+    def test_run_too_few_records(self, tmp_path, capsys):
+        assert main(["run", "trichotomy-mid", "--set", "time.t_end=0.2",
+                     "--out", str(tmp_path)]) == 2
+        assert "error: the run wrote 11 records (last at t=0.2); a verdict " \
+            "needs at least 50" in capsys.readouterr().err
+        assert (tmp_path / "trajectory.csv").is_file()
+        assert not (tmp_path / "verdict.txt").exists()
+
+    def test_crosscheck_too_few_records(self, capsys):
+        # the growth cap stops the run after 5 records
+        assert main(["crosscheck", "trichotomy-high",
+                     "--set", "output.sample_every=50"]) == 2
+        assert "error: the run wrote 5 records (last at t=0.4); a verdict " \
+            "needs at least 50" in capsys.readouterr().err
 
     def test_predict_prints_table(self, capsys):
         assert main(["predict", "trichotomy-low"]) == 0

@@ -219,15 +219,20 @@ def _run_200_steps(s):
 
 
 class TestPinnedTrajectories:
-    """sha256 of 200-step runs, each step recorded, pinned before the state
-    was kept packed on the mask: any reordered floating-point operation in
-    the step shows here."""
+    """sha256 of 200-step runs, each step recorded: any reordered
+    floating-point operation in the step shows here.  The static balls were
+    pinned before the state was kept packed on the mask, the rotating sector
+    and the translated ball before envelope sets took closed forms."""
 
     CSV_SHA256 = {
         "trichotomy-high":
             "edf83b8253561639d63489e43d10aa0ff1fdbfa392f1fcb728ce3fa628002cc1",
         "jumping-control":
             "4aeaf6ca932a79f39eb5b53819ef74bc93be968503a2a9d4ec4f2c4d58f40dd9",
+        "rotating-slow":
+            "124c5fe6d71e480e4ca52ed6b5d930da31a79c18f07399aefbc44c2868a06e9d",
+        "translating-slow":
+            "ba74e5d708c8f4742885660696b3b032d874501419c9e9441d5053a83ef62023",
     }
 
     @pytest.mark.parametrize("label", CSV_SHA256)

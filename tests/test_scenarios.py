@@ -217,7 +217,7 @@ class TestPredictAndCrossCheck:
 
     @pytest.mark.parametrize("label, ladders", [
         ("trichotomy-mid", 1), ("jumping-control", 1),
-        ("rotating-slow", 4), ("shrink-case3", 4)])
+        ("rotating-slow", 4), ("shrink-case3", 2)])
     def test_one_ladder_per_distinct_envelope_set(self, label, ladders,
                                                    monkeypatch):
         s = registry()[label]
