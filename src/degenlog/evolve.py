@@ -154,7 +154,7 @@ def run(grid: Grid, params: EquationParams, cfg: SchemeConfig, u0: np.ndarray,
     if np.any(u0[~grid.mask] != 0):
         raise ValueError("initial data must vanish off the domain's mask")
     op = MaskedOperator(grid)
-    t, u = t0, op.restrict(u0)
+    t, u = t0, u0[grid.mask]
     tr = Trajectory(growth_cap=cfg.growth_cap, cell_volume=grid.cell_volume)
     tr.record(t, u)
     pending_snaps = sorted(float(ts) for ts in snapshot_times)

@@ -3,17 +3,18 @@
 Nodes live on a uniform lattice over the domain's bounding box; a node belongs
 to the computational mask iff its center lies in the open domain.  A grid
 function is a plain array of shape `Grid.shape` that is zero off the mask,
-which realizes the homogeneous Dirichlet condition in the 3/5-point stencil;
-MaskedOperator packs it to the mask's nodes and extends it back.
+which realizes the homogeneous Dirichlet condition in the 3/5-point stencil.
+`Grid.laplacian` is that stencil on every lattice node, built once per grid;
+a MaskedOperator is its principal submatrix on a mask's nodes, which packs
+grid functions to the mask and extends them back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
-import scipy.ndimage as ndi
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -24,7 +25,6 @@ __all__ = [
     "SolveFailure",
     "build_grid",
     "mask_from_shape",
-    "mask_connected_components",
     "MaskedOperator",
     "write_pgm",
 ]
@@ -62,6 +62,17 @@ class Grid:
     def cell_volume(self) -> float:
         return self.h ** self.dim
 
+    @cached_property
+    def laplacian(self) -> sp.csr_matrix:
+        """Negative 3/5-point Laplacian on every lattice node (C order) with
+        zero Dirichlet data beyond the lattice, as a Kronecker sum of the
+        1-d second differences."""
+        # kronsum(A, B) puts B on the slower index, so the axes fold in from
+        # the last (fastest in C order) to the first
+        d2 = [sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n))
+              for n in reversed(self.shape)]
+        return (reduce(sp.kronsum, d2) / self.h ** 2).tocsr()
+
 
 def build_grid(domain: DomainSpec, n) -> Grid:
     """Lattice with n cells per axis; nodes are cell corners strictly inside.
@@ -94,15 +105,6 @@ def build_grid(domain: DomainSpec, n) -> Grid:
     return grid
 
 
-def _roll_valid(shape, axis, shift):
-    """Mask that zeroes the wrap-around column introduced by np.roll."""
-    valid = np.ones(shape, dtype=bool)
-    idx = [slice(None)] * len(shape)
-    idx[axis] = 0 if shift == 1 else -1
-    valid[tuple(idx)] = False
-    return valid
-
-
 def mask_from_shape(grid: Grid, s: SetShape) -> np.ndarray:
     """Interior nodes lying in the set (distance zero)."""
     if s.is_empty:
@@ -119,20 +121,15 @@ def mask_within_distance(grid: Grid, s: SetShape, delta: float) -> np.ndarray:
     return (d <= delta) & grid.mask
 
 
-def mask_connected_components(m: np.ndarray) -> int:
-    """Number of orthogonally connected components."""
-    structure = ndi.generate_binary_structure(m.ndim, 1)
-    _, count = ndi.label(m, structure=structure)
-    return count
-
-
 class MaskedOperator:
     """Negative Laplacian restricted to a mask, with SPD solves.
 
-    Assembles the sparse matrix once; solves (I + dt A + diag(c)) u = rhs by
-    preconditioned conjugate gradients with a plain diagonal preconditioner.
-    Solves are deterministic and single-threaded.  Packed vectors list the
-    mask's nodes in C order, as `points` does.
+    The matrix is the principal submatrix of `Grid.laplacian` on the mask's
+    nodes, which is the Dirichlet Laplacian of the mask; solves
+    (I + dt A + diag(c)) u = rhs by preconditioned conjugate gradients with
+    a plain diagonal preconditioner.  Solves are deterministic and
+    single-threaded.  Packed vectors list the mask's nodes in C order, as
+    `points` does.
     """
 
     def __init__(self, grid: Grid, mask: np.ndarray | None = None):
@@ -140,40 +137,14 @@ class MaskedOperator:
         self.mask = grid.mask if mask is None else (mask & grid.mask)
         if not self.mask.any():
             raise ValueError("empty mask")
-        self.n = int(self.mask.sum())
-        self._index = -np.ones(grid.shape, dtype=np.int64)
-        self._index[self.mask] = np.arange(self.n)
-        self.matrix = self._assemble()
-
-    def _assemble(self) -> sp.csr_matrix:
-        g = self.grid
-        h2 = g.h ** 2
-        rows, cols, vals = [], [], []
-        diag = np.full(self.n, 2.0 * g.dim / h2)
-        for axis in range(g.dim):
-            here = self._index
-            there = np.roll(here, -1, axis=axis)
-            valid = _roll_valid(g.shape, axis, -1)
-            pair = (here >= 0) & (there >= 0) & valid
-            i, j = here[pair], there[pair]
-            rows.extend([i, j])
-            cols.extend([j, i])
-            vals.extend([np.full(len(i), -1.0 / h2)] * 2)
-        rows.append(np.arange(self.n))
-        cols.append(np.arange(self.n))
-        vals.append(diag)
-        a = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.n, self.n))
-        return a.tocsr()
+        idx = np.flatnonzero(self.mask)
+        self.n = len(idx)
+        self.matrix = grid.laplacian[idx][:, idx]
 
     @cached_property
     def points(self) -> np.ndarray:
         """Coordinates of the mask's nodes, shape (n, dim)."""
         return self.grid.points()[self.mask.ravel()]
-
-    def restrict(self, values: np.ndarray) -> np.ndarray:
-        return values[self.mask]
 
     def extend(self, vec: np.ndarray) -> np.ndarray:
         out = np.zeros(self.grid.shape)

@@ -25,7 +25,8 @@ from .evolve import EquationParams, SchemeConfig, Trajectory, check_outputs
 from .evolve import run as evolve_run
 from .grid import Grid, build_grid, mask_from_shape, mask_within_distance
 from .oracles import TauInputs, tau_unbounded, w_inf
-from .spectral import lambda0_of_set, principal_eigenpair, second_eigenvalue
+from .spectral import (lambda0_deltas, lambda0_of_set, principal_eigenpair,
+                       second_eigenvalue)
 
 __all__ = [
     "InitialData",
@@ -54,12 +55,10 @@ __all__ = [
 class InitialData:
     """Nonnegative, nontrivial starting profile."""
 
-    kind: str  # "constant" | "bump" | "eigenfunction" | "custom"
+    kind: str  # "constant" | "bump"
     value: float = 1.0
     center: tuple = ()
     radius: float = 0.0
-    shape: SetShape | None = None
-    values: np.ndarray | None = None
 
     @staticmethod
     def constant(c: float) -> "InitialData":
@@ -74,14 +73,6 @@ class InitialData:
         return InitialData(kind="bump", value=height,
                            center=tuple(float(v) for v in center),
                            radius=float(radius))
-
-    @staticmethod
-    def eigenfunction(shape: SetShape, height: float = 1.0) -> "InitialData":
-        return InitialData(kind="eigenfunction", value=height, shape=shape)
-
-    @staticmethod
-    def custom(values: np.ndarray) -> "InitialData":
-        return InitialData(kind="custom", values=values)
 
 
 @dataclass(frozen=True)
@@ -114,10 +105,7 @@ class Scenario:
                       self.outputs.snapshot_times)
 
     def hint(self, key: str, default=None):
-        for k, v in self.hints:
-            if k == key:
-                return v
-        return default
+        return dict(self.hints).get(key, default)
 
 
 def scenario_grid(s: Scenario) -> Grid:
@@ -137,13 +125,6 @@ def realize_initial(s: Scenario, grid: Grid) -> np.ndarray:
             return init.value * np.maximum(q, 0.0) ** 2
 
         return np.where(grid.mask, f(grid.points()).reshape(grid.shape), 0.0)
-    if init.kind == "eigenfunction":
-        m = mask_from_shape(grid, init.shape)
-        vals = principal_eigenpair(grid, m).vector
-        return init.value * vals / np.max(vals)
-    if init.kind == "custom":
-        vals = np.asarray(init.values, dtype=float).reshape(grid.shape)
-        return np.where(grid.mask, vals, 0.0)
     raise ValueError(f"unknown initial data kind {init.kind!r}")
 
 
@@ -261,18 +242,14 @@ class TheoremCheck:
     predicted: str            # "bounded" | "grow_up" | "none"
     details: tuple            # ((key, value), ...)
 
-    def detail(self, key: str, default=None):
-        for k, v in self.details:
-            if k == key:
-                return v
-        return default
-
 
 def _lambda0(grid: Grid, shape: SetShape, cap: float = 1e4) -> float:
+    """Characteristic value of a set from the two tightest rungs of the
+    default ladder, the only ones its verdict and extrapolation read."""
     if shape.is_empty:
         return math.inf
-    est = lambda0_of_set(grid, shape, cap=cap)
-    return est.value
+    deltas = lambda0_deltas(grid)[-2:]
+    return lambda0_of_set(grid, shape, deltas=deltas, cap=cap).value
 
 
 def _check_envelopes(s: Scenario, grid: Grid) -> list:
@@ -646,7 +623,7 @@ def registry() -> dict:
                                              velocity=(0.02, 0.0))),
              26.0, 12.0, cap=1e4, sample_every=5,
              initial=InitialData.bump((0.8, 1.0), 0.2, 1.0),
-             hints=(("carry_window", 3.0), ("gamma", 1.5))),
+             hints=(("carry_window", 3.0),)),
         # recurrent saturation intervals (empty sanctuary part of the time)
         _scn("intermittent",
              JumpingSets(SetShape.ball(_CENTER, 0.65), SetShape.empty(),

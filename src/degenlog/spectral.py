@@ -22,7 +22,7 @@ import scipy.sparse.linalg as spla
 from scipy.special import jn_zeros
 
 from .geometry import DomainSpec, SetShape
-from .grid import Grid, MaskedOperator, mask_connected_components
+from .grid import Grid, MaskedOperator
 
 __all__ = [
     "EigenPair",
@@ -30,6 +30,7 @@ __all__ = [
     "principal_eigenvalue",
     "principal_eigenpair",
     "second_eigenvalue",
+    "lambda0_deltas",
     "lambda0_of_set",
     "analytic_lambda1",
     "bessel_j0_first_root",
@@ -53,7 +54,7 @@ class Lambda0Estimate:
     deltas: tuple          # strictly decreasing
     values: tuple          # lambda_1 of each neighborhood
     verdict: str           # "finite" | "infinite"
-    value: float           # extrapolated limit, or math.inf
+    value: float           # limit from the two tightest rungs, or math.inf
 
     @property
     def is_finite(self) -> bool:
@@ -67,7 +68,7 @@ class EigenFailure(RuntimeError):
 def _check_mask(mask: np.ndarray) -> None:
     if not mask.any():
         raise ValueError("eigenproblem needs a nonempty mask")
-    if mask_connected_components(mask) != 1:
+    if ndi.label(mask)[1] != 1:
         raise ValueError("eigenproblem needs a connected mask")
 
 
@@ -167,6 +168,11 @@ def default_delta_schedule(delta0: float, h: float) -> tuple:
     return tuple(deltas)
 
 
+def lambda0_deltas(grid: Grid) -> tuple:
+    """Default neighborhood ladder of lambda0_of_set on a grid."""
+    return default_delta_schedule(max(8.0 * grid.h, 0.1), grid.h)
+
+
 def lambda0_of_set(grid: Grid, k: SetShape, deltas=None,
                    cap: float = 1e4, tol: float = 1e-10) -> Lambda0Estimate:
     """Characteristic value of a compact set via shrinking neighborhoods.
@@ -180,8 +186,7 @@ def lambda0_of_set(grid: Grid, k: SetShape, deltas=None,
     if k.is_empty:
         raise ValueError("characteristic value of the empty set is undefined")
     if deltas is None:
-        deltas = default_delta_schedule(
-            max(8.0 * grid.h, 0.1), grid.h)
+        deltas = lambda0_deltas(grid)
     deltas = tuple(float(d) for d in deltas)
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("deltas must be strictly decreasing")

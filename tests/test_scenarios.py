@@ -74,14 +74,6 @@ class TestInitialData:
         assert np.all(u0[~g.mask] == 0.0)
         assert np.all(u0[g.mask] > 0.0)
 
-    def test_realize_eigenfunction_normalized_height(self):
-        s = _scenario(resolution=32,
-                      initial=InitialData.eigenfunction(
-                          SetShape.ball((1.0, 1.0), 0.5), height=3.0))
-        g = scenario_grid(s)
-        u0 = realize_initial(s, g)
-        assert np.max(u0) == pytest.approx(3.0)
-
 
 class TestScenarioValidation:
     def test_reversed_times(self):
