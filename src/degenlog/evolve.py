@@ -14,7 +14,9 @@ comparison arguments rest on — at first-order accuracy in dt.
 
 The state is the packed vector of u on the operator's mask (MaskedOperator
 order); run() keeps it packed from the first step to the last and extends
-it to the full lattice only for snapshots.
+it to the full lattice only for snapshots.  n(t_{k+1}, .) is recomputed
+only on steps where the snapshot K(t_{k+1}) differs from the previous
+step's, so a static set costs one coefficient evaluation per run.
 """
 
 from __future__ import annotations
@@ -59,15 +61,35 @@ class EquationParams:
             raise ValueError("a moving set needs a nu profile")
 
     def n_values(self, t: float, points: np.ndarray) -> np.ndarray:
+        """n(t, ·) at points, finite and nonnegative.
+
+        n_func is called every time.  Values from the moving set depend on
+        t only through the snapshot K(t), so they are recomputed only when
+        K(t) or the points array (compared by identity, as the read-only
+        `MaskedOperator.points`) differs from the previous call's; the
+        returned array is then that call's, read-only.
+        """
         if self.n_func is not None:
-            vals = np.asarray(self.n_func(t, points), dtype=float)
-        elif self.moving_set is not None:
-            vals = evaluate_n(self.moving_set, self.nu, t, points)
-        else:
+            return _checked_n(np.asarray(self.n_func(t, points), dtype=float))
+        if self.moving_set is None:
             return np.zeros(len(points))
-        if np.any(vals < 0):
-            raise ValueError("logistic coefficient n must be nonnegative")
-        return vals
+        shape = self.moving_set.snapshot(t)
+        memo = self.__dict__.get("_n_memo")
+        if memo is None or memo[0] is not points or memo[1] != shape:
+            vals = _checked_n(evaluate_n(self.moving_set, self.nu, t, points))
+            vals.flags.writeable = False
+            memo = (points, shape, vals)
+            # a cache, not a field: equality and repr ignore it
+            object.__setattr__(self, "_n_memo", memo)
+        return memo[2]
+
+
+def _checked_n(vals: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("logistic coefficient n must be finite")
+    if np.any(vals < 0):
+        raise ValueError("logistic coefficient n must be nonnegative")
+    return vals
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ from degenlog.geometry import DomainSpec, SetShape, StaticSet
 from degenlog.grid import MaskedOperator, build_grid
 from degenlog.evolve import (EquationParams, SchemeConfig, Trajectory, run,
                              step)
-from degenlog.scenarios import registry, run_scenario
+from degenlog.scenarios import (realize_initial, registry, run_scenario,
+                                scenario_grid)
 from degenlog.spectral import principal_eigenpair
 
 UNIT_SQ = DomainSpec.rectangle((0.0, 0.0), (1.0, 1.0))
@@ -52,6 +53,13 @@ class TestValidation:
         params = EquationParams(lam=1.0, rho=2.0,
                                 n_func=lambda t, p: -np.ones(len(p)))
         with pytest.raises(ValueError):
+            params.n_values(0.0, np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_coefficient_rejected(self, bad):
+        params = EquationParams(lam=1.0, rho=2.0,
+                                n_func=lambda t, p: np.full(len(p), bad))
+        with pytest.raises(ValueError, match="finite"):
             params.n_values(0.0, np.zeros((3, 2)))
 
     def test_negative_initial_data_rejected(self):
@@ -198,6 +206,67 @@ class TestRun:
         with pytest.raises(ValueError, match=r"\(225,\).*\(15, 15\)"):
             run(g, EquationParams(lam=0.0, rho=2.0), SchemeConfig(dt=1e-3),
                 packed, 0.0, 0.01)
+
+
+def _run_steps(s, steps, params=None):
+    grid = scenario_grid(s)
+    return run(grid, params or s.params, s.scheme, realize_initial(s, grid),
+               s.t0, s.t0 + steps * s.scheme.dt)
+
+
+class TestCoefficientMemo:
+    """n(t, .) from a moving set is recomputed only when K(t) changes."""
+
+    @staticmethod
+    def _count_distances(monkeypatch):
+        calls = []
+        distance = SetShape.distance
+
+        def counted(shape, points):
+            calls.append(shape)
+            return distance(shape, points)
+
+        monkeypatch.setattr(SetShape, "distance", counted)
+        return calls
+
+    @pytest.mark.parametrize("label", ["trichotomy-mid", "jumping-control",
+                                       "jumping-disjoint"])
+    def test_one_evaluation_per_snapshot_change(self, label, monkeypatch):
+        s = registry()[label]
+        # the snapshots the steps see, at the times run() steps to
+        t, snapshots = s.t0, []
+        for _ in range(200):
+            snapshots.append(s.params.moving_set.snapshot(t + s.scheme.dt))
+            t += s.scheme.dt
+        changes = sum(a != b for a, b in zip(snapshots, snapshots[1:]))
+        calls = self._count_distances(monkeypatch)
+        _run_steps(s, 200)
+        assert len(calls) == 1 + changes
+        assert changes == (8 if label == "jumping-disjoint" else 0)
+        # the memo is no field: equality and repr are those of a fresh copy
+        assert s.params == registry()[label].params
+        assert repr(s.params) == repr(registry()[label].params)
+
+    def test_n_func_evaluated_every_step(self):
+        s = registry()["trichotomy-mid"]
+        times = []
+
+        def n_func(t, p):
+            times.append(t)
+            return np.ones(len(p))
+
+        _run_steps(s, 50, EquationParams(lam=s.params.lam, rho=2.0,
+                                         n_func=n_func))
+        assert len(times) == 50
+
+    def test_cached_values_read_only(self):
+        s = registry()["trichotomy-mid"]
+        op = MaskedOperator(scenario_grid(s))
+        first = s.params.n_values(0.1, op.points)
+        again = s.params.n_values(0.2, op.points)
+        assert again is first and not first.flags.writeable
+        fresh = s.params.n_values(0.2, op.points.copy())
+        assert fresh is not first and np.array_equal(fresh, first)
 
 
 class TestTrajectory:

@@ -1,13 +1,17 @@
 """Lattice construction, masks, the discrete Laplacian and solves."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from degenlog.cli import resolve_scenario
 from degenlog.geometry import DomainSpec, SetShape
 from degenlog.grid import (MaskedOperator, SolveFailure, build_grid,
                            mask_from_shape, mask_within_distance, write_pgm)
+from degenlog.scenarios import realize_initial, scenario_grid
 
 UNIT_SQ = DomainSpec.rectangle((0.0, 0.0), (1.0, 1.0))
 
@@ -26,6 +30,43 @@ def apply_laplacian(g, values, mask=None):
             out -= padded[tuple(window)]
     out /= g.h ** 2
     return np.where(mask, out, 0.0)
+
+
+def reference_solve(op, rhs, dt, c, tol=1e-10, x0=None, callback=None):
+    """The solve through scipy's `cg` on LinearOperators, as it was before
+    the loop was written out: the bits `solve_spd` must reproduce."""
+    A = op.matrix
+
+    def matvec(x):
+        return x + dt * (A @ x) + c * x
+
+    diag = 1.0 + dt * A.diagonal() + c
+    sys_op = spla.LinearOperator((op.n, op.n), matvec=matvec)
+    pre = spla.LinearOperator((op.n, op.n), matvec=lambda x: x / diag)
+    sol, _ = spla.cg(sys_op, rhs, x0=x0, rtol=tol, atol=0.0,
+                     maxiter=max(4 * op.n, 200), M=pre, callback=callback)
+    return sol
+
+
+DISC = ("domain.kind=disc", "domain.center=1,1", "domain.radius=1")
+
+
+@functools.lru_cache(maxsize=None)
+def step_system(label, steps, overrides=()):
+    """(op, rhs, dt, c, u) of the semi-implicit step after `steps` steps of
+    a registry scenario, with --set overrides."""
+    s = resolve_scenario(label, list(overrides))
+    grid = scenario_grid(s)
+    op = MaskedOperator(grid)
+    u, t, dt = realize_initial(s, grid)[grid.mask], s.t0, s.scheme.dt
+    for k in range(steps + 1):
+        n_next = s.params.n_values(t + dt, op.points)
+        c = dt * n_next * np.power(u, s.params.rho - 1.0)
+        rhs = (1.0 + dt * s.params.lam) * u
+        if k == steps:
+            return op, rhs, dt, c, u
+        u = np.maximum(op.solve_spd(rhs, dt, c, x0=u), 0.0)
+        t += dt
 
 
 class TestBuildGrid:
@@ -152,10 +193,79 @@ class TestMaskedOperator:
         with pytest.raises(SolveFailure):
             op.solve_spd(np.ones(op.n), 1.0, np.zeros(op.n), tol=1e-30)
 
+    @pytest.mark.parametrize("state, case", [
+        (("trichotomy-mid", 0), "step"),
+        (("trichotomy-mid", 3000), "step"),      # saturated: few iterations
+        (("trichotomy-high", 0), "step"),
+        (("trichotomy-high", 100), "step"),      # near its growth cap
+        (("trichotomy-mid", 20, DISC + ("domain.resolution=64",)), "step"),
+        (("trichotomy-mid", 20, ("domain.resolution=16",)), "step"),
+        (("trichotomy-mid", 20), "x0=None"),
+        (("trichotomy-mid", 20), "rhs=0"),
+        (("trichotomy-mid", 20), "x0 exact"),    # no iteration
+    ], ids=["mid-early", "mid-late", "high-early", "high-late", "disc-3205",
+            "square16-225", "x0-none", "rhs-zero", "x0-exact"])
+    def test_solve_spd_bits_match_scipy_cg(self, state, case):
+        op, rhs, dt, c, u = step_system(*state)
+        x0 = None if case == "x0=None" else u
+        if case == "rhs=0":
+            rhs = np.zeros(op.n)
+        elif case == "x0 exact":
+            rhs = u + dt * (op.matrix @ u) + c * u
+        want = reference_solve(op, rhs, dt, c, x0=x0)
+        got = op.solve_spd(rhs, dt, c, x0=x0)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("state", [
+        ("trichotomy-mid", 0), ("trichotomy-high", 100),
+        ("trichotomy-mid", 20, ("domain.resolution=16",))],
+        ids=["mid-early", "high-late", "square16-225"])
+    def test_solve_spd_matrix_products(self, state):
+        # one product per iteration, one for the initial residual and one
+        # for the final residual check: no dtype probe
+        op, rhs, dt, c, u = step_system(*state)
+        iterations = []
+        reference_solve(op, rhs, dt, c, x0=u,
+                        callback=lambda x: iterations.append(1))
+        counted = MaskedOperator(op.grid)
+        counted.matrix = _CountingMatrix(op.matrix)
+        counted.solve_spd(rhs, dt, c, x0=u)
+        assert len(iterations) > 0
+        assert counted.matrix.products == len(iterations) + 2
+
+    def test_nan_reaction_fails_loudly(self):
+        op = MaskedOperator(build_grid(UNIT_SQ, 16))
+        c = np.zeros(op.n)
+        c[17] = np.nan
+        with pytest.raises(SolveFailure), np.errstate(invalid="ignore"):
+            op.solve_spd(np.ones(op.n), 0.01, c)
+
+    def test_infinite_rhs_fails_loudly(self):
+        op = MaskedOperator(build_grid(UNIT_SQ, 16))
+        rhs = np.ones(op.n)
+        rhs[17] = np.inf
+        with pytest.raises(SolveFailure), np.errstate(invalid="ignore"):
+            op.solve_spd(rhs, 0.01, np.zeros(op.n))
+
     def test_empty_mask_rejected(self):
         g = build_grid(UNIT_SQ, 16)
         with pytest.raises(ValueError):
             MaskedOperator(g, np.zeros(g.shape, dtype=bool))
+
+
+class _CountingMatrix:
+    """Stands in for a sparse matrix and counts its products."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.products = 0
+
+    def __matmul__(self, v):
+        self.products += 1
+        return self.matrix @ v
+
+    def diagonal(self):
+        return self.matrix.diagonal()
 
 
 def _diag_of(a):
