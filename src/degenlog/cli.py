@@ -41,11 +41,19 @@ class CliError(Exception):
 # ---------------------------------------------------------------------------
 
 
+def _finite(text: str) -> float:
+    v = float(text)
+    if not np.isfinite(v):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return v
+
+
 def _floats(text: str) -> tuple:
     try:
-        return tuple(float(v) for v in text.split(",") if v.strip() != "")
+        return tuple(_finite(v) for v in text.split(",") if v.strip() != "")
     except ValueError as e:
-        raise CliError(f"expected comma-separated numbers, got {text!r}") from e
+        raise CliError(f"expected comma-separated finite numbers, "
+                       f"got {text!r}") from e
 
 
 def parse_shape(text: str) -> SetShape:
@@ -114,7 +122,7 @@ def parse_domain(text: str) -> DomainSpec:
 # Scenario file format
 # ---------------------------------------------------------------------------
 
-_F = (float, _num)
+_F = (_finite, _num)
 _FS = (_floats, _nums)
 _I = (int, str)
 _S = (str, str)
@@ -246,8 +254,6 @@ def scenario_to_config(s: Scenario) -> dict:
     else:
         domain = {"kind": "disc", "center": d.center, "radius": d.radius}
     domain["resolution"] = s.resolution
-    if s.params.n_func is not None:
-        raise CliError("a custom coefficient n_func has no file form")
     equation = {"lam": s.params.lam, "rho": s.params.rho}
     nu = s.params.nu
     if nu is not None:
@@ -522,20 +528,25 @@ def _cmd_crosscheck(args) -> int:
 
 def _cmd_eig(args) -> int:
     domain = parse_domain(args.domain)
-    grid = build_grid(domain, args.n)
-    mask = grid.mask if args.shape is None else \
-        mask_from_shape(grid, parse_shape(args.shape))
-    l1 = principal_eigenvalue(grid, mask)
-    print(f"lambda1 = {_num(l1)}")
-    if args.second:
-        print(f"lambda2 = {_num(second_eigenvalue(grid, mask))}")
+    try:
+        grid = build_grid(domain, args.n)
+        mask = grid.mask if args.shape is None else \
+            mask_from_shape(grid, parse_shape(args.shape))
+        print(f"lambda1 = {_num(principal_eigenvalue(grid, mask))}")
+        if args.second:
+            print(f"lambda2 = {_num(second_eigenvalue(grid, mask))}")
+    except ValueError as e:
+        raise CliError(str(e)) from e
     return 0
 
 
 def _cmd_lambda0(args) -> int:
     domain = parse_domain(args.domain)
-    grid = build_grid(domain, args.n)
-    est = lambda0_of_set(grid, parse_shape(args.shape), cap=args.cap)
+    try:
+        est = lambda0_of_set(build_grid(domain, args.n),
+                             parse_shape(args.shape), cap=args.cap)
+    except ValueError as e:
+        raise CliError(str(e)) from e
     for d, v in zip(est.deltas, est.values):
         print(f"delta = {d:.8g}  lambda1 = {_num(v)}")
     print(f"verdict = {est.verdict}")

@@ -14,9 +14,10 @@ comparison arguments rest on — at first-order accuracy in dt.
 
 The state is the packed vector of u on the operator's mask (MaskedOperator
 order); run() keeps it packed from the first step to the last and extends
-it to the full lattice only for snapshots.  n(t_{k+1}, .) is recomputed
-only on steps where the snapshot K(t_{k+1}) differs from the previous
-step's, so a static set costs one coefficient evaluation per run.
+it to the full lattice only for snapshots.  step() takes n(t_{k+1}, .) as
+an array; run() re-evaluates it only when K(t) moves, that is on steps
+where the snapshot K(t_{k+1}) differs from the previous step's, so a
+static set costs one coefficient evaluation per run.
 """
 
 from __future__ import annotations
@@ -43,16 +44,13 @@ class EquationParams:
     """Growth rate, logistic exponent and the logistic coefficient n(t, x).
 
     The coefficient is built from the moving set and the nu profile; a None
-    moving set means n is identically zero (purely linear equation).  n_func,
-    when given, overrides both: a callable (t, points) -> nonnegative values,
-    used by property harnesses that need arbitrary coefficients.
+    moving set means n is identically zero (purely linear equation).
     """
 
     lam: float
     rho: float
     nu: NuProfile | None = None
     moving_set: MovingSet | None = None
-    n_func: object = None
 
     def __post_init__(self):
         if not self.rho > 1.0:
@@ -61,27 +59,10 @@ class EquationParams:
             raise ValueError("a moving set needs a nu profile")
 
     def n_values(self, t: float, points: np.ndarray) -> np.ndarray:
-        """n(t, ·) at points, finite and nonnegative.
-
-        n_func is called every time.  Values from the moving set depend on
-        t only through the snapshot K(t), so they are recomputed only when
-        K(t) or the points array (compared by identity, as the read-only
-        `MaskedOperator.points`) differs from the previous call's; the
-        returned array is then that call's, read-only.
-        """
-        if self.n_func is not None:
-            return _checked_n(np.asarray(self.n_func(t, points), dtype=float))
+        """n(t, ·) at points, finite and nonnegative."""
         if self.moving_set is None:
             return np.zeros(len(points))
-        shape = self.moving_set.snapshot(t)
-        memo = self.__dict__.get("_n_memo")
-        if memo is None or memo[0] is not points or memo[1] != shape:
-            vals = _checked_n(evaluate_n(self.moving_set, self.nu, t, points))
-            vals.flags.writeable = False
-            memo = (points, shape, vals)
-            # a cache, not a field: equality and repr ignore it
-            object.__setattr__(self, "_n_memo", memo)
-        return memo[2]
+        return _checked_n(evaluate_n(self.moving_set, self.nu, t, points))
 
 
 def _checked_n(vals: np.ndarray) -> np.ndarray:
@@ -132,10 +113,10 @@ class Trajectory:
         self.masses.append(float(np.sum(u) * self.cell_volume))
 
 
-def step(u: np.ndarray, t: float, params: EquationParams, cfg: SchemeConfig,
-         op: MaskedOperator) -> np.ndarray:
-    """Advance the packed, nonnegative u on op.mask from t to t + dt."""
-    n_next = params.n_values(t + cfg.dt, op.points)
+def step(u: np.ndarray, n_next: np.ndarray, params: EquationParams,
+         cfg: SchemeConfig, op: MaskedOperator) -> np.ndarray:
+    """Advance the packed, nonnegative u on op.mask from t to t + dt, where
+    n_next holds n(t + dt, ·) at op.points."""
     c = cfg.dt * n_next * np.power(u, params.rho - 1.0)
     rhs = (1.0 + cfg.dt * params.lam) * u
     sol = op.solve_spd(rhs, cfg.dt, c, tol=cfg.solve_tol, x0=u)
@@ -184,8 +165,12 @@ def run(grid: Grid, params: EquationParams, cfg: SchemeConfig, u0: np.ndarray,
         tr.snapshots.append((t, u0.copy()))
         pending_snaps.pop(0)
     n_steps = int(round((t_end - t0) / cfg.dt))
+    spec, shape, n_next = params.moving_set, None, None
     for k in range(1, n_steps + 1):
-        u = step(u, t, params, cfg, op)
+        snap = None if spec is None else spec.snapshot(t + cfg.dt)
+        if n_next is None or snap != shape:
+            shape, n_next = snap, params.n_values(t + cfg.dt, op.points)
+        u = step(u, n_next, params, cfg, op)
         t += cfg.dt
         if pending_snaps and t >= pending_snaps[0] - 0.5 * cfg.dt:
             tr.snapshots.append((t, op.extend(u)))

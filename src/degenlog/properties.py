@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .evolve import EquationParams, SchemeConfig, run, step
-from .geometry import DomainSpec, SetShape
+from .geometry import DomainSpec, NuProfile, SetShape, StaticSet
 from .grid import MaskedOperator, build_grid, mask_from_shape
 from .oracles import OdeBoundParams, w_closed_form, w_inf, w_rk4
 from .spectral import (bessel_j0_first_root, lambda0_of_set,
@@ -67,17 +67,16 @@ def comparison_rows():
     grid = build_grid(UNIT_SQ, 16)
     op = MaskedOperator(grid)
     cfg = SchemeConfig(dt=1e-3, solve_tol=1e-12)
+    params = EquationParams(lam=5.0, rho=2.0)
     rng = np.random.default_rng(100)
 
     def draw(hi):
         return rng.uniform(0.0, hi, op.n)
 
     def evolve(u0, n_field):
-        params = EquationParams(lam=5.0, rho=2.0, n_func=lambda t, p: n_field)
-        t, out = 0.0, [u0]
+        out = [u0]
         for _ in range(50):
-            out.append(step(out[-1], t, params, cfg, op))
-            t += cfg.dt
+            out.append(step(out[-1], n_field, params, cfg, op))
         return out
 
     def breach(lower, upper):
@@ -133,7 +132,8 @@ def _w_breach(dt: float) -> float:
     grid = build_grid(UNIT_SQ, 16)
     lam, nu0, rho, w0 = 5.0, 1.0, 2.0, 8.0
     params = EquationParams(lam=lam, rho=rho,
-                            n_func=lambda t, p: np.full(len(p), nu0))
+                            nu=NuProfile(kind="saturating", n_empty=nu0),
+                            moving_set=StaticSet(SetShape.empty()))
     u0 = np.where(grid.mask, w0, 0.0)
     tr = run(grid, params, SchemeConfig(dt=dt, solve_tol=1e-12), u0, 0.0, 1.0)
     p = OdeBoundParams(lam=lam, nu0=nu0, rho=rho, w0=w0)

@@ -351,7 +351,7 @@ def _check_moving_floor(s: Scenario, grid: Grid) -> TheoremCheck:
         return TheoremCheck("moving-spectral-floor", False, "none",
                             (("reason", "needs a rigidly carried set"),))
     tau0 = 0.5            # half-width of each carry window
-    delta = s.hint("floor_delta", max(0.1, 3.0 * grid.h))
+    delta = max(0.1, 3.0 * grid.h)
     n_times = 9
     times = np.linspace(s.t0 + tau0, s.t_end - tau0, n_times)
     floor = math.inf
@@ -615,7 +615,7 @@ def registry() -> dict:
              TranslatingSet(SetShape.ball((0.0, 0.0), 0.3),
                             geo.PathSchedule(kind="circle", center=_CENTER,
                                              radius=0.25, omega=0.2)),
-             12.0, 10.0, hints=(("floor_delta", 0.1),)),
+             12.0, 10.0),
         # slowly carried sanctuary, grow-up side
         _scn("carried-growth",
              TranslatingSet(SetShape.ball((0.0, 0.0), 0.55),

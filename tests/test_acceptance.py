@@ -87,14 +87,13 @@ def test_criterion_06_boundary_blow_up():
     # under the radial profile at every recorded time
     prof = z_radial(a=a, lam=5.0, beta=1.0, rho=2.0, dim=2)
     grid = build_grid(DomainSpec.disc((0.0, 0.0), a), 128)
-    params = EquationParams(lam=5.0, rho=2.0,
-                            n_func=lambda t, p: np.ones(len(p)))
+    params = EquationParams(lam=5.0, rho=2.0)
     op = MaskedOperator(grid)
     ceiling = prof.at(np.linalg.norm(op.points, axis=1))
-    t, u = 0.0, np.full(op.n, 20.0)
+    t, u, ones = 0.0, np.full(op.n, 20.0), np.ones(op.n)
     cfg = SchemeConfig(dt=1e-3, solve_tol=1e-10, growth_cap=1e9)
     for k in range(1, 501):
-        u = step(u, t, params, cfg, op)
+        u = step(u, ones, params, cfg, op)
         t += cfg.dt
         if k % 25 == 0:
             assert np.all(u <= ceiling), \
@@ -331,8 +330,9 @@ def initial_data_independence(s: Scenario, u0: np.ndarray, v0: np.ndarray,
     n_settle = int(round(delta / dt))
 
     def advance(u, v, t):
-        return (step(u, t, s.params, s.scheme, op),
-                step(v, t, s.params, s.scheme, op), t + dt)
+        n_next = s.params.n_values(t + dt, op.points)
+        return (step(u, n_next, s.params, s.scheme, op),
+                step(v, n_next, s.params, s.scheme, op), t + dt)
 
     t, u, v = s.t0, u0[op.mask], v0[op.mask]
     for _ in range(n_settle):

@@ -7,7 +7,6 @@ import math
 import pkgutil
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import degenlog
@@ -102,7 +101,8 @@ class TestShapeLanguage:
         assert parse_shape("empty").is_empty
 
     def test_malformed(self):
-        for bad in ("ball", "ball:a,b,c", "blob:1,2,3", "ball:0.5"):
+        for bad in ("ball", "ball:a,b,c", "blob:1,2,3", "ball:0.5",
+                    "ball:0.5,0.5,nan", "point:inf,0"):
             with pytest.raises(CliError):
                 parse_shape(bad)
 
@@ -167,13 +167,6 @@ class TestScenarioFiles:
             template=SetShape.sector((0.0, 0.0), 0.3, 0.0, 1.0))
         s = dataclasses.replace(s, params=dataclasses.replace(
             s.params, moving_set=spec))
-        with pytest.raises(CliError, match="has no file form"):
-            scenario_to_config(s)
-
-    def test_custom_coefficient_refused(self):
-        s = registry()["trichotomy-mid"]
-        s = dataclasses.replace(s, params=dataclasses.replace(
-            s.params, n_func=lambda t, p: np.ones(len(p))))
         with pytest.raises(CliError, match="has no file form"):
             scenario_to_config(s)
 
@@ -298,12 +291,25 @@ class TestCommands:
                 == digest, name
 
     @pytest.mark.parametrize("override", [
-        "output.snapshot_times=-1,99", "output.sample_every=0"])
+        "output.snapshot_times=-1,99", "output.sample_every=0",
+        "equation.lam=nan", "time.dt=nan", "time.t_end=inf",
+        "output.growth_cap=nan"])
     def test_run_rejects_bad_outputs(self, override, tmp_path, capsys):
-        assert main(["run", "trichotomy-mid", "--set", override,
-                     "--set", "time.t_end=0.2", "--out", str(tmp_path)]) == 2
+        assert main(["run", "trichotomy-mid", "--set", "time.t_end=0.2",
+                     "--set", override, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "error: trichotomy-mid: invalid scenario:" in err
+
+    @pytest.mark.parametrize("argv, error", [
+        (["eig", "--domain", "rect:0,0,1,1", "--n", "4"], "8 cells"),
+        (["eig", "--domain", "rect:0,0,1,1", "--n", "16",
+          "--shape", "ball:5,5,0.1"], "nonempty mask"),
+        (["lambda0", "--domain", "rect:0,0,1,1", "--n", "16",
+          "--shape", "empty"], "empty set")])
+    def test_spectral_bad_input(self, argv, error, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and error in err
 
     def test_run_too_few_records(self, tmp_path, capsys):
         assert main(["run", "trichotomy-mid", "--set", "time.t_end=0.2",

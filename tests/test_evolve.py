@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
+from degenlog import evolve
 from degenlog.cli import emit_trajectory_csv, resolve_scenario
-from degenlog.geometry import DomainSpec, SetShape, StaticSet
+from degenlog.geometry import DomainSpec, NuProfile, SetShape, StaticSet
 from degenlog.grid import MaskedOperator, build_grid
 from degenlog.evolve import (EquationParams, SchemeConfig, Trajectory, run,
                              step)
@@ -49,18 +50,22 @@ class TestValidation:
             EquationParams(lam=1.0, rho=2.0,
                            moving_set=StaticSet(SetShape.ball((0.5, 0.5), 0.1)))
 
-    def test_negative_coefficient_rejected(self):
-        params = EquationParams(lam=1.0, rho=2.0,
-                                n_func=lambda t, p: -np.ones(len(p)))
-        with pytest.raises(ValueError):
-            params.n_values(0.0, np.zeros((3, 2)))
+    @staticmethod
+    def _n_values_of(value, monkeypatch):
+        monkeypatch.setattr(evolve, "evaluate_n",
+                            lambda spec, nu, t, p: np.full(len(p), value))
+        params = EquationParams(lam=1.0, rho=2.0, nu=NuProfile("saturating"),
+                                moving_set=StaticSet(SetShape.empty()))
+        return params.n_values(0.0, np.zeros((3, 2)))
+
+    def test_negative_coefficient_rejected(self, monkeypatch):
+        with pytest.raises(ValueError, match="nonnegative"):
+            self._n_values_of(-1.0, monkeypatch)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_nonfinite_coefficient_rejected(self, bad):
-        params = EquationParams(lam=1.0, rho=2.0,
-                                n_func=lambda t, p: np.full(len(p), bad))
+    def test_nonfinite_coefficient_rejected(self, bad, monkeypatch):
         with pytest.raises(ValueError, match="finite"):
-            params.n_values(0.0, np.zeros((3, 2)))
+            self._n_values_of(bad, monkeypatch)
 
     def test_negative_initial_data_rejected(self):
         g = _grid()
@@ -81,13 +86,12 @@ class TestStep:
     def test_preserves_nonnegativity(self):
         g = _grid()
         rng = np.random.default_rng(2)
-        params = EquationParams(
-            lam=5.0, rho=2.0,
-            n_func=lambda t, p: rng.uniform(0.0, 3.0, len(p)))
+        params = EquationParams(lam=5.0, rho=2.0)
         op = MaskedOperator(g)
         u = _random_u0(g, rng)[g.mask]
-        for k in range(20):
-            u = step(u, k * 2e-3, params, SchemeConfig(dt=2e-3), op)
+        for _ in range(20):
+            u = step(u, rng.uniform(0.0, 3.0, op.n), params,
+                     SchemeConfig(dt=2e-3), op)
             assert np.all(u >= 0.0)
 
     def test_linear_principal_mode_factor(self):
@@ -97,8 +101,8 @@ class TestStep:
         lam, dt = 3.0, 1e-3
         params = EquationParams(lam=lam, rho=2.0)
         mode = pair.vector[g.mask]
-        nxt = step(mode, 0.0, params, SchemeConfig(dt=dt, solve_tol=1e-13),
-                   op)
+        nxt = step(mode, np.zeros(op.n), params,
+                   SchemeConfig(dt=dt, solve_tol=1e-13), op)
         # one semi-implicit step multiplies an eigenmode by
         # (1 + dt lam) / (1 + dt lam1_h)
         factor = (1.0 + dt * lam) / (1.0 + dt * pair.value)
@@ -107,37 +111,30 @@ class TestStep:
     def test_ordering_in_initial_data(self):
         g = _grid()
         rng = np.random.default_rng(3)
-        params = EquationParams(
-            lam=4.0, rho=2.0, n_func=lambda t, p: np.ones(len(p)))
+        params = EquationParams(lam=4.0, rho=2.0)
         op = MaskedOperator(g)
+        ones = np.ones(op.n)
         lo = _random_u0(g, rng)
         hi = lo + np.where(g.mask, rng.uniform(0, 1, g.shape), 0.0)
         u_lo, u_hi = lo[g.mask], hi[g.mask]
         cfg = SchemeConfig(dt=2e-3, solve_tol=1e-12)
-        for k in range(25):
-            u_lo = step(u_lo, k * cfg.dt, params, cfg, op)
-            u_hi = step(u_hi, k * cfg.dt, params, cfg, op)
+        for _ in range(25):
+            u_lo = step(u_lo, ones, params, cfg, op)
+            u_hi = step(u_hi, ones, params, cfg, op)
             assert np.all(u_lo <= u_hi + 1e-10)
 
     def test_ordering_in_coefficient(self):
         g = _grid()
         rng = np.random.default_rng(4)
-        base = rng.uniform(0.0, 2.0, (np.prod(g.shape),))
-        bump = rng.uniform(0.0, 2.0, (np.prod(g.shape),))
-
-        def reshape(v, p):
-            return v[: len(p)]
-
-        p_small = EquationParams(lam=4.0, rho=2.0,
-                                 n_func=lambda t, p: reshape(base, p))
-        p_large = EquationParams(lam=4.0, rho=2.0,
-                                 n_func=lambda t, p: reshape(base + bump, p))
         op = MaskedOperator(g)
+        n_small = rng.uniform(0.0, 2.0, op.n)
+        n_large = n_small + rng.uniform(0.0, 2.0, op.n)
+        params = EquationParams(lam=4.0, rho=2.0)
         u_small = u_large = _random_u0(g, rng)[g.mask]
         cfg = SchemeConfig(dt=2e-3, solve_tol=1e-12)
-        for k in range(25):
-            u_small = step(u_small, k * cfg.dt, p_small, cfg, op)
-            u_large = step(u_large, k * cfg.dt, p_large, cfg, op)
+        for _ in range(25):
+            u_small = step(u_small, n_small, params, cfg, op)
+            u_large = step(u_large, n_large, params, cfg, op)
             # larger coefficient saturates harder
             assert np.all(u_large <= u_small + 1e-10)
 
@@ -208,9 +205,9 @@ class TestRun:
                 packed, 0.0, 0.01)
 
 
-def _run_steps(s, steps, params=None):
+def _run_steps(s, steps):
     grid = scenario_grid(s)
-    return run(grid, params or s.params, s.scheme, realize_initial(s, grid),
+    return run(grid, s.params, s.scheme, realize_initial(s, grid),
                s.t0, s.t0 + steps * s.scheme.dt)
 
 
@@ -246,27 +243,6 @@ class TestCoefficientMemo:
         # the memo is no field: equality and repr are those of a fresh copy
         assert s.params == registry()[label].params
         assert repr(s.params) == repr(registry()[label].params)
-
-    def test_n_func_evaluated_every_step(self):
-        s = registry()["trichotomy-mid"]
-        times = []
-
-        def n_func(t, p):
-            times.append(t)
-            return np.ones(len(p))
-
-        _run_steps(s, 50, EquationParams(lam=s.params.lam, rho=2.0,
-                                         n_func=n_func))
-        assert len(times) == 50
-
-    def test_cached_values_read_only(self):
-        s = registry()["trichotomy-mid"]
-        op = MaskedOperator(scenario_grid(s))
-        first = s.params.n_values(0.1, op.points)
-        again = s.params.n_values(0.2, op.points)
-        assert again is first and not first.flags.writeable
-        fresh = s.params.n_values(0.2, op.points.copy())
-        assert fresh is not first and np.array_equal(fresh, first)
 
 
 class TestTrajectory:
