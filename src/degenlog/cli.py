@@ -186,6 +186,14 @@ def config_to_scenario(cfg: dict, label: str,
                        nu_max=eq.get("nu_max", 1.0),
                        d_ramp=eq.get("d_ramp", 0.05),
                        n_empty=eq.get("n_empty", 1.0))
+        for key in ("center", "point", "velocity", "path_center"):
+            if key in k and len(k[key]) != domain.dim:
+                raise ValueError(f"[kset] {key} has {len(k[key])} "
+                                 f"coordinates in a {domain.dim}-d domain")
+        for key in ("k0", "k1"):
+            if key in k and not k[key].is_empty and k[key].dim != domain.dim:
+                raise ValueError(f"[kset] {key} is {k[key].dim}-d in a "
+                                 f"{domain.dim}-d domain")
         moving = _kset_from_section(k)
         params = EquationParams(lam=eq["lam"], rho=eq.get("rho", 2.0),
                                 nu=None if moving is None else nu,
@@ -300,8 +308,6 @@ def _kset_to_values(spec) -> dict:
         return {"kind": "jumping", "k0": spec.k0, "k1": spec.k1,
                 "period": spec.period, "t1": spec.t1}
     if isinstance(spec, TranslatingSet):
-        if spec.template.kind != "ball":
-            raise CliError("a non-ball translating set has no file form")
         out = {"kind": "translating-ball", "center": spec.template.center,
                "radius": spec.template.radius}
         c = spec.curve

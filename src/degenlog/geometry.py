@@ -1,7 +1,7 @@
 """Domains, moving vanishing sets, distance fields and the logistic coefficient.
 
 The vanishing set K(t) is described declaratively (static, ball with a radius
-schedule, rotating sector, jumping pair, rigid translation of a template) and
+schedule, rotating sector, jumping pair, rigid translation of a ball) and
 realized as a concrete ``SetShape`` snapshot at any time.  The logistic
 coefficient n(t, x) is built from the distance to K(t) through a ``NuProfile``
 so that it vanishes exactly on K(t) and is bounded below by a strictly
@@ -180,7 +180,11 @@ class SetShape:
         return len(self.center)
 
     def distance(self, points) -> np.ndarray:
-        return self._distance(_as_points(points))
+        p = _as_points(points)
+        if not self.is_empty and p.shape[1] != self.dim:
+            raise ValueError(f"distance from {p.shape[1]}-d points to a "
+                             f"{self.dim}-d {self.kind}")
+        return self._distance(p)
 
     def _distance(self, p: np.ndarray) -> np.ndarray:
         if self.kind == "empty":
@@ -199,16 +203,6 @@ class SetShape:
         if self.kind == "point":
             return rho
         return _sector_distance(q, rho, self.radius, self.theta0, self.theta1)
-
-    def translated(self, v) -> "SetShape":
-        v = np.asarray(v, dtype=float)
-        if self.kind == "empty":
-            return self
-        if self.kind in ("union", "intersection"):
-            return SetShape(kind=self.kind,
-                            parts=tuple(s.translated(v) for s in self.parts))
-        return SetShape(kind=self.kind, center=tuple(np.array(self.center) + v),
-                        radius=self.radius, theta0=self.theta0, theta1=self.theta1)
 
 
 def _segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -382,13 +376,19 @@ class JumpingSets:
 
 @dataclass(frozen=True)
 class TranslatingSet:
-    """Rigid translation of a template: K(t) = gamma(t) + K0."""
+    """Rigid translation of a ball template: K(t) = gamma(t) + K0."""
 
     template: SetShape
     curve: PathSchedule
 
+    def __post_init__(self):
+        if self.template.kind != "ball":
+            raise ValueError("a translating set carries a ball template, "
+                             f"not a {self.template.kind!r}")
+
     def snapshot(self, t: float) -> SetShape:
-        return self.template.translated(self.curve.position(t))
+        return SetShape.ball(np.array(self.template.center)
+                             + self.curve.position(t), self.template.radius)
 
 
 MovingSet = StaticSet | RadiusBall | RotatingSector | JumpingSets | TranslatingSet
@@ -497,9 +497,9 @@ def k_sup(spec, tau0: float, horizon: float, sample_dt: float) -> SetShape:
 def k_inf(spec, tau0: float, horizon: float, sample_dt: float) -> SetShape:
     """Finite-horizon surrogate of the intersection of K(t) over t >= tau0.
 
-    Structured variants use exact or conservative closed forms; the generic
-    fallback is an intersection node over sampled snapshots (mask-level
-    queries only).
+    Exact or conservative closed forms for every variant.  A translating
+    ball's is the ball about the mean of its centers sampled at spacing
+    sample_dt, shrunk by their spread so that it lies in every snapshot.
     """
     if not horizon > tau0:
         raise ValueError("horizon must exceed tau0")
@@ -527,27 +527,20 @@ def k_inf(spec, tau0: float, horizon: float, sample_dt: float) -> SetShape:
         if shape_gap(spec.k0, spec.k1) > 0.0:
             return SetShape.empty()
         return SetShape.intersection((spec.k0, spec.k1))
-    if isinstance(spec, TranslatingSet) and spec.template.kind == "ball":
-        times = _sample_times(tau0, horizon, sample_dt)
-        centers = np.array([spec.curve.position(t) for t in times])
-        base = np.array(spec.template.center)
-        mid = centers.mean(axis=0)
-        reach = float(np.max(np.linalg.norm(centers - mid, axis=1)))
-        # Sampled centers can miss excursions between samples by at most
-        # half a step at the path's top speed; shrink by that margin so the
-        # result stays inside every snapshot.
-        reach += 0.5 * sample_dt * spec.curve.max_speed()
-        r_eff = spec.template.radius - reach
-        if r_eff <= 0.0:
-            return SetShape.empty()
-        return SetShape.ball(tuple(mid + base), r_eff)
-    shapes = {}
-    for t in _sample_times(tau0, horizon, sample_dt):
-        s = spec.snapshot(t)
-        if s.is_empty:
-            return SetShape.empty()
-        shapes[s] = None
-    return SetShape.intersection(shapes)
+    # the one variant left: a translating ball
+    times = _sample_times(tau0, horizon, sample_dt)
+    centers = np.array([spec.curve.position(t) for t in times])
+    base = np.array(spec.template.center)
+    mid = centers.mean(axis=0)
+    reach = float(np.max(np.linalg.norm(centers - mid, axis=1)))
+    # Sampled centers can miss excursions between samples by at most
+    # half a step at the path's top speed; shrink by that margin so the
+    # result stays inside every snapshot.
+    reach += 0.5 * sample_dt * spec.curve.max_speed()
+    r_eff = spec.template.radius - reach
+    if r_eff <= 0.0:
+        return SetShape.empty()
+    return SetShape.ball(tuple(mid + base), r_eff)
 
 
 def shape_gap(a: SetShape, b: SetShape, samples: int = 96) -> float:

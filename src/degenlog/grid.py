@@ -76,23 +76,17 @@ class Grid:
         return (reduce(sp.kronsum, d2) / self.h ** 2).tocsr()
 
 
-def build_grid(domain: DomainSpec, n) -> Grid:
-    """Lattice with n cells per axis; nodes are cell corners strictly inside.
-
-    n may be an int (applied to the first axis, remaining axes sized to keep
-    the spacing uniform) or a per-axis tuple whose spacings must agree.
+def build_grid(domain: DomainSpec, n: int) -> Grid:
+    """Lattice with n cells on the first axis and the remaining axes sized
+    to keep the spacing uniform; nodes are cell corners strictly inside.
     """
     lo, hi = domain.bounding_box()
     extent = hi - lo
-    if isinstance(n, (tuple, list)):
-        cells = [int(v) for v in n]
-    else:
-        n0 = int(n)
-        h0 = extent[0] / n0
-        cells = [n0] + [int(round(extent[a] / h0)) for a in range(1, len(extent))]
+    n = int(n)
+    h = extent[0] / n
+    cells = [n] + [int(round(extent[a] / h)) for a in range(1, len(extent))]
     if any(c < 8 for c in cells):
         raise ValueError("need at least 8 cells per axis")
-    h = extent[0] / cells[0]
     for a, c in enumerate(cells):
         if abs(c * h - extent[a]) > 1e-9 * max(extent):
             raise ValueError("cell counts must give one uniform spacing h")

@@ -14,9 +14,8 @@ from .evolve import EquationParams, SchemeConfig, run, step
 from .geometry import DomainSpec, NuProfile, SetShape, StaticSet
 from .grid import MaskedOperator, build_grid, mask_from_shape
 from .oracles import OdeBoundParams, w_closed_form, w_inf, w_rk4
-from .spectral import (bessel_j0_first_root, lambda0_of_set,
-                       principal_eigenpair, principal_eigenvalue,
-                       second_eigenvalue)
+from .spectral import (analytic_lambda1, lambda0_of_set, principal_eigenpair,
+                       principal_eigenvalue, second_eigenvalue)
 
 __all__ = ["suite_properties"]
 
@@ -31,14 +30,15 @@ def _rel_row(name, value, exact, bound):
 def eigenvalue_rows():
     """Criterion 01: eigenvalues of the square and the disc against their
     closed forms."""
+    disc = DomainSpec.disc((0.0, 0.0), 1.0)
     gsq = build_grid(UNIT_SQ, 128)
-    gd = build_grid(DomainSpec.disc((0.0, 0.0), 1.0), 256)
+    gd = build_grid(disc, 256)
     return [_rel_row("eigen-square-lambda1", principal_eigenpair(
-                gsq, gsq.mask).value, 2.0 * math.pi ** 2, 0.005),
+                gsq, gsq.mask).value, analytic_lambda1(UNIT_SQ), 0.005),
             _rel_row("eigen-square-lambda2", second_eigenvalue(gsq, gsq.mask),
                      5.0 * math.pi ** 2, 0.01),
             _rel_row("eigen-disc-lambda1", principal_eigenvalue(gd, gd.mask),
-                     bessel_j0_first_root() ** 2, 0.01)]
+                     analytic_lambda1(disc), 0.01)]
 
 
 def lambda0_rows():

@@ -243,13 +243,13 @@ class TheoremCheck:
     details: tuple            # ((key, value), ...)
 
 
-def _lambda0(grid: Grid, shape: SetShape, cap: float = 1e4) -> float:
+def _lambda0(grid: Grid, shape: SetShape) -> float:
     """Characteristic value of a set from the two tightest rungs of the
     default ladder, the only ones its verdict and extrapolation read."""
     if shape.is_empty:
         return math.inf
     deltas = lambda0_deltas(grid)[-2:]
-    return lambda0_of_set(grid, shape, deltas=deltas, cap=cap).value
+    return lambda0_of_set(grid, shape, deltas=deltas).value
 
 
 def _check_envelopes(s: Scenario, grid: Grid) -> list:
@@ -394,7 +394,7 @@ def _check_carried_growth(s: Scenario, grid: Grid) -> TheoremCheck:
         r = e_shape.radius / 4.0
         d_shape = SetShape.ball(e_shape.center, r)
         window = None
-    elif isinstance(spec, TranslatingSet) and spec.template.kind == "ball":
+    elif isinstance(spec, TranslatingSet):
         window = s.hint("carry_window")
         if window is None:
             return TheoremCheck(name, False, "none",

@@ -120,8 +120,7 @@ def principal_eigenpair(grid: Grid, mask: np.ndarray,
     return EigenPair(value=lam, vector=op.extend(vec), mask=mask)
 
 
-def principal_eigenvalue(grid: Grid, mask: np.ndarray,
-                         tol: float = 1e-10) -> float:
+def principal_eigenvalue(grid: Grid, mask: np.ndarray) -> float:
     """Smallest Dirichlet eigenvalue of a mask.
 
     Unlike principal_eigenpair this accepts disconnected masks, returning the
@@ -132,27 +131,28 @@ def principal_eigenvalue(grid: Grid, mask: np.ndarray,
         raise ValueError("eigenproblem needs a nonempty mask")
     labels, n_comp = ndi.label(mask)
     if n_comp == 1:
-        return principal_eigenpair(grid, mask, tol).value
-    return min(principal_eigenpair(grid, labels == c, tol).value
+        return principal_eigenpair(grid, mask).value
+    return min(principal_eigenpair(grid, labels == c).value
                for c in range(1, n_comp + 1))
 
 
-def second_eigenvalue(grid: Grid, mask: np.ndarray, tol: float = 1e-10) -> float:
+def second_eigenvalue(grid: Grid, mask: np.ndarray) -> float:
     """Second Dirichlet eigenvalue of a connected mask.
 
     Lanczos copes with the near-degenerate second modes of discretized
-    symmetric shapes, which stall plain power-type iterations.  The pair is
-    held to the residual bound sqrt(tol) max(1, |lambda|): the eigenvalue
-    error is quadratic in the residual, and near-degenerate second modes
-    converge less tightly than the principal one.
+    symmetric shapes, which stall plain power-type iterations.  The solve
+    runs at tolerance 1e-10 and the pair is held to the residual bound
+    sqrt(1e-10) max(1, |lambda|): the eigenvalue error is quadratic in the
+    residual, and near-degenerate second modes converge less tightly than
+    the principal one.
     """
     _check_mask(mask)
     if np.count_nonzero(mask) < 3:
         raise ValueError("second eigenvalue needs a mask of at least 3 nodes")
     op = MaskedOperator(grid, mask)
-    vals, vecs = _smallest_eigenpairs(op, 2, tol)
+    vals, vecs = _smallest_eigenpairs(op, 2, 1e-10)
     lam = float(vals[1])
-    _check_residual(op, lam, vecs[:, 1], math.sqrt(tol), "second")
+    _check_residual(op, lam, vecs[:, 1], math.sqrt(1e-10), "second")
     return lam
 
 
@@ -174,17 +174,20 @@ def lambda0_deltas(grid: Grid) -> tuple:
 
 
 def lambda0_of_set(grid: Grid, k: SetShape, deltas=None,
-                   cap: float = 1e4, tol: float = 1e-10) -> Lambda0Estimate:
+                   cap: float = 1e4) -> Lambda0Estimate:
     """Characteristic value of a compact set via shrinking neighborhoods.
 
     Computes lambda_1 of {x in the domain : d(x, k) <= delta} for each delta,
     thresholding one distance field d(., k) over the lattice; verdict
     "infinite" if the tightest neighborhood exceeds cap, otherwise linear
     extrapolation of the reciprocal square root of the eigenvalue (the
-    length scale) from the two tightest neighborhoods to delta = 0.
+    length scale) from the two tightest neighborhoods to delta = 0.  cap
+    must be finite and positive.
     """
     if k.is_empty:
         raise ValueError("characteristic value of the empty set is undefined")
+    if not 0.0 < cap < math.inf:
+        raise ValueError(f"cap must be finite and positive, got {cap!r}")
     if deltas is None:
         deltas = lambda0_deltas(grid)
     deltas = tuple(float(d) for d in deltas)
@@ -193,7 +196,7 @@ def lambda0_of_set(grid: Grid, k: SetShape, deltas=None,
     if deltas[-1] < 2.0 * grid.h:
         raise ValueError("smallest delta is below grid resolution (2h)")
     dist = k.distance(grid.points()).reshape(grid.shape)
-    values = [principal_eigenvalue(grid, (dist <= d) & grid.mask, tol)
+    values = [principal_eigenvalue(grid, (dist <= d) & grid.mask)
               for d in deltas]
     if values[-1] > cap:
         return Lambda0Estimate(deltas, tuple(values), "infinite", math.inf)

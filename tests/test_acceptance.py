@@ -10,10 +10,10 @@ from degenlog.cli import render_suite, scenario_row, suite_report
 from degenlog.evolve import EquationParams, SchemeConfig, run, step
 from degenlog.geometry import DomainSpec, NuProfile, SetShape, StaticSet
 from degenlog.grid import MaskedOperator, build_grid
-from degenlog.oracles import (TauInputs, blow_up_constant, tau_unbounded,
-                              z_radial)
+from degenlog.oracles import TauInputs, tau_unbounded
 from degenlog.scenarios import InitialData, Scenario, scenario_grid
 from degenlog.spectral import principal_eigenpair, second_eigenvalue
+from test_oracles import blow_up_constant, z_radial
 from test_spectral import linear_evolve
 
 UNIT_SQ = DomainSpec.rectangle((0.0, 0.0), (1.0, 1.0))

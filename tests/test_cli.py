@@ -1,6 +1,5 @@
 """Command-line surface: mini-language parsing, scenario files, outputs."""
 
-import dataclasses
 import hashlib
 import importlib
 import math
@@ -160,16 +159,6 @@ class TestScenarioFiles:
             for label, s in registry().items()}
         assert digests == REGISTRY_INI_SHA256
 
-    def test_lossy_translating_set_refused(self):
-        s = registry()["translating-slow"]
-        spec = dataclasses.replace(
-            s.params.moving_set,
-            template=SetShape.sector((0.0, 0.0), 0.3, 0.0, 1.0))
-        s = dataclasses.replace(s, params=dataclasses.replace(
-            s.params, moving_set=spec))
-        with pytest.raises(CliError, match="has no file form"):
-            scenario_to_config(s)
-
     def test_readme_example_parses(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         p = tmp_path / "example.ini"
@@ -293,7 +282,8 @@ class TestCommands:
     @pytest.mark.parametrize("override", [
         "output.snapshot_times=-1,99", "output.sample_every=0",
         "equation.lam=nan", "time.dt=nan", "time.t_end=inf",
-        "output.growth_cap=nan"])
+        "output.growth_cap=nan", "kset.center=1.0",
+        "kset.k0=ball:0.5,0.35"])
     def test_run_rejects_bad_outputs(self, override, tmp_path, capsys):
         assert main(["run", "trichotomy-mid", "--set", "time.t_end=0.2",
                      "--set", override, "--out", str(tmp_path)]) == 2
@@ -305,7 +295,15 @@ class TestCommands:
         (["eig", "--domain", "rect:0,0,1,1", "--n", "16",
           "--shape", "ball:5,5,0.1"], "nonempty mask"),
         (["lambda0", "--domain", "rect:0,0,1,1", "--n", "16",
-          "--shape", "empty"], "empty set")])
+          "--shape", "empty"], "empty set"),
+        (["eig", "--domain", "rect:0,0,1,1", "--n", "16",
+          "--shape", "ball:0.5,0.3"], "1-d ball"),
+        (["lambda0", "--domain", "rect:0,0,1,1", "--n", "16",
+          "--shape", "point:0.5,0.5", "--cap", "nan"], "finite and positive"),
+        (["lambda0", "--domain", "rect:0,0,1,1", "--n", "16",
+          "--shape", "point:0.5,0.5", "--cap", "-1"], "finite and positive"),
+        (["lambda0", "--domain", "rect:0,0,1,1", "--n", "16",
+          "--shape", "point:0.5,0.5", "--cap", "inf"], "finite and positive")])
     def test_spectral_bad_input(self, argv, error, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err

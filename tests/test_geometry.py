@@ -81,10 +81,6 @@ class TestSetShape:
         with pytest.raises(ValueError):
             SetShape.empty().distance((0.0, 0.0))
 
-    def test_translated_rotated(self):
-        b = SetShape.ball((1.0, 0.0), 0.5).translated((0.0, 1.0))
-        assert b.center == pytest.approx((1.0, 1.0))
-
 
 class TestSchedules:
     def test_radius_laws(self):
@@ -150,6 +146,12 @@ class TestMovingSets:
                                         velocity=(0.0, 1.0)))
         snap = s.snapshot(2.0)
         assert snap.center == pytest.approx((1.0, 2.0))
+
+    def test_translating_set_refuses_non_ball(self):
+        with pytest.raises(ValueError, match="ball template"):
+            TranslatingSet(SetShape.sector((0.0, 0.0), 0.3, 0.0, 1.0),
+                           PathSchedule(kind="line", point=(1.0, 1.0),
+                                        velocity=(0.02, 0.0)))
 
 
 class TestNuProfile:

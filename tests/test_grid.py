@@ -86,9 +86,10 @@ class TestBuildGrid:
         assert g.h == pytest.approx(2.0 / 32)
 
     def test_incompatible_cell_counts_rejected(self):
-        dom = DomainSpec.rectangle((0.0, 0.0), (1.0, 1.0))
-        with pytest.raises(ValueError):
-            build_grid(dom, (16, 23))
+        # h = 1/16 puts 11.2 cells on the 0.7 side: no uniform spacing
+        dom = DomainSpec.rectangle((0.0, 0.0), (1.0, 0.7))
+        with pytest.raises(ValueError, match="uniform spacing"):
+            build_grid(dom, 16)
 
     def test_too_coarse_rejected(self):
         with pytest.raises(ValueError):
