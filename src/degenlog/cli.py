@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import multiprocessing
-import os
 import sys
 from pathlib import Path
 
@@ -21,7 +20,7 @@ import numpy as np
 from .evolve import EquationParams, SchemeConfig, Trajectory
 from .geometry import (DomainSpec, JumpingSets, NuProfile, PathSchedule,
                        RadiusBall, RadiusSchedule, RotatingSector, SetShape,
-                       StaticSet, TranslatingSet)
+                       StaticSet, TranslatingSet, validate_inside_domain)
 from .grid import build_grid, mask_from_shape, write_pgm
 from .properties import suite_properties
 from .scenarios import (MIN_RECORDS, CrossCheckReport, InitialData,
@@ -102,15 +101,13 @@ def format_shape(s: SetShape) -> str:
 
 
 def parse_domain(text: str) -> DomainSpec:
-    """rect:lox,loy,hix,hiy | interval:a,b | disc:cx,cy,r"""
+    """rect:lox,loy,hix,hiy | rect:a,b | disc:cx,cy,r"""
     kind, _, rest = text.strip().partition(":")
     vals = _floats(rest)
     try:
         if kind == "rect":
             half = len(vals) // 2
             return DomainSpec.rectangle(vals[:half], vals[half:])
-        if kind == "interval":
-            return DomainSpec.interval(vals[0], vals[1])
         if kind == "disc":
             return DomainSpec.disc(vals[:2], vals[2])
     except (ValueError, IndexError) as e:
@@ -155,7 +152,7 @@ class _Section(dict):
         self.name = name
 
     def __missing__(self, key):
-        raise CliError(f"missing required key {key!r} in [{self.name}]")
+        raise ValueError(f"missing required key {key!r} in [{self.name}]")
 
 
 def config_to_scenario(cfg: dict, label: str,
@@ -186,9 +183,10 @@ def config_to_scenario(cfg: dict, label: str,
                        nu_max=eq.get("nu_max", 1.0),
                        d_ramp=eq.get("d_ramp", 0.05),
                        n_empty=eq.get("n_empty", 1.0))
-        for key in ("center", "point", "velocity", "path_center"):
-            if key in k and len(k[key]) != domain.dim:
-                raise ValueError(f"[kset] {key} has {len(k[key])} "
+        for sec, key in ((k, "center"), (k, "point"), (k, "velocity"),
+                         (k, "path_center"), (i, "center")):
+            if key in sec and len(sec[key]) != domain.dim:
+                raise ValueError(f"[{sec.name}] {key} has {len(sec[key])} "
                                  f"coordinates in a {domain.dim}-d domain")
         for key in ("k0", "k1"):
             if key in k and not k[key].is_empty and k[key].dim != domain.dim:
@@ -214,11 +212,14 @@ def config_to_scenario(cfg: dict, label: str,
 
         outputs = OutputPlan(sample_every=o.get("sample_every", 10),
                              snapshot_times=o.get("snapshot_times", ()))
-        return Scenario(label=label, domain=domain,
-                        resolution=d.get("resolution", 64), params=params,
-                        scheme=scheme, t0=tm.get("t0", 0.0),
-                        t_end=tm["t_end"], initial=initial, outputs=outputs,
-                        expected_status=expected_status, hints=hints)
+        s = Scenario(label=label, domain=domain,
+                     resolution=d.get("resolution", 64), params=params,
+                     scheme=scheme, t0=tm.get("t0", 0.0), t_end=tm["t_end"],
+                     initial=initial, outputs=outputs,
+                     expected_status=expected_status, hints=hints)
+        if moving is not None:
+            validate_inside_domain(moving, domain, s.t0, s.t_end)
+        return s
     except ValueError as e:
         raise CliError(f"{label}: invalid scenario: {e}") from e
 
@@ -231,8 +232,7 @@ def _kset_from_section(k: _Section):
         return StaticSet(SetShape.ball(k["center"], k["radius"]))
     if kind == "radius-ball":
         return RadiusBall(k["center"], RadiusSchedule(
-            k.get("schedule", "constant"), k["radius"],
-            omega=k.get("omega", 0.0)))
+            k["schedule"], k["radius"], omega=k.get("omega", 0.0)))
     if kind == "rotating-sector":
         return RotatingSector(k["center"], k["radius"], k.get("theta0", 0.0),
                               k["theta1"], k["omega"])
@@ -499,11 +499,19 @@ def _require_records(tr: Trajectory) -> None:
                        f"{MIN_RECORDS}")
 
 
+def _run(s: Scenario, grid=None) -> Trajectory:
+    """run_scenario, with its refusals as user errors."""
+    try:
+        return run_scenario(s, grid)
+    except ValueError as e:
+        raise CliError(f"{s.label}: invalid scenario: {e}") from e
+
+
 def _cmd_run(args) -> int:
     s = resolve_scenario(args.scenario, args.set)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    tr = run_scenario(s)
+    tr = _run(s)
     emit_trajectory_csv(tr, out / "trajectory.csv")
     emit_snapshots(tr, out)
     (out / "scenario.ini").write_text(emit_scenario_ini(s))
@@ -525,7 +533,7 @@ def _cmd_predict(args) -> int:
 def _cmd_crosscheck(args) -> int:
     s = resolve_scenario(args.scenario, args.set)
     grid = scenario_grid(s)
-    tr = run_scenario(s, grid)
+    tr = _run(s, grid)
     _require_records(tr)
     rep = cross_check(s, tr, grid)
     print(crosscheck_text(rep))
@@ -561,10 +569,9 @@ def _cmd_lambda0(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    jobs = os.environ.get("DEGENLOG_JOBS", str(args.jobs))
-    if not jobs.strip().isdecimal() or int(jobs) < 1:
-        raise CliError(f"jobs must be a positive integer, got {jobs!r}")
-    text, csv, code = suite_report(args.name, int(jobs))
+    if args.jobs < 1:
+        raise CliError(f"--jobs must be at least 1, got {args.jobs}")
+    text, csv, code = suite_report(args.name, args.jobs)
     print(text)
     if args.out:
         out = Path(args.out)
@@ -602,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eig", help="principal Dirichlet eigenvalue")
     p.add_argument("--domain", required=True,
-                   help="rect:lox,loy,hix,hiy | interval:a,b | disc:cx,cy,r")
+                   help="rect:lox,loy,hix,hiy | rect:a,b | disc:cx,cy,r")
     p.add_argument("--shape", help="ball:... | sector:... | point:... "
                                    "(defaults to the whole domain)")
     p.add_argument("--n", type=int, default=128, help="cells per axis")
@@ -623,7 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=("paper-examples", "properties", "all"))
     p.add_argument("--out", help="directory for report.txt / report.csv")
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel scenario workers (env DEGENLOG_JOBS wins)")
+                   help="parallel scenario workers")
     p.set_defaults(fn=_cmd_suite)
     return parser
 

@@ -52,7 +52,7 @@ def _as_points(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """Bounded habitat domain: an axis-aligned rectangle/interval or a disc."""
+    """Bounded habitat domain: a 1-d or 2-d rectangle, or a disc."""
 
     kind: str  # "rectangle" | "disc"
     lo: tuple = ()
@@ -69,10 +69,6 @@ class DomainSpec:
         if any(a >= b for a, b in zip(lo, hi)):
             raise ValueError("rectangle corners must satisfy lo < hi componentwise")
         return DomainSpec(kind="rectangle", lo=lo, hi=hi)
-
-    @staticmethod
-    def interval(a: float, b: float) -> "DomainSpec":
-        return DomainSpec.rectangle((a,), (b,))
 
     @staticmethod
     def disc(center, radius: float) -> "DomainSpec":
@@ -249,24 +245,25 @@ def _sector_distance(q, rho, r0, theta0, theta1) -> np.ndarray:
 class RadiusSchedule:
     """Time law for a ball radius.
 
-    kinds: ``constant`` r0; ``harmonic_shrink`` r0/(t+1); ``approach``
-    r0*(1 - 1/(t+1)); ``oscillating`` r0*(1 + |sin(omega t)|).
+    kinds: ``harmonic_shrink`` r0/(t+1); ``approach`` r0*(1 - 1/(t+1));
+    ``oscillating`` r0*(1 + |sin(omega t)|).  A ball of fixed radius is a
+    ``StaticSet``.
     """
 
     kind: str
     r0: float
     omega: float = 0.0
 
+    def __post_init__(self):
+        if self.kind not in ("harmonic_shrink", "approach", "oscillating"):
+            raise ValueError(f"unknown radius schedule {self.kind!r}")
+
     def radius(self, t: float) -> float:
-        if self.kind == "constant":
-            return self.r0
         if self.kind == "harmonic_shrink":
             return self.r0 / (t + 1.0)
         if self.kind == "approach":
             return self.r0 * (1.0 - 1.0 / (t + 1.0))
-        if self.kind == "oscillating":
-            return self.r0 * (1.0 + abs(math.sin(self.omega * t)))
-        raise ValueError(f"unknown radius schedule {self.kind!r}")
+        return self.r0 * (1.0 + abs(math.sin(self.omega * t)))
 
     def radius_range(self, ta: float, tb: float) -> tuple:
         """Exact (infimum, supremum) of the radius over [ta, tb]."""
@@ -403,13 +400,12 @@ MovingSet = StaticSet | RadiusBall | RotatingSector | JumpingSets | TranslatingS
 class NuProfile:
     """Lower profile for n as a function of distance to K(t).
 
-    ``saturating`` gives nu(d) = nu_max * (1 - exp(-d / d_ramp)), strictly
-    increasing with nu(0) = 0.  ``indicator`` gives level * 1_{d > 0}, which
-    dominates the saturating profile with nu_max = level.  ``n_empty`` is the
+    The one kind, ``saturating``, gives nu(d) = nu_max * (1 - exp(-d /
+    d_ramp)), strictly increasing with nu(0) = 0.  ``n_empty`` is the
     constant value used whenever K(t) is empty.
     """
 
-    kind: str  # "saturating" | "indicator"
+    kind: str  # "saturating"
     nu_max: float = 1.0
     d_ramp: float = 0.1
     n_empty: float = 1.0
@@ -417,16 +413,14 @@ class NuProfile:
     def __post_init__(self):
         if self.nu_max <= 0 or self.n_empty <= 0:
             raise ValueError("nu_max and n_empty must be positive")
-        if self.kind == "saturating" and self.d_ramp <= 0:
+        if self.d_ramp <= 0:
             raise ValueError("saturating profile needs d_ramp > 0")
-        if self.kind not in ("saturating", "indicator"):
+        if self.kind != "saturating":
             raise ValueError(f"unknown nu profile {self.kind!r}")
 
     def value(self, d):
         d = np.asarray(d, dtype=float)
-        if self.kind == "saturating":
-            return self.nu_max * (1.0 - np.exp(-d / self.d_ramp))
-        return np.where(d > 0.0, self.nu_max, 0.0)
+        return self.nu_max * (1.0 - np.exp(-d / self.d_ramp))
 
 
 def evaluate_n(spec, nu: NuProfile, t: float, x):
@@ -445,31 +439,31 @@ def evaluate_n(spec, nu: NuProfile, t: float, x):
 # ---------------------------------------------------------------------------
 
 
-def _sample_times(ta: float, tb: float, sample_dt: float) -> np.ndarray:
-    n = max(int(math.ceil((tb - ta) / sample_dt)), 1)
+def _sample_step(ta: float, tb: float) -> float:
+    """Nominal spacing of the snapshots sampled on [ta, tb]: 0.01, clamped
+    so that the interval holds between 50 and 400 steps."""
+    span = tb - ta
+    return max(min(0.01, span / 50.0), span / 400.0)
+
+
+def _sample_times(ta: float, tb: float) -> np.ndarray:
+    n = max(int(math.ceil((tb - ta) / _sample_step(ta, tb))), 1)
     return np.linspace(ta, tb, n + 1)
 
 
-def union_over_interval(spec, ta: float, tb: float, sample_dt: float) -> SetShape:
-    """Union of snapshots sampled on [ta, tb] at spacing sample_dt, in time
-    order."""
+def union_over_interval(spec, ta: float, tb: float) -> SetShape:
+    """Union of snapshots sampled on [ta, tb] at the nominal spacing, in
+    time order."""
     if not ta < tb:
         raise ValueError("need ta < tb")
-    if sample_dt <= 0:
-        raise ValueError("sample_dt must be positive")
-    return SetShape.union(
-        spec.snapshot(t) for t in _sample_times(ta, tb, sample_dt))
+    return SetShape.union(spec.snapshot(t) for t in _sample_times(ta, tb))
 
 
-def default_sample_dt(tau0: float) -> float:
-    return min(0.01, tau0 / 50.0) if tau0 > 0 else 0.01
-
-
-def k_sup(spec, tau0: float, horizon: float, sample_dt: float) -> SetShape:
+def k_sup(spec, tau0: float, horizon: float) -> SetShape:
     """Finite-horizon surrogate of the closed union of K(t) over t >= tau0.
 
     Exact closed forms for every variant except translating sets, whose
-    snapshots are sampled at spacing sample_dt.
+    snapshots are sampled.
     """
     if not horizon > tau0:
         raise ValueError("horizon must exceed tau0")
@@ -491,15 +485,15 @@ def k_sup(spec, tau0: float, horizon: float, sample_dt: float) -> SetShape:
             if offset + n * spec.period < horizon and shape not in phases:
                 phases.append(shape)
         return SetShape.union(phases)
-    return union_over_interval(spec, tau0, horizon, sample_dt)
+    return union_over_interval(spec, tau0, horizon)
 
 
-def k_inf(spec, tau0: float, horizon: float, sample_dt: float) -> SetShape:
+def k_inf(spec, tau0: float, horizon: float) -> SetShape:
     """Finite-horizon surrogate of the intersection of K(t) over t >= tau0.
 
     Exact or conservative closed forms for every variant.  A translating
-    ball's is the ball about the mean of its centers sampled at spacing
-    sample_dt, shrunk by their spread so that it lies in every snapshot.
+    ball's is the ball about the mean of its sampled centers, shrunk by
+    their spread so that it lies in every snapshot.
     """
     if not horizon > tau0:
         raise ValueError("horizon must exceed tau0")
@@ -528,7 +522,7 @@ def k_inf(spec, tau0: float, horizon: float, sample_dt: float) -> SetShape:
             return SetShape.empty()
         return SetShape.intersection((spec.k0, spec.k1))
     # the one variant left: a translating ball
-    times = _sample_times(tau0, horizon, sample_dt)
+    times = _sample_times(tau0, horizon)
     centers = np.array([spec.curve.position(t) for t in times])
     base = np.array(spec.template.center)
     mid = centers.mean(axis=0)
@@ -536,7 +530,7 @@ def k_inf(spec, tau0: float, horizon: float, sample_dt: float) -> SetShape:
     # Sampled centers can miss excursions between samples by at most
     # half a step at the path's top speed; shrink by that margin so the
     # result stays inside every snapshot.
-    reach += 0.5 * sample_dt * spec.curve.max_speed()
+    reach += 0.5 * _sample_step(tau0, horizon) * spec.curve.max_speed()
     r_eff = spec.template.radius - reach
     if r_eff <= 0.0:
         return SetShape.empty()
@@ -581,9 +575,11 @@ def _cover_points(s: SetShape, samples: int) -> np.ndarray:
     raise ValueError(f"cannot sample shape kind {s.kind!r}")
 
 
-def validate_inside_domain(spec, domain: DomainSpec, times) -> None:
-    """Reject configurations whose K(t) leaves the domain at a sampled time."""
-    for t in times:
+def validate_inside_domain(spec, domain: DomainSpec, t0: float,
+                           t_end: float) -> None:
+    """Reject configurations whose K(t) leaves the domain at one of 33
+    evenly spaced times in [t0, t_end]."""
+    for t in np.linspace(t0, t_end, 33):
         s = spec.snapshot(t)
         if s.is_empty:
             continue

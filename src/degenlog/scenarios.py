@@ -19,8 +19,7 @@ import numpy as np
 from . import geometry as geo
 from .geometry import (DomainSpec, JumpingSets, NuProfile, RadiusBall,
                        RotatingSector, SetShape, StaticSet, TranslatingSet,
-                       default_sample_dt, k_inf, k_sup, shape_gap,
-                       union_over_interval)
+                       k_inf, k_sup, shape_gap, union_over_interval)
 from .evolve import EquationParams, SchemeConfig, Trajectory, check_outputs
 from .evolve import run as evolve_run
 from .grid import Grid, build_grid, mask_from_shape, mask_within_distance
@@ -131,8 +130,8 @@ def realize_initial(s: Scenario, grid: Grid) -> np.ndarray:
 def run_scenario(s: Scenario, grid: Grid | None = None) -> Trajectory:
     grid = grid if grid is not None else scenario_grid(s)
     if s.params.moving_set is not None:
-        times = np.linspace(s.t0, s.t_end, 33)
-        geo.validate_inside_domain(s.params.moving_set, s.domain, times)
+        geo.validate_inside_domain(s.params.moving_set, s.domain, s.t0,
+                                   s.t_end)
     u0 = realize_initial(s, grid)
     if not np.any(u0 > 0):
         raise ValueError("initial data must not vanish identically")
@@ -272,10 +271,8 @@ def _check_envelopes(s: Scenario, grid: Grid) -> list:
     for tau0 in sorted(set(float(t) for t in tau0_list)):
         if not 0 < tau0 < horizon:
             continue
-        # only translating sets are still sampled; cap them at 400 snapshots
-        dt_s = max(default_sample_dt(tau0), (horizon - tau0) / 400.0)
-        up = k_sup(spec, s.t0 + tau0, s.t0 + horizon, dt_s)
-        low = k_inf(spec, s.t0 + tau0, s.t0 + horizon, dt_s)
+        up = k_sup(spec, s.t0 + tau0, s.t0 + horizon)
+        low = k_inf(spec, s.t0 + tau0, s.t0 + horizon)
         for shape in (up, low):
             if shape not in ladders:
                 ladders[shape] = _lambda0(grid, shape)
@@ -356,8 +353,7 @@ def _check_moving_floor(s: Scenario, grid: Grid) -> TheoremCheck:
     times = np.linspace(s.t0 + tau0, s.t_end - tau0, n_times)
     floor = math.inf
     for t in times:
-        shape = union_over_interval(spec, t - tau0, t + tau0,
-                                    default_sample_dt(tau0))
+        shape = union_over_interval(spec, t - tau0, t + tau0)
         m = mask_within_distance(grid, shape, delta)
         floor = min(floor, principal_eigenpair(grid, m).value)
     hold = s.params.lam < floor

@@ -109,12 +109,12 @@ class TestShapeLanguage:
 class TestDomainLanguage:
     def test_rect_interval_disc(self):
         assert parse_domain("rect:0,0,2,1").kind == "rectangle"
-        assert parse_domain("interval:0,3").dim == 1
+        assert parse_domain("rect:0,3").dim == 1
         d = parse_domain("disc:0,0,1.5")
         assert d.kind == "disc" and d.radius == 1.5
 
     def test_malformed(self):
-        for bad in ("rect:0,0,2", "disc:0,0", "torus:1,2,3"):
+        for bad in ("rect:0,0,2", "disc:0,0", "torus:1,2,3", "interval:0,3"):
             with pytest.raises(CliError):
                 parse_domain(bad)
 
@@ -283,12 +283,28 @@ class TestCommands:
         "output.snapshot_times=-1,99", "output.sample_every=0",
         "equation.lam=nan", "time.dt=nan", "time.t_end=inf",
         "output.growth_cap=nan", "kset.center=1.0",
-        "kset.k0=ball:0.5,0.35"])
+        "kset.k0=ball:0.5,0.35", "kset.center=1.9,1.0", "initial.center=1.0",
+        "kset.kind=radius-ball"])
     def test_run_rejects_bad_outputs(self, override, tmp_path, capsys):
         assert main(["run", "trichotomy-mid", "--set", "time.t_end=0.2",
                      "--set", override, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "error: trichotomy-mid: invalid scenario:" in err
+
+    @pytest.mark.parametrize("argv, error", [
+        (["predict", "trichotomy-mid", "--set", "kset.center=1.9,1.0"],
+         "trichotomy-mid: invalid scenario: moving set leaves the domain"),
+        (["run", "trichotomy-mid", "--set", "initial.kind=bump",
+          "--set", "initial.center=0.01,0.01", "--set", "initial.radius=0.005",
+          "--out", "out"],
+         "trichotomy-mid: invalid scenario: initial data must not vanish")])
+    def test_scenario_refused(self, argv, error, tmp_path, monkeypatch,
+                              capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and error in captured.err
 
     @pytest.mark.parametrize("argv, error", [
         (["eig", "--domain", "rect:0,0,1,1", "--n", "4"], "8 cells"),
@@ -339,11 +355,9 @@ class TestCommands:
         assert main(["run", "no-such-label", "--out", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_jobs_env_override(self, monkeypatch, capsys):
-        for value in ("0", "abc"):
-            monkeypatch.setenv("DEGENLOG_JOBS", value)
-            assert main(["suite", "properties"]) == 2
-            assert "jobs" in capsys.readouterr().err
+    def test_jobs_below_one(self, capsys):
+        assert main(["suite", "properties", "--jobs", "0"]) == 2
+        assert "error: --jobs must be at least 1" in capsys.readouterr().err
 
     def test_failing_property_exits_1(self, properties, tmp_path,
                                       monkeypatch, capsys):

@@ -7,9 +7,9 @@ from degenlog import scenarios
 from degenlog.geometry import (DomainSpec, JumpingSets, NuProfile,
                                PathSchedule, RadiusBall, RadiusSchedule,
                                RotatingSector, SetShape, StaticSet,
-                               TranslatingSet, _sample_times, evaluate_n,
-                               k_inf, k_sup, shape_gap, union_over_interval,
-                               validate_inside_domain)
+                               TranslatingSet, _sample_step, _sample_times,
+                               evaluate_n, k_inf, k_sup, shape_gap,
+                               union_over_interval, validate_inside_domain)
 
 
 class TestDomainSpec:
@@ -29,7 +29,7 @@ class TestDomainSpec:
             DomainSpec.rectangle((1.0, 0.0), (0.0, 1.0))
 
     def test_interval_is_1d(self):
-        d = DomainSpec.interval(0.0, 3.0)
+        d = DomainSpec.rectangle((0.0,), (3.0,))
         assert d.dim == 1
         assert d.contains((1.5,))[0]
 
@@ -84,12 +84,15 @@ class TestSetShape:
 
 class TestSchedules:
     def test_radius_laws(self):
-        assert RadiusSchedule("constant", 2.0).radius(7.0) == 2.0
         assert RadiusSchedule("harmonic_shrink", 2.0).radius(1.0) == \
             pytest.approx(1.0)
         assert RadiusSchedule("approach", 2.0).radius(1.0) == pytest.approx(1.0)
         osc = RadiusSchedule("oscillating", 1.0, omega=math.pi / 2)
         assert osc.radius(1.0) == pytest.approx(2.0)
+        # a ball of fixed radius is a StaticSet, not a schedule
+        for kind in ("constant", "foo"):
+            with pytest.raises(ValueError, match="unknown radius schedule"):
+                RadiusSchedule(kind, 2.0)
 
     def test_oscillating_radius_range(self):
         # |sin(pi t / 2)|: zeros at even t, peaks at odd t
@@ -162,11 +165,6 @@ class TestNuProfile:
         assert np.all(np.diff(vals) > 0)            # strictly increasing
         assert vals[-1] < 2.0
 
-    def test_indicator_dominates(self):
-        nu = NuProfile(kind="indicator", nu_max=2.0)
-        assert nu.value(1e-12) == 2.0
-        assert nu.value(0.0) == 0.0
-
     def test_evaluate_n(self):
         spec = StaticSet(SetShape.ball((0.0, 0.0), 0.5))
         nu = NuProfile(kind="saturating", nu_max=1.0, d_ramp=0.1, n_empty=3.0)
@@ -179,26 +177,27 @@ class TestNuProfile:
     def test_invalid_profiles(self):
         with pytest.raises(ValueError):
             NuProfile(kind="saturating", nu_max=-1.0)
-        with pytest.raises(ValueError):
-            NuProfile(kind="unknown")
+        for kind in ("unknown", "indicator"):
+            with pytest.raises(ValueError, match="unknown nu profile"):
+                NuProfile(kind=kind)
 
 
 class TestEnvelopes:
     def test_k_sup_k_inf_static(self):
         s = StaticSet(SetShape.ball((0, 0), 1.0))
-        assert k_sup(s, 1.0, 2.0, 0.1) == s.base
-        assert k_inf(s, 1.0, 2.0, 0.1) == s.base
+        assert k_sup(s, 1.0, 2.0) == s.base
+        assert k_inf(s, 1.0, 2.0) == s.base
 
     def test_k_inf_radius_ball_uses_min_radius(self):
         s = RadiusBall((0.0, 0.0), RadiusSchedule("harmonic_shrink", 1.0))
-        low = k_inf(s, 0.0, 1.0, 0.1)
+        low = k_inf(s, 0.0, 1.0)
         assert low.radius == pytest.approx(0.5)
-        assert k_sup(s, 0.0, 1.0, 0.1) == SetShape.ball((0.0, 0.0), 1.0)
+        assert k_sup(s, 0.0, 1.0) == SetShape.ball((0.0, 0.0), 1.0)
 
     def test_k_inf_rotating_sector_shrinks_to_point(self):
         s = RotatingSector((0.0, 0.0), 1.0, 0.0, 0.5, omega=1.0)
-        assert k_inf(s, 0.0, 10.0, 0.1).kind == "point"
-        narrow = k_inf(s, 0.0, 0.2, 0.01)
+        assert k_inf(s, 0.0, 10.0).kind == "point"
+        narrow = k_inf(s, 0.0, 0.2)
         assert narrow.kind == "sector"
         assert narrow.theta1 - narrow.theta0 == pytest.approx(0.3)
 
@@ -206,12 +205,12 @@ class TestEnvelopes:
         a = SetShape.ball((0.0, 0.0), 1.0)
         b = SetShape.ball((5.0, 0.0), 1.0)
         disjoint = JumpingSets(a, b, period=1.0, t1=0.5)
-        assert k_inf(disjoint, 0.0, 3.0, 0.1).is_empty
+        assert k_inf(disjoint, 0.0, 3.0).is_empty
         withempty = JumpingSets(a, SetShape.empty(), period=1.0, t1=0.5)
-        assert k_inf(withempty, 0.0, 3.0, 0.1).is_empty
+        assert k_inf(withempty, 0.0, 3.0).is_empty
         nested = JumpingSets(a, SetShape.ball((0.0, 0.0), 0.5),
                              period=1.0, t1=0.5)
-        i = k_inf(nested, 0.0, 3.0, 0.1)
+        i = k_inf(nested, 0.0, 3.0)
         assert i.distance((0.7, 0.0))[0] > 0.0
         assert i.distance((0.3, 0.0))[0] == 0.0
 
@@ -219,16 +218,16 @@ class TestEnvelopes:
         s = TranslatingSet(SetShape.ball((0.0, 0.0), 1.0),
                            PathSchedule(kind="line", point=(0.0, 0.0),
                                         velocity=(1.0, 0.0)))
-        low = k_inf(s, 0.0, 1.0, 0.05)
+        low = k_inf(s, 0.0, 1.0)
         assert low.kind == "ball"
         # exact intersection radius is 0.5; the sampled surrogate shrinks it
-        # by half a sample step at unit speed
-        assert low.radius == pytest.approx(0.5 - 0.025, abs=1e-6)
+        # by half a sample step (0.01 on a unit interval) at unit speed
+        assert low.radius == pytest.approx(0.5 - 0.5 * 0.01, abs=1e-6)
         assert low.radius <= 0.5
         fast = TranslatingSet(SetShape.ball((0.0, 0.0), 1.0),
                               PathSchedule(kind="line", point=(0.0, 0.0),
                                            velocity=(10.0, 0.0)))
-        assert k_inf(fast, 0.0, 1.0, 0.05).is_empty
+        assert k_inf(fast, 0.0, 1.0).is_empty
 
     def test_envelope_inclusions_sampled(self):
         """Every snapshot lies in the upper envelope and the lower envelope
@@ -237,7 +236,6 @@ class TestEnvelopes:
         may miss the motion between samples by half a step at top speed."""
         rng = np.random.default_rng(3)
         pts = rng.uniform(0.0, 2.0, size=(400, 2))
-        dt = 0.02
         reg = scenarios.registry()
         jump = reg["jumping-disjoint"].params.moving_set   # period 0.05
         osc = reg["shrink-case3"].params.moving_set        # omega 10
@@ -249,16 +247,16 @@ class TestEnvelopes:
                  (osc, 0.1, 0.2, SetShape.ball(osc.center, 0.6))]
         cases = [(spec, ta, tb) for spec, ta, tb, _ in short]
         for spec, ta, tb, up in short:
-            assert k_sup(spec, ta, tb, dt) == up
+            assert k_sup(spec, ta, tb) == up
         for s in reg.values():
             for _ in range(4):
                 tau0 = rng.uniform(0.0, 10.0)
                 cases.append((s.params.moving_set, tau0,
                               tau0 + 10.0 ** rng.uniform(-2.0, 0.5)))
         for spec, ta, tb in cases:
-            up, low = k_sup(spec, ta, tb, dt), k_inf(spec, ta, tb, dt)
+            up, low = k_sup(spec, ta, tb), k_inf(spec, ta, tb)
             if isinstance(spec, TranslatingSet):
-                slack = 0.5 * dt * spec.curve.max_speed()
+                slack = 0.5 * _sample_step(ta, tb) * spec.curve.max_speed()
             else:
                 slack = 0.0
                 if not isinstance(spec, JumpingSets):
@@ -320,9 +318,10 @@ class TestCompoundDistances:
     @pytest.mark.parametrize("label", ["translating-slow", "carried-growth"])
     def test_union_over_interval_keeps_time_order(self, label):
         spec = scenarios.registry()[label].params.moving_set
-        ta, tb, dt = 0.5, 10.0, 9.5 / 400.0
-        shapes = [spec.snapshot(t) for t in _sample_times(ta, tb, dt)]
-        assert union_over_interval(spec, ta, tb, dt) == SetShape.union(shapes)
+        ta, tb = 0.5, 10.0
+        shapes = [spec.snapshot(t) for t in _sample_times(ta, tb)]
+        assert len(shapes) == 401
+        assert union_over_interval(spec, ta, tb) == SetShape.union(shapes)
 
 
 class TestGapsAndValidation:
@@ -340,7 +339,7 @@ class TestGapsAndValidation:
     def test_validate_inside_domain(self):
         d = DomainSpec.rectangle((0.0, 0.0), (2.0, 2.0))
         ok = StaticSet(SetShape.ball((1.0, 1.0), 0.5))
-        validate_inside_domain(ok, d, [0.0, 1.0])
+        validate_inside_domain(ok, d, 0.0, 1.0)
         bad = StaticSet(SetShape.ball((1.0, 1.0), 1.5))
         with pytest.raises(ValueError):
-            validate_inside_domain(bad, d, [0.0])
+            validate_inside_domain(bad, d, 0.0, 1.0)

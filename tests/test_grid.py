@@ -102,7 +102,7 @@ class TestBuildGrid:
         assert area == pytest.approx(math.pi, rel=0.02)
 
     def test_interval_grid(self):
-        g = build_grid(DomainSpec.interval(0.0, 1.0), 32)
+        g = build_grid(DomainSpec.rectangle((0.0,), (1.0,)), 32)
         assert g.dim == 1
         assert g.shape == (31,)
 
@@ -121,7 +121,7 @@ class TestLaplacian:
         (UNIT_SQ, 16, None),
         (DomainSpec.disc((0.0, 0.0), 1.0), 32, None),
         (UNIT_SQ, 32, SetShape.ball((0.4, 0.55), 0.3)),
-        (DomainSpec.interval(0.0, 1.0), 32, None),
+        (DomainSpec.rectangle((0.0,), (1.0,)), 32, None),
         (DomainSpec.rectangle((0.0, 0.0), (2.0, 1.0)), 32, None),
     ], ids=["square", "disc", "ball-submask", "interval", "rectangle-2x1"])
     def test_matches_masked_operator(self, domain, n, submask):

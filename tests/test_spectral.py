@@ -34,7 +34,7 @@ class TestAnalytic:
         assert analytic_lambda1(dom) == pytest.approx(1.25 * math.pi ** 2)
 
     def test_interval(self):
-        assert analytic_lambda1(DomainSpec.interval(0.0, 2.0)) == \
+        assert analytic_lambda1(DomainSpec.rectangle((0.0,), (2.0,))) == \
             pytest.approx(math.pi ** 2 / 4.0)
 
     def test_disc_domain_and_ball_shape(self):
