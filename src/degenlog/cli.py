@@ -92,8 +92,6 @@ def format_shape(s: SetShape) -> str:
         return "empty"
     if s.kind == "ball":
         return f"ball:{_nums(s.center)},{_num(s.radius)}"
-    if s.kind == "point":
-        return f"point:{_nums(s.center)}"
     if s.kind == "sector":
         return (f"sector:{_nums(s.center)},{_num(s.radius)},"
                 f"{_num(s.theta0)},{_num(s.theta1)}")
@@ -177,7 +175,7 @@ def config_to_scenario(cfg: dict, label: str,
         elif dkind == "disc":
             domain = DomainSpec.disc(d["center"], d["radius"])
         else:
-            raise CliError(f"unknown domain kind {dkind!r}")
+            raise ValueError(f"unknown domain kind {dkind!r}")
 
         nu = NuProfile(kind=eq.get("nu_kind", "saturating"),
                        nu_max=eq.get("nu_max", 1.0),
@@ -207,7 +205,7 @@ def config_to_scenario(cfg: dict, label: str,
             initial = InitialData.bump(i["center"], i["radius"],
                                        i.get("height", 1.0))
         else:
-            raise CliError(f"unknown initial data kind {ikind!r} "
+            raise ValueError(f"unknown initial data kind {ikind!r} "
                            "(files support constant | bump)")
 
         outputs = OutputPlan(sample_every=o.get("sample_every", 10),
@@ -248,10 +246,10 @@ def _kset_from_section(k: _Section):
                                  radius=k["path_radius"], omega=k["omega"],
                                  phase=k.get("phase", 0.0))
         else:
-            raise CliError(f"unknown path kind {path!r}")
+            raise ValueError(f"unknown path kind {path!r}")
         return TranslatingSet(
             SetShape.ball(k.get("center", (0.0, 0.0)), k["radius"]), curve)
-    raise CliError(f"unknown kset kind {kind!r}")
+    raise ValueError(f"unknown kset kind {kind!r}")
 
 
 def scenario_to_config(s: Scenario) -> dict:

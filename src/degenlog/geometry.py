@@ -108,7 +108,9 @@ class DomainSpec:
 
 @dataclass(frozen=True)
 class SetShape:
-    """A compact set: ball, circular sector, point, empty, union, intersection.
+    """A compact set: ball, circular sector, empty, union, intersection.
+
+    A point is the ball of radius 0.
 
     Distances are exact Euclidean distances for every kind except
     ``intersection``, where the reported value is ``max`` over the parts: a
@@ -116,7 +118,7 @@ class SetShape:
     mask machinery needs.
     """
 
-    kind: str  # "ball" | "sector" | "point" | "empty" | "union" | "intersection"
+    kind: str  # "ball" | "sector" | "empty" | "union" | "intersection"
     center: tuple = ()
     radius: float = 0.0
     theta0: float = 0.0
@@ -141,7 +143,7 @@ class SetShape:
 
     @staticmethod
     def point(p) -> "SetShape":
-        return SetShape(kind="point", center=tuple(float(v) for v in p))
+        return SetShape.ball(p, 0.0)
 
     @staticmethod
     def empty() -> "SetShape":
@@ -196,8 +198,6 @@ class SetShape:
         rho = np.linalg.norm(q, axis=1)
         if self.kind == "ball":
             return np.maximum(rho - self.radius, 0.0)
-        if self.kind == "point":
-            return rho
         return _sector_distance(q, rho, self.radius, self.theta0, self.theta1)
 
 
@@ -245,9 +245,9 @@ def _sector_distance(q, rho, r0, theta0, theta1) -> np.ndarray:
 class RadiusSchedule:
     """Time law for a ball radius.
 
-    kinds: ``harmonic_shrink`` r0/(t+1); ``approach`` r0*(1 - 1/(t+1));
-    ``oscillating`` r0*(1 + |sin(omega t)|).  A ball of fixed radius is a
-    ``StaticSet``.
+    kinds: ``harmonic_shrink`` r0/(t+1) and ``approach`` r0*(1 - 1/(t+1)),
+    both for t > -1; ``oscillating`` r0*(1 + |sin(omega t)|).  A ball of
+    fixed radius is a ``StaticSet``.
     """
 
     kind: str
@@ -267,6 +267,8 @@ class RadiusSchedule:
 
     def radius_range(self, ta: float, tb: float) -> tuple:
         """Exact (infimum, supremum) of the radius over [ta, tb]."""
+        if ta <= -1.0 and self.kind != "oscillating":
+            raise ValueError(f"{self.kind} radius needs t > -1, got {ta:g}")
         lo, hi = sorted((self.radius(ta), self.radius(tb)))
         if self.kind == "oscillating" and self.omega != 0.0:
             # |sin(omega t)| is 0 at multiples of pi/omega and 1 at odd
@@ -326,13 +328,7 @@ class RadiusBall:
     schedule: RadiusSchedule
 
     def snapshot(self, t: float) -> SetShape:
-        return _ball_or_point(self.center, self.schedule.radius(t))
-
-
-def _ball_or_point(center, r: float) -> SetShape:
-    if r <= 0.0:
-        return SetShape.point(center)
-    return SetShape.ball(center, r)
+        return SetShape.ball(self.center, max(self.schedule.radius(t), 0.0))
 
 
 @dataclass(frozen=True)
@@ -470,8 +466,8 @@ def k_sup(spec, tau0: float, horizon: float) -> SetShape:
     if isinstance(spec, StaticSet):
         return spec.base
     if isinstance(spec, RadiusBall):
-        return _ball_or_point(spec.center,
-                              spec.schedule.radius_range(tau0, horizon)[1])
+        return SetShape.ball(
+            spec.center, max(spec.schedule.radius_range(tau0, horizon)[1], 0.0))
     if isinstance(spec, RotatingSector):
         # edges move as theta - omega*t; the union spans their extremes
         ends = (spec.omega * tau0, spec.omega * horizon)
@@ -500,8 +496,8 @@ def k_inf(spec, tau0: float, horizon: float) -> SetShape:
     if isinstance(spec, StaticSet):
         return spec.base
     if isinstance(spec, RadiusBall):
-        return _ball_or_point(spec.center,
-                              spec.schedule.radius_range(tau0, horizon)[0])
+        return SetShape.ball(
+            spec.center, max(spec.schedule.radius_range(tau0, horizon)[0], 0.0))
     if isinstance(spec, RotatingSector):
         width = spec.theta1 - spec.theta0
         if width >= 2.0 * math.pi:
@@ -537,29 +533,26 @@ def k_inf(spec, tau0: float, horizon: float) -> SetShape:
     return SetShape.ball(tuple(mid + base), r_eff)
 
 
-def shape_gap(a: SetShape, b: SetShape, samples: int = 96) -> float:
+def shape_gap(a: SetShape, b: SetShape) -> float:
     """Minimum distance between two nonempty shapes.
 
-    Exact for ball/point pairs; otherwise a dense boundary-sampling bound.
+    Exact for ball pairs; otherwise a dense boundary-sampling bound.
     """
     if a.is_empty or b.is_empty:
         raise ValueError("gap of an empty shape is undefined")
-    simple = {"ball", "point"}
-    if a.kind in simple and b.kind in simple:
+    if a.kind == "ball" and b.kind == "ball":
         d = float(np.linalg.norm(np.array(a.center) - np.array(b.center)))
         return max(d - a.radius - b.radius, 0.0)
     if a.kind == "union":
-        return min(shape_gap(p, b, samples) for p in a.parts)
+        return min(shape_gap(p, b) for p in a.parts)
     if b.kind == "union":
-        return min(shape_gap(a, p, samples) for p in b.parts)
-    pts = _cover_points(a, samples)
-    return float(np.min(b.distance(pts)))
+        return min(shape_gap(a, p) for p in b.parts)
+    return float(np.min(b.distance(_cover_points(a, 96))))
 
 
 def _cover_points(s: SetShape, samples: int) -> np.ndarray:
-    """Points covering a simple shape (boundary plus interior spokes)."""
-    if s.kind == "point":
-        return np.array([s.center])
+    """Points covering a simple shape (boundary plus interior spokes); a
+    sector's angles are clipped to one turn."""
     if s.kind == "ball":
         th = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
         rr = np.linspace(0.0, s.radius, 8)
@@ -567,7 +560,8 @@ def _cover_points(s: SetShape, samples: int) -> np.ndarray:
                for r in rr]
         return np.concatenate(pts)
     if s.kind == "sector":
-        th = np.linspace(s.theta0, s.theta1, samples)
+        th = np.linspace(s.theta0, min(s.theta1, s.theta0 + 2.0 * math.pi),
+                         samples)
         rr = np.linspace(0.0, s.radius, 8)
         pts = [np.array(s.center) + r * np.stack([np.cos(th), np.sin(th)], axis=1)
                for r in rr]
@@ -577,15 +571,19 @@ def _cover_points(s: SetShape, samples: int) -> np.ndarray:
 
 def validate_inside_domain(spec, domain: DomainSpec, t0: float,
                            t_end: float) -> None:
-    """Reject configurations whose K(t) leaves the domain at one of 33
-    evenly spaced times in [t0, t_end]."""
-    for t in np.linspace(t0, t_end, 33):
-        s = spec.snapshot(t)
-        if s.is_empty:
+    """Reject configurations whose K(t) leaves the domain at some time in
+    [t0, t_end]: every part of K_sup over that interval must lie strictly
+    inside.  A ball part is tested exactly and a sector on its cover points;
+    a translating ball's K_sup holds only its sampled snapshots."""
+    swept = k_sup(spec, t0, t_end)
+    for part in swept.parts if swept.kind == "union" else (swept,):
+        if part.is_empty:
             continue
-        pts = _cover_points(s, 64) if s.kind != "union" else np.concatenate(
-            [_cover_points(p, 64) for p in s.parts])
-        if not np.all(domain.contains(pts)):
+        if part.kind == "ball":
+            inside = domain.interior_margin(part.center)[0] > part.radius
+        else:
+            inside = np.all(domain.contains(_cover_points(part, 64)))
+        if not inside:
             raise ValueError(
-                f"moving set leaves the domain at t={t:g}; snapshots must stay "
-                "strictly inside the habitat")
+                f"moving set leaves the domain in [{t0:g}, {t_end:g}]; K(t) "
+                "must stay strictly inside the habitat")

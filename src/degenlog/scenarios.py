@@ -19,7 +19,7 @@ import numpy as np
 from . import geometry as geo
 from .geometry import (DomainSpec, JumpingSets, NuProfile, RadiusBall,
                        RotatingSector, SetShape, StaticSet, TranslatingSet,
-                       k_inf, k_sup, shape_gap, union_over_interval)
+                       k_inf, k_sup, shape_gap)
 from .evolve import EquationParams, SchemeConfig, Trajectory, check_outputs
 from .evolve import run as evolve_run
 from .grid import Grid, build_grid, mask_from_shape, mask_within_distance
@@ -353,7 +353,7 @@ def _check_moving_floor(s: Scenario, grid: Grid) -> TheoremCheck:
     times = np.linspace(s.t0 + tau0, s.t_end - tau0, n_times)
     floor = math.inf
     for t in times:
-        shape = union_over_interval(spec, t - tau0, t + tau0)
+        shape = k_sup(spec, t - tau0, t + tau0)
         m = mask_within_distance(grid, shape, delta)
         floor = min(floor, principal_eigenpair(grid, m).value)
     hold = s.params.lam < floor

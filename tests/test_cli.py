@@ -96,7 +96,8 @@ class TestShapeLanguage:
         assert sec.kind == "sector"
         assert parse_shape(format_shape(sec)) == sec
         pt = parse_shape("point:0.3,0.4")
-        assert pt.kind == "point"
+        assert pt.kind == "ball" and pt.radius == 0.0
+        assert parse_shape(format_shape(pt)) == pt
         assert parse_shape("empty").is_empty
 
     def test_malformed(self):
@@ -284,7 +285,8 @@ class TestCommands:
         "equation.lam=nan", "time.dt=nan", "time.t_end=inf",
         "output.growth_cap=nan", "kset.center=1.0",
         "kset.k0=ball:0.5,0.35", "kset.center=1.9,1.0", "initial.center=1.0",
-        "kset.kind=radius-ball"])
+        "kset.kind=radius-ball", "kset.kind=foo", "initial.kind=gauss",
+        "domain.kind=annulus"])
     def test_run_rejects_bad_outputs(self, override, tmp_path, capsys):
         assert main(["run", "trichotomy-mid", "--set", "time.t_end=0.2",
                      "--set", override, "--out", str(tmp_path)]) == 2
@@ -297,7 +299,16 @@ class TestCommands:
         (["run", "trichotomy-mid", "--set", "initial.kind=bump",
           "--set", "initial.center=0.01,0.01", "--set", "initial.radius=0.005",
           "--out", "out"],
-         "trichotomy-mid: invalid scenario: initial data must not vanish")])
+         "trichotomy-mid: invalid scenario: initial data must not vanish"),
+        (["predict", "shrink-case3", "--set", "kset.radius=0.6",
+          "--set", "kset.omega=8.377580409572781"],
+         "shrink-case3: invalid scenario: moving set leaves the domain"),
+        (["predict", "rotating-slow", "--set", "kset.center=0.45,1.0",
+          "--set", "kset.omega=20.106192982974676"],
+         "rotating-slow: invalid scenario: moving set leaves the domain"),
+        (["predict", "shrink-case2", "--set", "time.t0=-1"],
+         "shrink-case2: invalid scenario: harmonic_shrink radius needs "
+         "t > -1")])
     def test_scenario_refused(self, argv, error, tmp_path, monkeypatch,
                               capsys):
         monkeypatch.chdir(tmp_path)

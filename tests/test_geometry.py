@@ -123,7 +123,8 @@ class TestMovingSets:
         s = RadiusBall((0.0, 0.0), RadiusSchedule("harmonic_shrink", 1.0))
         assert s.snapshot(0.0).kind == "ball"
         approach = RadiusBall((0.0, 0.0), RadiusSchedule("approach", 1.0))
-        assert approach.snapshot(0.0).kind == "point"
+        point = approach.snapshot(0.0)
+        assert point.kind == "ball" and point.radius == 0.0
 
     def test_rotating_sector_spins(self):
         s = RotatingSector((0.0, 0.0), 1.0, 0.0, 1.0, omega=0.5)
@@ -196,7 +197,8 @@ class TestEnvelopes:
 
     def test_k_inf_rotating_sector_shrinks_to_point(self):
         s = RotatingSector((0.0, 0.0), 1.0, 0.0, 0.5, omega=1.0)
-        assert k_inf(s, 0.0, 10.0).kind == "point"
+        point = k_inf(s, 0.0, 10.0)
+        assert point.kind == "ball" and point.radius == 0.0
         narrow = k_inf(s, 0.0, 0.2)
         assert narrow.kind == "sector"
         assert narrow.theta1 - narrow.theta0 == pytest.approx(0.3)
@@ -343,3 +345,20 @@ class TestGapsAndValidation:
         bad = StaticSet(SetShape.ball((1.0, 1.0), 1.5))
         with pytest.raises(ValueError):
             validate_inside_domain(bad, d, 0.0, 1.0)
+        # The radius peaks at 1.2 between evenly spaced sample times, and the
+        # sector turns to face the near wall between them: K_sup sees both.
+        swelling = RadiusBall((1.0, 1.0), RadiusSchedule(
+            "oscillating", 0.6, omega=math.pi / 0.375))
+        spinning = RotatingSector((0.45, 1.0), 0.5, 0.0, math.pi / 3.0,
+                                  omega=2.0 * math.pi / 0.3125)
+        # K_sup spans 63 turns: 64 angles spread evenly over that range
+        # would all point away from the near wall
+        whirling = RotatingSector((0.45, 1.0), 0.5, 0.0, math.pi / 3.0,
+                                  omega=(126.0 - 1.0 / 3.0) * math.pi / 10.0)
+        for spec, t_end in ((swelling, 12.0), (spinning, 10.0),
+                            (whirling, 10.0)):
+            with pytest.raises(ValueError, match="leaves the domain"):
+                validate_inside_domain(spec, d, 0.0, t_end)
+        shrink = RadiusBall((1.0, 1.0), RadiusSchedule("harmonic_shrink", 0.5))
+        with pytest.raises(ValueError, match="needs t > -1"):
+            validate_inside_domain(shrink, d, -1.0, 1.0)
