@@ -7,8 +7,9 @@ which realizes the homogeneous Dirichlet condition in the 3/5-point stencil.
 `Grid.laplacian` is that stencil on every lattice node, built once per grid;
 a MaskedOperator is its principal submatrix on a mask's nodes, which packs
 grid functions to the mask and extends them back, and solves the shifted
-systems of a time step by Jacobi-preconditioned conjugate gradients,
-scipy's loop written out bit for bit.
+systems K = I + dt A + diag(c) of a time step by Jacobi-preconditioned
+conjugate gradients on K assembled in place: scipy's loop written out bit
+for bit, one sparse product per iteration.
 """
 
 from __future__ import annotations
@@ -124,8 +125,9 @@ class MaskedOperator:
     nodes, which is the Dirichlet Laplacian of the mask; solves
     (I + dt A + diag(c)) u = rhs by conjugate gradients with the Jacobi
     (diagonal) preconditioner.  Solves are deterministic and
-    single-threaded.  Packed vectors list the mask's nodes in C order, as
-    `points` does.
+    single-threaded; each overwrites the operator's storage for K, so an
+    operator serves one solve at a time.  Packed vectors list the mask's
+    nodes in C order, as `points` does.
     """
 
     def __init__(self, grid: Grid, mask: np.ndarray | None = None):
@@ -154,39 +156,45 @@ class MaskedOperator:
         """Diagonal of `matrix`, read by every solve's preconditioner."""
         return self.matrix.diagonal()
 
+    @cached_property
+    def _system(self) -> tuple:
+        """Storage for K = I + dt A + diag(c): a copy of `matrix` whose data
+        every solve overwrites, and the positions of its diagonal in
+        K.data.  Built on the first solve, so operators that never solve
+        never pay for it."""
+        K = self.matrix.copy()
+        rows = np.repeat(np.arange(self.n), np.diff(K.indptr))
+        return K, np.flatnonzero(K.indices == rows)
+
     def solve_spd(self, rhs: np.ndarray, dt: float, c: np.ndarray,
                   tol: float = 1e-10,
                   x0: np.ndarray | None = None) -> np.ndarray:
-        """Solve (I + dt A + diag(c)) u = rhs to relative residual <= tol.
+        """Solve K u = rhs, K = I + dt A + diag(c), to relative residual
+        <= tol.
 
-        The loop is scipy's `cg` (1.17) with the Jacobi preconditioner
-        written out: every floating-point operation in the same order, so
-        the bits match `cg(LinearOperator(...), rhs, x0, rtol=tol, atol=0,
-        maxiter=max(4n, 200), M=...)`, without its dtype probe and with
-        preallocated buffers.  Raises SolveFailure unless the final
-        residual is within 4 tol ||rhs||, NaN included.
+        K is assembled in place: dt A.data, then the diagonal
+        1 + dt diag(A) + c, which is also the Jacobi preconditioner.  The
+        loop is scipy's `cg` (1.17) with that preconditioner written out,
+        one product with K per iteration: every floating-point operation in
+        the same order, so the bits match `cg(K, rhs, x0, rtol=tol, atol=0,
+        maxiter=max(4n, 200), M=...)` on the same K, with preallocated
+        buffers.  Raises SolveFailure unless the final residual is within
+        4 tol ||rhs||, NaN included.
         """
         if np.any(c < 0):
             raise ValueError("reaction coefficient c must be nonnegative")
-        A = self.matrix
         b = np.asarray(rhs, dtype=float)
         b_norm = math.sqrt(b.dot(b))
         if b_norm == 0:
             return b.copy()
-        x = np.zeros(self.n) if x0 is None else np.array(x0, dtype=float)
-        r, z, p, q, w = (np.empty(self.n) for _ in range(5))
-
-        def matvec(v, out):
-            # (v + dt (A v)) + c v: the operand order of the bits pinned
-            np.multiply(A @ v, dt, out=out)
-            out += v
-            np.multiply(c, v, out=w)
-            out += w
-            return out
-
+        K, diag_at = self._system
+        np.multiply(self.matrix.data, dt, out=K.data)
         diag = 1.0 + dt * self.diagonal + c
+        K.data[diag_at] = diag
+        x = np.zeros(self.n) if x0 is None else np.array(x0, dtype=float)
+        r, z, p, w = (np.empty(self.n) for _ in range(4))
         if x.any():
-            np.subtract(b, matvec(x, q), out=r)
+            np.subtract(b, K @ x, out=r)
         else:
             r[:] = b
         atol = tol * b_norm
@@ -203,14 +211,16 @@ class MaskedOperator:
             else:
                 p *= rho / rho_prev
                 p += z
-            matvec(p, q)
+            q = K @ p
             alpha = rho / p.dot(q)
             np.multiply(p, alpha, out=w)
             x += w
             np.multiply(q, alpha, out=w)
             r -= w
             rho_prev = rho
-        np.subtract(matvec(x, q), b, out=r)
+        if iterations:
+            np.subtract(K @ x, b, out=r)
+        # with no iteration, r is still b - K x0: the same residual negated
         res = math.sqrt(r.dot(r))
         if not res <= 4.0 * tol * b_norm:
             raise SolveFailure(

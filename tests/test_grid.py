@@ -33,17 +33,14 @@ def apply_laplacian(g, values, mask=None):
 
 
 def reference_solve(op, rhs, dt, c, tol=1e-10, x0=None, callback=None):
-    """The solve through scipy's `cg` on LinearOperators, as it was before
-    the loop was written out: the bits `solve_spd` must reproduce."""
+    """The solve through scipy's `cg` on K = I + dt A + diag(c), assembled
+    independently of `solve_spd`: the bits `solve_spd` must reproduce."""
     A = op.matrix
-
-    def matvec(x):
-        return x + dt * (A @ x) + c * x
-
     diag = 1.0 + dt * A.diagonal() + c
-    sys_op = spla.LinearOperator((op.n, op.n), matvec=matvec)
+    K = (dt * A).tolil()
+    K.setdiag(diag)
     pre = spla.LinearOperator((op.n, op.n), matvec=lambda x: x / diag)
-    sol, _ = spla.cg(sys_op, rhs, x0=x0, rtol=tol, atol=0.0,
+    sol, _ = spla.cg(K.tocsr(), rhs, x0=x0, rtol=tol, atol=0.0,
                      maxiter=max(4 * op.n, 200), M=pre, callback=callback)
     return sol
 
@@ -217,22 +214,42 @@ class TestMaskedOperator:
         got = op.solve_spd(rhs, dt, c, x0=x0)
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
-    @pytest.mark.parametrize("state", [
-        ("trichotomy-mid", 0), ("trichotomy-high", 100),
-        ("trichotomy-mid", 20, ("domain.resolution=16",))],
-        ids=["mid-early", "high-late", "square16-225"])
-    def test_solve_spd_matrix_products(self, state):
-        # one product per iteration, one for the initial residual and one
-        # for the final residual check: no dtype probe
+    @pytest.mark.parametrize("state, case", [
+        (("trichotomy-mid", 0), "step"),
+        (("trichotomy-high", 100), "step"),
+        (("trichotomy-mid", 20, ("domain.resolution=16",)), "step"),
+        (("trichotomy-mid", 20), "x0 exact"),    # no iteration
+    ], ids=["mid-early", "high-late", "square16-225", "x0-exact"])
+    def test_solve_spd_matrix_products(self, state, case):
+        # one product with K per iteration, one for the initial residual and
+        # one for the final residual check, which a solve that runs no
+        # iteration skips: no dtype probe
         op, rhs, dt, c, u = step_system(*state)
+        if case == "x0 exact":
+            rhs = u + dt * (op.matrix @ u) + c * u
         iterations = []
         reference_solve(op, rhs, dt, c, x0=u,
                         callback=lambda x: iterations.append(1))
         counted = MaskedOperator(op.grid)
-        counted.matrix = _CountingMatrix(op.matrix)
+        K, diag_at = counted._system
+        counted._system = (_CountingMatrix(K), diag_at)
         counted.solve_spd(rhs, dt, c, x0=u)
-        assert len(iterations) > 0
-        assert counted.matrix.products == len(iterations) + 2
+        products = counted._system[0].products
+        if case == "x0 exact":
+            assert len(iterations) == 0 and products == 1
+        else:
+            assert len(iterations) > 0 and products == len(iterations) + 2
+
+    def test_solve_spd_overwrites_assembled_system(self):
+        # K is overwritten in place on every solve: back on (dt1, c1) after
+        # (dt2, c2), an operator must give a fresh operator's bits
+        op, rhs, dt, c, u = step_system("trichotomy-mid", 20)
+        systems = [(dt, c), (2.5 * dt, 0.5 * c + 1.0), (dt, c)]
+        reused = MaskedOperator(op.grid)
+        for dt_k, c_k in systems:
+            got = reused.solve_spd(rhs, dt_k, c_k, x0=u)
+            want = MaskedOperator(op.grid).solve_spd(rhs, dt_k, c_k, x0=u)
+            assert np.array_equal(got, want)
 
     def test_nan_reaction_fails_loudly(self):
         op = MaskedOperator(build_grid(UNIT_SQ, 16))
@@ -255,18 +272,17 @@ class TestMaskedOperator:
 
 
 class _CountingMatrix:
-    """Stands in for a sparse matrix and counts its products."""
+    """Stands in for a sparse matrix, shares its data and counts its
+    products."""
 
     def __init__(self, matrix):
         self.matrix = matrix
+        self.data = matrix.data
         self.products = 0
 
     def __matmul__(self, v):
         self.products += 1
         return self.matrix @ v
-
-    def diagonal(self):
-        return self.matrix.diagonal()
 
 
 def _diag_of(a):
