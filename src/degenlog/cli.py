@@ -1,10 +1,10 @@
 """Command-line front end: scenario files, runs, spectral queries, suites.
 
 Scenario files are flat INI with sections [domain], [equation], [kset],
-[time], [initial], [output]; every key maps 1:1 to a scenario field, unknown
-keys are errors, and the canonical emission round-trips.  All outputs
-(CSV trajectories, PGM snapshots, suite reports) are deterministic byte
-streams: no timestamps, fixed formatting, fixed ordering.
+[time], [initial], [output], [predict]; every key maps 1:1 to a scenario
+field, unknown keys are errors, and the canonical emission round-trips.
+All outputs (CSV trajectories, PGM snapshots, suite reports) are
+deterministic byte streams: no timestamps, fixed formatting, fixed ordering.
 """
 
 from __future__ import annotations
@@ -24,8 +24,9 @@ from .geometry import (DomainSpec, JumpingSets, NuProfile, PathSchedule,
 from .grid import build_grid, mask_from_shape, write_pgm
 from .properties import suite_properties
 from .scenarios import (MIN_RECORDS, CrossCheckReport, InitialData,
-                        OutputPlan, Scenario, classify, cross_check, predict,
-                        registry, run_scenario, scenario_grid)
+                        OutputPlan, PredictPlan, Scenario, classify,
+                        cross_check, predict, registry, run_scenario,
+                        scenario_grid)
 from .spectral import lambda0_of_set, principal_eigenvalue, second_eigenvalue
 
 __all__ = ["main"]
@@ -127,8 +128,8 @@ _SHAPE = (parse_shape, format_shape)
 _FORMAT = {
     "domain": {"kind": _S, "lo": _FS, "hi": _FS, "center": _FS,
                "radius": _F, "resolution": _I},
-    "equation": {"lam": _F, "rho": _F, "nu_kind": _S, "nu_max": _F,
-                 "d_ramp": _F, "n_empty": _F},
+    "equation": {"lam": _F, "rho": _F, "nu_max": _F, "d_ramp": _F,
+                 "n_empty": _F},
     "kset": {"kind": _S, "center": _FS, "radius": _F, "schedule": _S,
              "omega": _F, "theta0": _F, "theta1": _F, "k0": _SHAPE,
              "k1": _SHAPE, "period": _F, "t1": _F, "path": _S,
@@ -139,6 +140,7 @@ _FORMAT = {
                 "height": _F},
     "output": {"sample_every": _I, "growth_cap": _F, "solve_tol": _F,
                "snapshot_times": _FS},
+    "predict": {"tau0_list": _FS, "gamma": _F, "carry_window": _F},
 }
 
 
@@ -154,8 +156,7 @@ class _Section(dict):
 
 
 def config_to_scenario(cfg: dict, label: str,
-                       expected_status: str = "CONSISTENT",
-                       hints: tuple = ()) -> Scenario:
+                       expected_status: str = "CONSISTENT") -> Scenario:
     """Build a scenario from a section->key->string mapping."""
     for section, keys in cfg.items():
         if section not in _FORMAT:
@@ -165,7 +166,7 @@ def config_to_scenario(cfg: dict, label: str,
                 raise CliError(
                     f"{label}: unknown key {key!r} in section [{section}]")
     try:
-        d, eq, k, tm, i, o = (
+        d, eq, k, tm, i, o, pr = (
             _Section(sec, {key: _FORMAT[sec][key][0](v)
                            for key, v in cfg.get(sec, {}).items()})
             for sec in _FORMAT)
@@ -177,8 +178,7 @@ def config_to_scenario(cfg: dict, label: str,
         else:
             raise ValueError(f"unknown domain kind {dkind!r}")
 
-        nu = NuProfile(kind=eq.get("nu_kind", "saturating"),
-                       nu_max=eq.get("nu_max", 1.0),
+        nu = NuProfile(nu_max=eq.get("nu_max", 1.0),
                        d_ramp=eq.get("d_ramp", 0.05),
                        n_empty=eq.get("n_empty", 1.0))
         for sec, key in ((k, "center"), (k, "point"), (k, "velocity"),
@@ -214,7 +214,8 @@ def config_to_scenario(cfg: dict, label: str,
                      resolution=d.get("resolution", 64), params=params,
                      scheme=scheme, t0=tm.get("t0", 0.0), t_end=tm["t_end"],
                      initial=initial, outputs=outputs,
-                     expected_status=expected_status, hints=hints)
+                     predict_plan=PredictPlan(**pr),
+                     expected_status=expected_status)
         if moving is not None:
             validate_inside_domain(moving, domain, s.t0, s.t_end)
         return s
@@ -263,8 +264,8 @@ def scenario_to_config(s: Scenario) -> dict:
     equation = {"lam": s.params.lam, "rho": s.params.rho}
     nu = s.params.nu
     if nu is not None:
-        equation.update(nu_kind=nu.kind, nu_max=nu.nu_max,
-                        d_ramp=nu.d_ramp, n_empty=nu.n_empty)
+        equation.update(nu_max=nu.nu_max, d_ramp=nu.d_ramp,
+                        n_empty=nu.n_empty)
     kset = _kset_to_values(s.params.moving_set)
     init = s.initial
     if init.kind == "constant":
@@ -281,7 +282,9 @@ def scenario_to_config(s: Scenario) -> dict:
         output["snapshot_times"] = s.outputs.snapshot_times
     values = {"domain": domain, "equation": equation, "kset": kset,
               "time": {"t0": s.t0, "t_end": s.t_end, "dt": s.scheme.dt},
-              "initial": initial, "output": output}
+              "initial": initial, "output": output,
+              "predict": {key: v for key, v in vars(s.predict_plan).items()
+                          if v is not None}}
     return {sec: {key: _FORMAT[sec][key][1](v) for key, v in body.items()}
             for sec, body in values.items()}
 
@@ -364,8 +367,7 @@ def resolve_scenario(ref: str, overrides=None) -> Scenario:
         base = reg[ref]
         cfg = _apply_overrides(scenario_to_config(base), overrides)
         return config_to_scenario(cfg, base.label,
-                                  expected_status=base.expected_status,
-                                  hints=base.hints)
+                                  expected_status=base.expected_status)
     if Path(ref).is_file():
         return parse_scenario_file(ref, overrides)
     raise CliError(f"unknown scenario label or missing file: {ref!r} "
@@ -497,10 +499,10 @@ def _require_records(tr: Trajectory) -> None:
                        f"{MIN_RECORDS}")
 
 
-def _run(s: Scenario, grid=None) -> Trajectory:
-    """run_scenario, with its refusals as user errors."""
+def _refused(fn, s: Scenario, *args):
+    """fn(s, *args), with its refusals of the scenario as user errors."""
     try:
-        return run_scenario(s, grid)
+        return fn(s, *args)
     except ValueError as e:
         raise CliError(f"{s.label}: invalid scenario: {e}") from e
 
@@ -509,7 +511,7 @@ def _cmd_run(args) -> int:
     s = resolve_scenario(args.scenario, args.set)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    tr = _run(s)
+    tr = _refused(run_scenario, s)
     emit_trajectory_csv(tr, out / "trajectory.csv")
     emit_snapshots(tr, out)
     (out / "scenario.ini").write_text(emit_scenario_ini(s))
@@ -524,14 +526,14 @@ def _cmd_run(args) -> int:
 
 def _cmd_predict(args) -> int:
     s = resolve_scenario(args.scenario, args.set)
-    print(checks_table(predict(s)))
+    print(checks_table(predict(s, _refused(scenario_grid, s))))
     return 0
 
 
 def _cmd_crosscheck(args) -> int:
     s = resolve_scenario(args.scenario, args.set)
-    grid = scenario_grid(s)
-    tr = _run(s, grid)
+    grid = _refused(scenario_grid, s)
+    tr = _refused(run_scenario, s, grid)
     _require_records(tr)
     rep = cross_check(s, tr, grid)
     print(crosscheck_text(rep))

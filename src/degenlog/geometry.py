@@ -396,12 +396,11 @@ MovingSet = StaticSet | RadiusBall | RotatingSector | JumpingSets | TranslatingS
 class NuProfile:
     """Lower profile for n as a function of distance to K(t).
 
-    The one kind, ``saturating``, gives nu(d) = nu_max * (1 - exp(-d /
-    d_ramp)), strictly increasing with nu(0) = 0.  ``n_empty`` is the
-    constant value used whenever K(t) is empty.
+    The saturating profile nu(d) = nu_max * (1 - exp(-d / d_ramp)), strictly
+    increasing with nu(0) = 0.  ``n_empty`` is the constant value used
+    whenever K(t) is empty.
     """
 
-    kind: str  # "saturating"
     nu_max: float = 1.0
     d_ramp: float = 0.1
     n_empty: float = 1.0
@@ -411,8 +410,6 @@ class NuProfile:
             raise ValueError("nu_max and n_empty must be positive")
         if self.d_ramp <= 0:
             raise ValueError("saturating profile needs d_ramp > 0")
-        if self.kind != "saturating":
-            raise ValueError(f"unknown nu profile {self.kind!r}")
 
     def value(self, d):
         d = np.asarray(d, dtype=float)

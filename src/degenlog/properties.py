@@ -132,7 +132,7 @@ def _w_breach(dt: float) -> float:
     grid = build_grid(UNIT_SQ, 16)
     lam, nu0, rho, w0 = 5.0, 1.0, 2.0, 8.0
     params = EquationParams(lam=lam, rho=rho,
-                            nu=NuProfile(kind="saturating", n_empty=nu0),
+                            nu=NuProfile(n_empty=nu0),
                             moving_set=StaticSet(SetShape.empty()))
     u0 = np.where(grid.mask, w0, 0.0)
     tr = run(grid, params, SchemeConfig(dt=dt, solve_tol=1e-12), u0, 0.0, 1.0)

@@ -30,6 +30,7 @@ from .spectral import (lambda0_deltas, lambda0_of_set, principal_eigenpair,
 __all__ = [
     "InitialData",
     "OutputPlan",
+    "PredictPlan",
     "Scenario",
     "Verdict",
     "TheoremCheck",
@@ -81,6 +82,34 @@ class OutputPlan:
 
 
 @dataclass(frozen=True)
+class PredictPlan:
+    """Inputs of predict() that the moving-set description leaves open.
+
+    ``tau0_list`` holds the start times tau0 of the envelope criterion,
+    offsets from t0 (None: derived from the horizon); ``gamma`` is the
+    dominance factor of the waiting time tau; ``carry_window`` is the carry
+    time of a translating sanctuary (None: that check does not apply).
+    """
+
+    tau0_list: tuple | None = None
+    gamma: float = 1.5
+    carry_window: float | None = None
+
+    def check(self, horizon: float) -> None:
+        if self.tau0_list is not None and not (
+                self.tau0_list and all(0 < t < horizon
+                                       for t in self.tau0_list)):
+            raise ValueError(f"tau0_list must be nonempty with every tau0 in "
+                             f"(0, {horizon:g}), got {self.tau0_list}")
+        if not self.gamma > 1:
+            raise ValueError(f"gamma must exceed 1, got {self.gamma!r}")
+        if self.carry_window is not None and \
+                not 0 < self.carry_window < math.inf:
+            raise ValueError(f"carry_window must be finite and positive, "
+                             f"got {self.carry_window!r}")
+
+
+@dataclass(frozen=True)
 class Scenario:
     """Complete experiment description."""
 
@@ -93,8 +122,8 @@ class Scenario:
     t_end: float
     initial: InitialData
     outputs: OutputPlan = OutputPlan()
+    predict_plan: PredictPlan = PredictPlan()
     expected_status: str = "CONSISTENT"    # suite expectation, not a predicate
-    hints: tuple = ()                      # ((key, value), ...) predict tuning
 
     def __post_init__(self):
         if not self.t_end > self.t0:
@@ -102,9 +131,7 @@ class Scenario:
         self.scheme.validate(self.params.lam)
         check_outputs(self.t0, self.t_end, self.outputs.sample_every,
                       self.outputs.snapshot_times)
-
-    def hint(self, key: str, default=None):
-        return dict(self.hints).get(key, default)
+        self.predict_plan.check(self.t_end - self.t0)
 
 
 def scenario_grid(s: Scenario) -> Grid:
@@ -257,9 +284,8 @@ def _check_envelopes(s: Scenario, grid: Grid) -> list:
     spec = s.params.moving_set
     lam = s.params.lam
     horizon = s.t_end - s.t0
-    tau0_list = s.hint("tau0_list", (min(0.5, horizon / 4),
-                                     min(2.0, horizon / 2),
-                                     horizon * 0.75))
+    tau0_list = s.predict_plan.tau0_list or (
+        min(0.5, horizon / 4), min(2.0, horizon / 2), horizon * 0.75)
     # either criterion fires as soon as one start time tau0 satisfies it:
     # the bounded side wants the largest upper-envelope value over tau0,
     # the grow-up side the smallest lower-envelope value
@@ -269,8 +295,6 @@ def _check_envelopes(s: Scenario, grid: Grid) -> list:
     # are the same set at every tau0
     ladders = {}
     for tau0 in sorted(set(float(t) for t in tau0_list)):
-        if not 0 < tau0 < horizon:
-            continue
         up = k_sup(spec, s.t0 + tau0, s.t0 + horizon)
         low = k_inf(spec, s.t0 + tau0, s.t0 + horizon)
         for shape in (up, low):
@@ -383,7 +407,7 @@ def _check_carried_growth(s: Scenario, grid: Grid) -> TheoremCheck:
     of the eigen-dominance estimate; grow-up."""
     spec = s.params.moving_set
     lam = s.params.lam
-    gamma = s.hint("gamma", 1.5)
+    gamma = s.predict_plan.gamma
     name = "carried-growth"
     if isinstance(spec, StaticSet) and spec.base.kind == "ball":
         e_shape = spec.base
@@ -391,7 +415,7 @@ def _check_carried_growth(s: Scenario, grid: Grid) -> TheoremCheck:
         d_shape = SetShape.ball(e_shape.center, r)
         window = None
     elif isinstance(spec, TranslatingSet):
-        window = s.hint("carry_window")
+        window = s.predict_plan.carry_window
         if window is None:
             return TheoremCheck(name, False, "none",
                                 (("reason", "no carry window configured"),))
@@ -448,7 +472,7 @@ def _check_alternating(s: Scenario, grid: Grid) -> TheoremCheck:
     stretch exceeds the waiting time, grow-up."""
     spec = s.params.moving_set
     lam = s.params.lam
-    gamma = s.hint("gamma", 1.5)
+    gamma = s.predict_plan.gamma
     name = "alternating-nested-growth"
     if not (isinstance(spec, JumpingSets) and spec.k0.kind == "ball"
             and spec.k1.kind == "ball"):
@@ -549,12 +573,12 @@ def cross_check(s: Scenario, trajectory: Trajectory | None = None,
 
 
 _SQ = DomainSpec.rectangle((0.0, 0.0), (2.0, 2.0))
-_NU = NuProfile(kind="saturating", nu_max=1.0, d_ramp=0.05, n_empty=1.0)
+_NU = NuProfile(nu_max=1.0, d_ramp=0.05, n_empty=1.0)
 _CENTER = (1.0, 1.0)
 
 
 def _scn(label, moving_set, lam, t_end, *, dt=2e-3, cap=1e5, sample_every=10,
-         initial=None, expected="CONSISTENT", hints=(), rho=2.0,
+         initial=None, expected="CONSISTENT", plan=PredictPlan(), rho=2.0,
          resolution=64, t0=0.0):
     return Scenario(
         label=label, domain=_SQ, resolution=resolution,
@@ -563,7 +587,7 @@ def _scn(label, moving_set, lam, t_end, *, dt=2e-3, cap=1e5, sample_every=10,
         t0=t0, t_end=t_end,
         initial=initial if initial is not None else InitialData.constant(1.0),
         outputs=OutputPlan(sample_every=sample_every),
-        expected_status=expected, hints=tuple(hints))
+        predict_plan=plan, expected_status=expected)
 
 
 def registry() -> dict:
@@ -583,11 +607,11 @@ def registry() -> dict:
         _scn("shrink-case1",
              RadiusBall(_CENTER, geo.RadiusSchedule("approach", 0.45)),
              42.8, 8.0, cap=1e4, sample_every=5,
-             hints=(("tau0_list", (1.0, 6.0)),)),
+             plan=PredictPlan(tau0_list=(1.0, 6.0))),
         _scn("shrink-case2",
              RadiusBall(_CENTER, geo.RadiusSchedule("harmonic_shrink", 0.2)),
              42.8, 30.0,
-             hints=(("tau0_list", (1.0, 3.0)),)),
+             plan=PredictPlan(tau0_list=(1.0, 3.0))),
         _scn("shrink-case3",
              RadiusBall(_CENTER, geo.RadiusSchedule("oscillating", 0.3,
                                                     omega=10.0)),
@@ -619,7 +643,7 @@ def registry() -> dict:
                                              velocity=(0.02, 0.0))),
              26.0, 12.0, cap=1e4, sample_every=5,
              initial=InitialData.bump((0.8, 1.0), 0.2, 1.0),
-             hints=(("carry_window", 3.0),)),
+             plan=PredictPlan(carry_window=3.0)),
         # recurrent saturation intervals (empty sanctuary part of the time)
         _scn("intermittent",
              JumpingSets(SetShape.ball(_CENTER, 0.65), SetShape.empty(),
@@ -632,7 +656,7 @@ def registry() -> dict:
                          period=2.75, t1=2.6),
              16.0, 25.0, cap=1e10, sample_every=25,
              initial=InitialData.bump(_CENTER, 0.3, 0.01),
-             hints=(("gamma", 1.6),)),
+             plan=PredictPlan(gamma=1.6)),
     ]
     return {s.label: s for s in scs}
 

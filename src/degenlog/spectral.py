@@ -179,10 +179,11 @@ def lambda0_of_set(grid: Grid, k: SetShape, deltas=None,
 
     Computes lambda_1 of {x in the domain : d(x, k) <= delta} for each delta,
     thresholding one distance field d(., k) over the lattice; verdict
-    "infinite" if the tightest neighborhood exceeds cap, otherwise linear
-    extrapolation of the reciprocal square root of the eigenvalue (the
-    length scale) from the two tightest neighborhoods to delta = 0.  cap
-    must be finite and positive.
+    "infinite" if k is a point (a ball of radius 0, whose neighborhoods'
+    eigenvalues grow like 1/delta^2 at every resolution) or the tightest
+    neighborhood exceeds cap, otherwise linear extrapolation of the
+    reciprocal square root of the eigenvalue (the length scale) from the two
+    tightest neighborhoods to delta = 0.  cap must be finite and positive.
     """
     if k.is_empty:
         raise ValueError("characteristic value of the empty set is undefined")
@@ -198,7 +199,7 @@ def lambda0_of_set(grid: Grid, k: SetShape, deltas=None,
     dist = k.distance(grid.points()).reshape(grid.shape)
     values = [principal_eigenvalue(grid, (dist <= d) & grid.mask)
               for d in deltas]
-    if values[-1] > cap:
+    if values[-1] > cap or (k.kind == "ball" and k.radius == 0.0):
         return Lambda0Estimate(deltas, tuple(values), "infinite", math.inf)
     if len(values) >= 2:
         # The eigenvalue scales like an inverse squared length, and the

@@ -251,7 +251,7 @@ def test_criterion_12_nested_alternation(cache):
     assert rep.status == "CONSISTENT"
 
     s = cache.scenario("alternating-nested")
-    gamma = s.hint("gamma")
+    gamma = s.predict_plan.gamma
     period = s.params.moving_set.period
     tr = cache.trajectory("alternating-nested")
     times = np.asarray(tr.times)
@@ -279,7 +279,7 @@ def test_criterion_12_nested_alternation(cache):
 def test_criterion_13_hopf_and_data_independence():
     dom = DomainSpec.rectangle((0.0, 0.0), (1.0, 1.0))
     grid = build_grid(dom, 32)
-    nu = NuProfile(kind="saturating", nu_max=1.0, d_ramp=0.05, n_empty=1.0)
+    nu = NuProfile(nu_max=1.0, d_ramp=0.05, n_empty=1.0)
     params = EquationParams(lam=10.0, rho=2.0, nu=nu,
                             moving_set=StaticSet(SetShape.ball((0.5, 0.5),
                                                                0.2)))

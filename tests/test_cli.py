@@ -28,7 +28,6 @@ resolution = 16
 [equation]
 lam = 2.0
 rho = 2.0
-nu_kind = saturating
 nu_max = 1.0
 d_ramp = 0.05
 n_empty = 1.0
@@ -55,33 +54,33 @@ growth_cap = 100.0
 
 REGISTRY_INI_SHA256 = {
     "trichotomy-low":
-        "99f708e4cc7302856929d5fb07c2ceb36f6aead8e7aded71a83c10949bccfc33",
+        "aaab33dc0d291e4c8193846e12c5f89de32310ac6a81755add1c460da1c9b2e1",
     "trichotomy-mid":
-        "39d16d158018ce22d9409999feb7c6926dc94dbcb2a41adb74e1b81e1703d2ac",
+        "4dec4a6a4fa07cd44f605f2e0bcb5ed068de8c7253b0d7d0bc3f82c2f29522e1",
     "trichotomy-high":
-        "138ca1bed8e1835871abaf1ae99ef3019eacfe15be0522599bbc9edee4298113",
+        "8990bca123d597ba03819d8a475451de0f3559656a566829e2cd59827219579d",
     "shrink-case1":
-        "af94c0200a20308210edb080850403492702e30812a9f076a0d2a72f5e793e55",
+        "e9d4eaac5944d4a36450fd4a617450da2bc419aeb58d9ac580b92a91e4025060",
     "shrink-case2":
-        "c703b0476b848898fb6803018c7eddae5550b73119bca3816327fdcb0b2c6a8a",
+        "872288ae97c8b01752d246164926870f26756ca7ca3b3cfb888266beb9f74698",
     "shrink-case3":
-        "1f7d93e9b46171c66d2185b8942dc36a92f326f31993a00adb250d7e5a125266",
+        "33d85186e713b7c64b880eb799150dd73c0b17297693c6b7f39655cb1f555fd6",
     "rotating-slow":
-        "b7314185531d968726a013800eb7a46c500de345d9fec9d55ba1707d814a037e",
+        "8ad6579ed5391bbb1085e5e1f343b93d59a6594320cc7f85656d73647d4320ae",
     "rotating-fast":
-        "fa1baf391f7463bd3af65f9c909b204823c125f434ddff77cc418ed947ddbbcd",
+        "ae6191b846df8123fcf5eca78b5fb0f0da8c9a8a406cd447166e91f14b4eb247",
     "jumping-disjoint":
-        "c12faf3d6c421aef29d71b211f35ff04cc6204d090e5f2acea45cd0b3d7b69bd",
+        "2344b7b2f45242adc38de9ad1fb37b2c8bc613df0345d59800896a65f684f9b6",
     "jumping-control":
-        "3e75a7c880e7aac9f9064f8618b63e4749165275cf0be187c23c9ee722416399",
+        "6ea0f19146f9194358027c2c16d31d5b284aa2c2f7a59b5ce082d2f8ebcc24d0",
     "translating-slow":
-        "77a40987326d2b328493eba9be5aa411eedff96e20858fa37a022a3009ccce64",
+        "93fe9aab7de6a2b9488304344a6dc6b6b06e30cb3f5d0b0f84ca8e02acb44d66",
     "carried-growth":
-        "39eb4fbebe70a9d49372fa0673dde7eaacbff29407eadf330cb2a7c86f3528b6",
+        "96643d5fc19e86d2cc3517c22feef589d963f212a0bda2ca4675f2b9b0372efb",
     "intermittent":
-        "e9df74d6bb5f00b1a78fcfa301df33a712a07534a6be4a0cf4d478b9e493381c",
+        "45de5d4c759d7a43f1979c0e50a8693dd4ff1a32e546a4047935017176c2c088",
     "alternating-nested":
-        "eefa30ce840e098b488828c5918d7d223365e870d80a37e0ee7d9b1c7b8107f0",
+        "a100c2e948e6bce96eb93f298cf278afe19c4579e693bd56612c4b046b628383",
 }
 
 
@@ -141,6 +140,11 @@ class TestScenarioFiles:
         p.write_text(TINY_INI.replace("t_end = 0.3", "t_end = 0.3\nwarp = 1"))
         with pytest.raises(CliError, match="warp"):
             parse_scenario_file(p)
+        # the one-value nu_kind key is gone
+        p.write_text(TINY_INI.replace("rho = 2.0", "rho = 2.0\nnu_kind = "
+                                      "saturating"))
+        with pytest.raises(CliError, match="unknown key 'nu_kind'"):
+            parse_scenario_file(p)
 
     def test_missing_file(self):
         with pytest.raises(CliError, match="not found"):
@@ -149,7 +153,7 @@ class TestScenarioFiles:
     def test_registry_scenarios_roundtrip(self):
         for label, s in registry().items():
             cfg = scenario_to_config(s)
-            s2 = config_to_scenario(cfg, label, s.expected_status, s.hints)
+            s2 = config_to_scenario(cfg, label, s.expected_status)
             assert s2 == s, label
             assert emit_scenario_ini(s2) == emit_scenario_ini(s), label
 
@@ -254,11 +258,15 @@ class TestCommands:
         assert float(lines["lambda2"]) == pytest.approx(5 * math.pi ** 2,
                                                         rel=0.02)
 
-    def test_lambda0_point_infinite(self, capsys):
+    @pytest.mark.parametrize("n", ["16", "64"])
+    def test_lambda0_point_infinite(self, n, capsys):
+        # at n = 16 the ladder stops at lambda1 = 256 and extrapolates under
+        # the cap; a point is infinite whatever its ladder reads
         assert main(["lambda0", "--domain", "rect:0,0,1,1",
-                     "--shape", "point:0.5,0.5", "--n", "64",
+                     "--shape", "point:0.5,0.5", "--n", n,
                      "--cap", "1e4"]) == 0
         out = capsys.readouterr().out
+        assert out.count("delta = ") == 3
         assert "verdict = infinite" in out
         assert "lambda0 = inf" in out
 
@@ -286,7 +294,9 @@ class TestCommands:
         "output.growth_cap=nan", "kset.center=1.0",
         "kset.k0=ball:0.5,0.35", "kset.center=1.9,1.0", "initial.center=1.0",
         "kset.kind=radius-ball", "kset.kind=foo", "initial.kind=gauss",
-        "domain.kind=annulus"])
+        "domain.kind=annulus", "predict.gamma=1", "predict.carry_window=0",
+        "predict.tau0_list=0.5,99", "predict.gamma=nan",
+        "predict.tau0_list="])
     def test_run_rejects_bad_outputs(self, override, tmp_path, capsys):
         assert main(["run", "trichotomy-mid", "--set", "time.t_end=0.2",
                      "--set", override, "--out", str(tmp_path)]) == 2
@@ -308,7 +318,11 @@ class TestCommands:
          "rotating-slow: invalid scenario: moving set leaves the domain"),
         (["predict", "shrink-case2", "--set", "time.t0=-1"],
          "shrink-case2: invalid scenario: harmonic_shrink radius needs "
-         "t > -1")])
+         "t > -1"),
+        (["predict", "trichotomy-mid", "--set", "domain.resolution=4"],
+         "trichotomy-mid: invalid scenario: need at least 8 cells per axis"),
+        (["crosscheck", "trichotomy-mid", "--set", "domain.resolution=4"],
+         "trichotomy-mid: invalid scenario: need at least 8 cells per axis")])
     def test_scenario_refused(self, argv, error, tmp_path, monkeypatch,
                               capsys):
         monkeypatch.chdir(tmp_path)
@@ -355,6 +369,20 @@ class TestCommands:
         assert main(["predict", "trichotomy-low"]) == 0
         out = capsys.readouterr().out
         assert "check" in out and "predicts" in out
+
+    @pytest.mark.parametrize("label", ["carried-growth", "shrink-case1",
+                                       "alternating-nested"])
+    def test_predict_emitted_file_matches_label(self, label, tmp_path,
+                                                capsys):
+        # the [predict] keys carry the label's carry window, tau0 list and
+        # gamma into the file that `run` writes
+        p = tmp_path / f"{label}.ini"
+        p.write_text(emit_scenario_ini(registry()[label]))
+        tables = []
+        for ref in (label, str(p)):
+            assert main(["predict", ref]) == 0
+            tables.append(capsys.readouterr().out)
+        assert tables[1] == tables[0]
 
     def test_predict_single_node_sanctuary(self, capsys):
         assert main(["predict", "trichotomy-mid",

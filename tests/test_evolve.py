@@ -54,7 +54,7 @@ class TestValidation:
     def _n_values_of(value, monkeypatch):
         monkeypatch.setattr(evolve, "evaluate_n",
                             lambda spec, nu, t, p: np.full(len(p), value))
-        params = EquationParams(lam=1.0, rho=2.0, nu=NuProfile("saturating"),
+        params = EquationParams(lam=1.0, rho=2.0, nu=NuProfile(),
                                 moving_set=StaticSet(SetShape.empty()))
         return params.n_values(0.0, np.zeros((3, 2)))
 

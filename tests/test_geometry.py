@@ -160,7 +160,7 @@ class TestMovingSets:
 
 class TestNuProfile:
     def test_saturating_vanishes_only_on_set(self):
-        nu = NuProfile(kind="saturating", nu_max=2.0, d_ramp=0.1)
+        nu = NuProfile(nu_max=2.0, d_ramp=0.1)
         assert nu.value(0.0) == 0.0
         vals = nu.value(np.array([0.01, 0.1, 1.0]))
         assert np.all(np.diff(vals) > 0)            # strictly increasing
@@ -168,7 +168,7 @@ class TestNuProfile:
 
     def test_evaluate_n(self):
         spec = StaticSet(SetShape.ball((0.0, 0.0), 0.5))
-        nu = NuProfile(kind="saturating", nu_max=1.0, d_ramp=0.1, n_empty=3.0)
+        nu = NuProfile(nu_max=1.0, d_ramp=0.1, n_empty=3.0)
         assert evaluate_n(spec, nu, 0.0, (0.2, 0.0)) == 0.0
         assert evaluate_n(spec, nu, 0.0, (1.0, 0.0)) > 0.0
         empty = JumpingSets(SetShape.ball((0, 0), 0.5), SetShape.empty(),
@@ -177,10 +177,7 @@ class TestNuProfile:
 
     def test_invalid_profiles(self):
         with pytest.raises(ValueError):
-            NuProfile(kind="saturating", nu_max=-1.0)
-        for kind in ("unknown", "indicator"):
-            with pytest.raises(ValueError, match="unknown nu profile"):
-                NuProfile(kind=kind)
+            NuProfile(nu_max=-1.0)
 
 
 class TestEnvelopes:

@@ -13,7 +13,7 @@ from degenlog.scenarios import (InitialData, OutputPlan, REGISTRY_LABELS,
 from degenlog.spectral import lambda0_of_set
 
 DOM = DomainSpec.rectangle((0.0, 0.0), (2.0, 2.0))
-NU = NuProfile(kind="saturating", nu_max=1.0, d_ramp=0.05, n_empty=1.0)
+NU = NuProfile(nu_max=1.0, d_ramp=0.05, n_empty=1.0)
 
 
 def _scenario(**kw):
@@ -92,11 +92,6 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             _scenario(params=EquationParams(lam=400.0, rho=2.0),
                       scheme=SchemeConfig(dt=2e-3))
-
-    def test_hint_lookup(self):
-        s = _scenario(hints=(("gamma", 1.5),))
-        assert s.hint("gamma") == 1.5
-        assert s.hint("missing", 7) == 7
 
     def test_moving_set_must_stay_inside_domain(self):
         s = _scenario(params=EquationParams(
