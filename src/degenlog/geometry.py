@@ -187,6 +187,10 @@ class SetShape:
     def _distance(self, p: np.ndarray) -> np.ndarray:
         if self.kind == "empty":
             raise ValueError("distance to the empty set is undefined")
+        balls = self.parts if self.kind == "union" else (self,)
+        if all(b.kind == "ball" for b in balls):
+            return _balls_distance(p, np.array([b.center for b in balls]),
+                                   np.array([b.radius for b in balls]))
         if self.kind in ("union", "intersection"):
             # intersection: max is a lower bound, exact membership indicator
             combine = np.minimum if self.kind == "union" else np.maximum
@@ -196,9 +200,37 @@ class SetShape:
             return d
         q = p - np.array(self.center)
         rho = np.linalg.norm(q, axis=1)
-        if self.kind == "ball":
-            return np.maximum(rho - self.radius, 0.0)
         return _sector_distance(q, rho, self.radius, self.theta0, self.theta1)
+
+
+# points x balls entries held at once by _balls_distance
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _balls_distance(p: np.ndarray, centers: np.ndarray,
+                    radii: np.ndarray) -> np.ndarray:
+    """Distance from points p (M, d) to the union of the balls with centres
+    (m, d) and radii (m,), over blocks of points.
+
+    Per ball these are the float operations of max(norm(p - c, axis=1) - r,
+    0) in the same order (squares summed axis by axis, then sqrt), and min
+    is exact, so the result equals, bit for bit, the min over the balls
+    taken one at a time.
+    """
+    rows = max(_BLOCK_ENTRIES // len(radii), 1)
+    out = np.empty(len(p))
+    for i in range(0, len(p), rows):
+        x = p[i:i + rows]
+        s = np.zeros((len(x), len(radii)))
+        for a in range(p.shape[1]):
+            q = x[:, a, None] - centers[:, a]
+            q *= q
+            s += q
+        np.sqrt(s, out=s)
+        s -= radii
+        np.maximum(s, 0.0, out=s)
+        s.min(axis=1, out=out[i:i + rows])
+    return out
 
 
 def _segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from degenlog import scenarios
+from degenlog import geometry, scenarios
 from degenlog.geometry import (DomainSpec, JumpingSets, NuProfile,
                                PathSchedule, RadiusBall, RadiusSchedule,
                                RotatingSector, SetShape, StaticSet,
                                TranslatingSet, _sample_step, _sample_times,
                                evaluate_n, k_inf, k_sup, shape_gap,
                                union_over_interval, validate_inside_domain)
+from degenlog.grid import build_grid
 
 
 class TestDomainSpec:
@@ -287,20 +288,27 @@ def _envelope_shapes(label, monkeypatch):
     return shapes, grid
 
 
+def _per_part_distance(shape, p):
+    """The per-ball loop the array pass replaces: min over the parts of
+    max(norm(p - c) - r, 0)."""
+    parts = shape.parts if shape.kind == "union" else (shape,)
+    return np.min([np.maximum(np.linalg.norm(p - np.array(b.center), axis=1)
+                              - b.radius, 0.0) for b in parts], axis=0)
+
+
 class TestCompoundDistances:
-    """Union and intersection distances fold their parts one at a time; both
-    must give exactly the stacked min / max over independently computed
-    parts."""
+    """Unions of balls take one array pass, other unions and intersections
+    fold their parts one at a time; all must give exactly the stacked
+    min / max over independently computed parts."""
 
     @pytest.mark.parametrize("label", ["translating-slow", "carried-growth"])
     def test_envelope_union_matches_stacked_min(self, label, monkeypatch):
         shapes, grid = _envelope_shapes(label, monkeypatch)
         unions = [u for u in shapes if u.kind == "union"]
-        assert unions
+        assert max(len(u.parts) for u in unions) == 401
         p = grid.points()
         for u in unions:
-            stacked = np.min([part.distance(p) for part in u.parts], axis=0)
-            assert np.array_equal(u.distance(p), stacked)
+            assert np.array_equal(u.distance(p), _per_part_distance(u, p))
 
     def test_intersection_matches_stacked_max(self):
         spec = RotatingSector((1.0, 1.0), 0.5, 0.0, math.pi / 3.0, 0.5)
@@ -321,6 +329,46 @@ class TestCompoundDistances:
         shapes = [spec.snapshot(t) for t in _sample_times(ta, tb)]
         assert len(shapes) == 401
         assert union_over_interval(spec, ta, tb) == SetShape.union(shapes)
+
+
+class TestBallUnionDistance:
+    """The one array pass over a union of balls is bit-identical to the
+    per-ball loop (the 401-ball envelopes are checked above)."""
+
+    # jumping-disjoint's balls are apart and of one radius,
+    # alternating-nested's are nested, of radii 0.65 and 0.35
+    @pytest.mark.parametrize("label", ["jumping-disjoint",
+                                       "alternating-nested"])
+    def test_two_ball_unions(self, label):
+        s = scenarios.registry()[label]
+        u = k_sup(s.params.moving_set, s.t0, s.t_end)
+        assert u.kind == "union" and len(u.parts) == 2
+        p = scenarios.scenario_grid(s).points()
+        assert np.array_equal(u.distance(p), _per_part_distance(u, p))
+
+    def test_one_dimensional_union(self):
+        u = SetShape.union([SetShape.ball((0.4,), 0.1),
+                            SetShape.ball((1.3,), 0.25)])
+        grid = build_grid(DomainSpec.rectangle((0.0,), (2.0,)), 64)
+        p = grid.points()
+        assert np.array_equal(u.distance(p), _per_part_distance(u, p))
+
+    def test_union_with_a_point(self):
+        u = SetShape.union([SetShape.ball((0.5, 0.5), 0.3),
+                            SetShape.point((1.5, 1.2))])
+        p = np.random.default_rng(1).uniform(0.0, 2.0, (3000, 2))
+        p[0] = (1.5, 1.2)
+        d = u.distance(p)
+        assert d[0] == 0.0
+        assert np.array_equal(d, _per_part_distance(u, p))
+
+    def test_more_points_than_one_block(self):
+        assert 70_000 * 3 > 2 * geometry._BLOCK_ENTRIES
+        u = SetShape.union([SetShape.ball((0.3, 0.2), 0.1),
+                            SetShape.ball((1.0, 1.7), 0.4),
+                            SetShape.ball((1.6, 0.9), 0.0)])
+        p = np.random.default_rng(2).uniform(0.0, 2.0, (70_000, 2))
+        assert np.array_equal(u.distance(p), _per_part_distance(u, p))
 
 
 class TestGapsAndValidation:

@@ -138,6 +138,39 @@ class TestSecondEigenvalue:
         assert second_eigenvalue(g, m) == pytest.approx(vals[1], rel=1e-8)
 
 
+def _default_shift_invert(grid, mask, k):
+    """The k smallest eigenvalues from scipy's own shift-invert factor
+    (splu with its default COLAMD ordering) from the constant start."""
+    a = MaskedOperator(grid, mask).matrix.tocsc()
+    n = a.shape[0]
+    vals = spla.eigsh(a, k, sigma=0.0, v0=np.full(n, 1.0 / math.sqrt(n)),
+                      tol=1e-10, return_eigenvectors=False)
+    return np.sort(vals)
+
+
+SQUARE_63 = build_grid(DomainSpec.rectangle((0.0, 0.0), (2.0, 2.0)), 64)
+INTERVAL_63 = build_grid(DomainSpec.rectangle((0.0,), (2.0,)), 64)
+
+
+class TestSymmetricModeFactor:
+    """The symmetric-mode minimum-degree LU behind the eigen solves agrees
+    with eigsh's default factor to 1e-12 relative."""
+
+    @pytest.mark.parametrize("grid, mask", [
+        (SQUARE_63, SQUARE_63.mask),
+        (SQUARE_63, mask_from_shape(SQUARE_63,
+                                    SetShape.ball((1.0, 1.0), 0.45))),
+        (INTERVAL_63, INTERVAL_63.mask),
+    ], ids=["square", "ball", "interval"])
+    def test_matches_default_factor(self, grid, mask):
+        lam1 = _default_shift_invert(grid, mask, 1)[0]
+        lam2 = _default_shift_invert(grid, mask, 2)[1]
+        assert principal_eigenvalue(grid, mask) == pytest.approx(lam1,
+                                                                 rel=1e-12)
+        assert second_eigenvalue(grid, mask) == pytest.approx(lam2,
+                                                              rel=1e-12)
+
+
 class TestDeltaSchedule:
     def test_geometric_down_to_resolution(self):
         deltas = default_delta_schedule(0.2, 0.02)
