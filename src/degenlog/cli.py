@@ -154,6 +154,11 @@ class _Section(dict):
     def __missing__(self, key):
         raise ValueError(f"missing required key {key!r} in [{self.name}]")
 
+    def given(self, *keys) -> dict:
+        """The keys present, so that an absent one takes the dataclass
+        default."""
+        return {key: self[key] for key in keys if key in self}
+
 
 def config_to_scenario(cfg: dict, label: str,
                        expected_status: str = "CONSISTENT") -> Scenario:
@@ -178,9 +183,7 @@ def config_to_scenario(cfg: dict, label: str,
         else:
             raise ValueError(f"unknown domain kind {dkind!r}")
 
-        nu = NuProfile(nu_max=eq.get("nu_max", 1.0),
-                       d_ramp=eq.get("d_ramp", 0.05),
-                       n_empty=eq.get("n_empty", 1.0))
+        nu = NuProfile(**eq.given("nu_max", "d_ramp", "n_empty"))
         for sec, key in ((k, "center"), (k, "point"), (k, "velocity"),
                          (k, "path_center"), (i, "center")):
             if key in sec and len(sec[key]) != domain.dim:
@@ -191,12 +194,11 @@ def config_to_scenario(cfg: dict, label: str,
                 raise ValueError(f"[kset] {key} is {k[key].dim}-d in a "
                                  f"{domain.dim}-d domain")
         moving = _kset_from_section(k)
-        params = EquationParams(lam=eq["lam"], rho=eq.get("rho", 2.0),
+        params = EquationParams(lam=eq["lam"], **eq.given("rho"),
                                 nu=None if moving is None else nu,
                                 moving_set=moving)
-        scheme = SchemeConfig(dt=tm.get("dt", 0.002),
-                              solve_tol=o.get("solve_tol", 1e-10),
-                              growth_cap=o.get("growth_cap", 1e5))
+        scheme = SchemeConfig(**tm.given("dt"),
+                              **o.given("solve_tol", "growth_cap"))
 
         ikind = i.get("kind", "constant")
         if ikind == "constant":
@@ -208,8 +210,7 @@ def config_to_scenario(cfg: dict, label: str,
             raise ValueError(f"unknown initial data kind {ikind!r} "
                            "(files support constant | bump)")
 
-        outputs = OutputPlan(sample_every=o.get("sample_every", 10),
-                             snapshot_times=o.get("snapshot_times", ()))
+        outputs = OutputPlan(**o.given("sample_every", "snapshot_times"))
         s = Scenario(label=label, domain=domain,
                      resolution=d.get("resolution", 64), params=params,
                      scheme=scheme, t0=tm.get("t0", 0.0), t_end=tm["t_end"],

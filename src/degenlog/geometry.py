@@ -434,7 +434,7 @@ class NuProfile:
     """
 
     nu_max: float = 1.0
-    d_ramp: float = 0.1
+    d_ramp: float = 0.05
     n_empty: float = 1.0
 
     def __post_init__(self):

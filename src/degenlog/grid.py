@@ -126,8 +126,9 @@ class MaskedOperator:
     (I + dt A + diag(c)) u = rhs by conjugate gradients with the Jacobi
     (diagonal) preconditioner.  Solves are deterministic and
     single-threaded; each overwrites the operator's storage for K, so an
-    operator serves one solve at a time.  Packed vectors list the mask's
-    nodes in C order, as `points` does.
+    operator serves one solve at a time.  `iterations` is the running total
+    of CG iterations over the operator's solves.  Packed vectors list the
+    mask's nodes in C order, as `points` does.
     """
 
     def __init__(self, grid: Grid, mask: np.ndarray | None = None):
@@ -138,6 +139,7 @@ class MaskedOperator:
         idx = np.flatnonzero(self.mask)
         self.n = len(idx)
         self.matrix = grid.laplacian[idx][:, idx]
+        self.iterations = 0
 
     @cached_property
     def points(self) -> np.ndarray:
@@ -218,6 +220,7 @@ class MaskedOperator:
             np.multiply(q, alpha, out=w)
             r -= w
             rho_prev = rho
+        self.iterations += iterations
         if iterations:
             np.subtract(K @ x, b, out=r)
         # with no iteration, r is still b - K x0: the same residual negated

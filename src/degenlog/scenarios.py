@@ -77,7 +77,7 @@ class InitialData:
 
 @dataclass(frozen=True)
 class OutputPlan:
-    sample_every: int = 1
+    sample_every: int = 10
     snapshot_times: tuple = ()
 
 
@@ -573,21 +573,19 @@ def cross_check(s: Scenario, trajectory: Trajectory | None = None,
 
 
 _SQ = DomainSpec.rectangle((0.0, 0.0), (2.0, 2.0))
-_NU = NuProfile(nu_max=1.0, d_ramp=0.05, n_empty=1.0)
 _CENTER = (1.0, 1.0)
 
 
-def _scn(label, moving_set, lam, t_end, *, dt=2e-3, cap=1e5, sample_every=10,
-         initial=None, expected="CONSISTENT", plan=PredictPlan(), rho=2.0,
-         resolution=64, t0=0.0):
+def _scn(label, moving_set, lam, t_end, *, scheme=SchemeConfig(),
+         outputs=OutputPlan(), initial=InitialData.constant(1.0),
+         expected="CONSISTENT", plan=PredictPlan()):
+    """A registry scenario on the square (0, 2)^2 at resolution 64 from
+    t0 = 0, with the defaults of every dataclass it does not pass."""
     return Scenario(
-        label=label, domain=_SQ, resolution=resolution,
-        params=EquationParams(lam=lam, rho=rho, nu=_NU, moving_set=moving_set),
-        scheme=SchemeConfig(dt=dt, growth_cap=cap),
-        t0=t0, t_end=t_end,
-        initial=initial if initial is not None else InitialData.constant(1.0),
-        outputs=OutputPlan(sample_every=sample_every),
-        predict_plan=plan, expected_status=expected)
+        label=label, domain=_SQ, resolution=64,
+        params=EquationParams(lam=lam, nu=NuProfile(), moving_set=moving_set),
+        scheme=scheme, t0=0.0, t_end=t_end, initial=initial,
+        outputs=outputs, predict_plan=plan, expected_status=expected)
 
 
 def registry() -> dict:
@@ -602,11 +600,14 @@ def registry() -> dict:
         # autonomous reference triple around the two thresholds
         _scn("trichotomy-low", ball45, 2.47, 10.0),
         _scn("trichotomy-mid", ball45, 16.7, 8.0),
-        _scn("trichotomy-high", ball45, 42.8, 3.0, cap=1e4, sample_every=2),
+        _scn("trichotomy-high", ball45, 42.8, 3.0,
+             scheme=SchemeConfig(growth_cap=1e4),
+             outputs=OutputPlan(sample_every=2)),
         # ball of changing radius
         _scn("shrink-case1",
              RadiusBall(_CENTER, geo.RadiusSchedule("approach", 0.45)),
-             42.8, 8.0, cap=1e4, sample_every=5,
+             42.8, 8.0, scheme=SchemeConfig(growth_cap=1e4),
+             outputs=OutputPlan(sample_every=5),
              plan=PredictPlan(tau0_list=(1.0, 6.0))),
         _scn("shrink-case2",
              RadiusBall(_CENTER, geo.RadiusSchedule("harmonic_shrink", 0.2)),
@@ -622,14 +623,17 @@ def registry() -> dict:
              11.0, 10.0),
         _scn("rotating-fast",
              RotatingSector(_CENTER, 0.5, 0.0, math.pi / 3.0, 30.0),
-             30.0, 6.0, cap=1e4, expected="UNDECIDED"),
+             30.0, 6.0, scheme=SchemeConfig(growth_cap=1e4),
+             expected="UNDECIDED"),
         # alternation between two separated sanctuaries, plus its static control
         _scn("jumping-disjoint",
              JumpingSets(ball35a, ball35b, period=0.05, t1=0.025),
-             94.4, 41.0, dt=1e-3, cap=1e6, sample_every=25,
+             94.4, 41.0, scheme=SchemeConfig(dt=1e-3, growth_cap=1e6),
+             outputs=OutputPlan(sample_every=25),
              initial=InitialData.constant(200.0)),
         _scn("jumping-control", StaticSet(ball35a),
-             94.4, 1.5, dt=1e-3, cap=1e4, sample_every=1),
+             94.4, 1.5, scheme=SchemeConfig(dt=1e-3, growth_cap=1e4),
+             outputs=OutputPlan(sample_every=1)),
         # slowly carried sanctuary, bounded side (spectral floor above lam)
         _scn("translating-slow",
              TranslatingSet(SetShape.ball((0.0, 0.0), 0.3),
@@ -641,7 +645,8 @@ def registry() -> dict:
              TranslatingSet(SetShape.ball((0.0, 0.0), 0.55),
                             geo.PathSchedule(kind="line", point=(0.8, 1.0),
                                              velocity=(0.02, 0.0))),
-             26.0, 12.0, cap=1e4, sample_every=5,
+             26.0, 12.0, scheme=SchemeConfig(growth_cap=1e4),
+             outputs=OutputPlan(sample_every=5),
              initial=InitialData.bump((0.8, 1.0), 0.2, 1.0),
              plan=PredictPlan(carry_window=3.0)),
         # recurrent saturation intervals (empty sanctuary part of the time)
@@ -654,7 +659,8 @@ def registry() -> dict:
              JumpingSets(SetShape.ball(_CENTER, 0.65),
                          SetShape.ball(_CENTER, 0.35),
                          period=2.75, t1=2.6),
-             16.0, 25.0, cap=1e10, sample_every=25,
+             16.0, 25.0, scheme=SchemeConfig(growth_cap=1e10),
+             outputs=OutputPlan(sample_every=25),
              initial=InitialData.bump(_CENTER, 0.3, 0.01),
              plan=PredictPlan(gamma=1.6)),
     ]

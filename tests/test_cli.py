@@ -14,9 +14,9 @@ from degenlog.cli import (CliError, config_to_scenario, emit_scenario_ini,
                           emit_trajectory_csv, format_shape, main,
                           parse_domain, parse_scenario_file, parse_shape,
                           resolve_scenario, scenario_to_config)
-from degenlog.evolve import Trajectory
-from degenlog.geometry import SetShape, StaticSet
-from degenlog.scenarios import registry
+from degenlog.evolve import EquationParams, SchemeConfig, Trajectory
+from degenlog.geometry import NuProfile, SetShape, StaticSet
+from degenlog.scenarios import OutputPlan, registry
 
 TINY_INI = """\
 [domain]
@@ -128,6 +128,21 @@ class TestScenarioFiles:
         assert s.params.lam == 2.0
         assert s.resolution == 16
         assert s.outputs.sample_every == 2
+
+    def test_absent_keys_take_dataclass_defaults(self):
+        s = config_to_scenario({
+            "domain": {"kind": "rectangle", "lo": "0,0", "hi": "1,1"},
+            "equation": {"lam": "2.0"},
+            "kset": {"kind": "static-ball", "center": "0.5,0.5",
+                     "radius": "0.2"},
+            "time": {"t_end": "0.3"}}, "defaults")
+        assert s.params == EquationParams(lam=2.0, nu=NuProfile(),
+                                          moving_set=s.params.moving_set)
+        assert s.scheme == SchemeConfig()
+        assert s.outputs == OutputPlan()
+        assert (s.params.rho, s.params.nu.d_ramp, s.scheme.dt,
+                s.scheme.growth_cap, s.outputs.sample_every) == \
+            (2.0, 0.05, 0.002, 1e5, 10)
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "bad.ini"
