@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import multiprocessing
+import os
 import sys
 from pathlib import Path
 
@@ -637,12 +638,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; return its exit code.
+
+    0 on success, 1 on a failed check (a VIOLATION, a failing property), 2
+    on a user error, and 141 (128 + SIGPIPE, as a shell reports a writer
+    killed by a closed pipe) when the reader of standard output closes it
+    early: the rest of the output goes to os.devnull and no traceback is
+    printed.
+    """
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        # a closed reader shows up here when standard output is buffered
+        sys.stdout.flush()
+        return code
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; send that to devnull
+        # so that it cannot raise a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -203,20 +203,45 @@ class SetShape:
         return _sector_distance(q, rho, self.radius, self.theta0, self.theta1)
 
 
-# points x balls entries held at once by _balls_distance
+# points x balls entries held at once by _balls_distance's array pass
 _BLOCK_ENTRIES = 1 << 16
+# unions of at least this many balls take _balls_distance's tree query
+_TREE_BALLS = 32
 
 
 def _balls_distance(p: np.ndarray, centers: np.ndarray,
                     radii: np.ndarray) -> np.ndarray:
     """Distance from points p (M, d) to the union of the balls with centres
-    (m, d) and radii (m,), over blocks of points.
+    (m, d) and radii (m,).
 
-    Per ball these are the float operations of max(norm(p - c, axis=1) - r,
-    0) in the same order (squares summed axis by axis, then sqrt), and min
-    is exact, so the result equals, bit for bit, the min over the balls
-    taken one at a time.
+    Two paths, chosen by the number of balls.  Below _TREE_BALLS, one array
+    pass over blocks of points: per ball these are the float operations of
+    max(norm(p - c, axis=1) - r, 0) in the same order (squares summed axis
+    by axis, then sqrt), and min is exact.  From _TREE_BALLS on, one
+    nearest-centre query of a k-d tree per distinct radius: in one or two
+    dimensions the tree sums the same squares in the same order, and sqrt
+    and x -> max(x - r, 0) are monotone, so the sqrt of the nearest squared
+    distance, less r, is the min over that radius's balls.  Either way the
+    result equals, bit for bit, the min over the balls taken one at a time.
+    The two cost the same at about 8 balls on 3,969 points, 26 on 961 and
+    50 on 225 (2-core x86_64 host); a union of 401 balls on 3,969 points
+    takes about 1 ms through the tree and 7 ms through the array pass.  The
+    threshold sits at the coarse grids' crossover, so the one- and two-ball
+    sets of a moving-set run, evaluated on every step, keep the array pass
+    (0.02 ms for one ball on 3,969 points, 0.4 ms through a tree).
     """
+    if len(radii) >= _TREE_BALLS:
+        # imported here, not at module level: scipy.spatial costs about
+        # 20 ms and 2.5 MB of peak memory at import, which runs that never
+        # sample a union of 32 balls should not pay
+        from scipy.spatial import cKDTree
+        out = np.full(len(p), np.inf)
+        for r in np.unique(radii):
+            d = cKDTree(centers[radii == r]).query(p)[0]
+            d -= r
+            np.maximum(d, 0.0, out=d)
+            np.minimum(out, d, out=out)
+        return out
     rows = max(_BLOCK_ENTRIES // len(radii), 1)
     out = np.empty(len(p))
     for i in range(0, len(p), rows):

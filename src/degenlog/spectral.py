@@ -3,9 +3,14 @@
 The principal eigenpair and the second eigenvalue of the discrete negative
 Laplacian come from one path: shift-invert Lanczos about zero (ARPACK's
 eigsh) from a fixed start vector, each inverse applied through one
-symmetric-mode LU of the masked operator on a minimum-degree ordering.  Both
-pairs are held to a residual bound, and the principal eigenvector must be
-one-signed.
+symmetric-mode LU of the masked operator on a minimum-degree ordering.  The
+principal solve keeps a Lanczos basis of 10 vectors (ncv), which about
+halves its inverse applications against ARPACK's default of 20; the second
+eigenvalue keeps 20, because from the constant start vector a smaller basis
+can converge to a higher mode.  Both pairs are held to a residual bound, and
+the principal eigenvector must be one-signed.  Masks are split into
+face-connected components on the masked operator's own sparsity pattern,
+which is the lattice's face adjacency.
 The characteristic value of a compact set K is the limit of the principal
 eigenvalue of shrinking neighborhoods {d(x, K) <= delta}; it is estimated on
 a geometric delta schedule with first-order Richardson extrapolation, and
@@ -19,8 +24,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.ndimage as ndi
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 from scipy.special import jn_zeros
 
 from .geometry import DomainSpec, SetShape
@@ -67,11 +72,35 @@ class EigenFailure(RuntimeError):
     """An eigen solve did not converge or failed its residual check."""
 
 
-def _check_mask(mask: np.ndarray) -> None:
+class _DisconnectedMask(ValueError):
+    """A mask of more than one face-connected component; `components`
+    lists each component as a lattice mask."""
+
+    def __init__(self, components: list):
+        super().__init__("eigenproblem needs a connected mask")
+        self.components = components
+
+
+def _connected_operator(grid: Grid, mask: np.ndarray) -> MaskedOperator:
+    """The masked operator of a nonempty, face-connected mask.
+
+    The off-diagonal pattern of the operator's matrix is the face adjacency
+    of the mask's nodes, so its graph components are the mask's
+    face-connected components; raises _DisconnectedMask when there are
+    several.
+    """
     if not mask.any():
         raise ValueError("eigenproblem needs a nonempty mask")
-    if ndi.label(mask)[1] != 1:
-        raise ValueError("eigenproblem needs a connected mask")
+    op = MaskedOperator(grid, mask)
+    n_comp, labels = connected_components(op.matrix, directed=False)
+    if n_comp != 1:
+        parts = []
+        for c in range(n_comp):
+            part = np.zeros(grid.shape, dtype=bool)
+            part[op.mask] = labels == c
+            parts.append(part)
+        raise _DisconnectedMask(parts)
+    return op
 
 
 def _smallest_eigenpairs(op: MaskedOperator, k: int, tol: float):
@@ -83,6 +112,8 @@ def _smallest_eigenpairs(op: MaskedOperator, k: int, tol: float):
     # fixed start vector keeps repeated calls bit-identical (the default is
     # drawn from the global RNG, which would break report determinism)
     v0 = np.full(op.n, 1.0 / math.sqrt(op.n))
+    # 10 Lanczos vectors for k = 1, ARPACK's 20 for k = 2 (module docstring)
+    ncv = min(10, op.n) if k == 1 else None
     # the matrix is a symmetric M-matrix: its LU needs no pivoting, and a
     # minimum-degree ordering on A + A^T fills far less than eigsh's default
     # COLAMD factor
@@ -92,7 +123,7 @@ def _smallest_eigenpairs(op: MaskedOperator, k: int, tol: float):
     inverse = spla.LinearOperator(a.shape, matvec=lu.solve, dtype=float)
     try:
         vals, vecs = spla.eigsh(a, k=k, sigma=0.0, which="LM", tol=tol,
-                                v0=v0, OPinv=inverse)
+                                v0=v0, ncv=ncv, OPinv=inverse)
     except spla.ArpackNoConvergence as e:
         raise EigenFailure(f"shift-invert Lanczos did not converge: {e}") \
             from e
@@ -111,9 +142,9 @@ def _check_residual(op: MaskedOperator, lam: float, vec: np.ndarray,
 
 def principal_eigenpair(grid: Grid, mask: np.ndarray,
                         tol: float = 1e-10) -> EigenPair:
-    """Smallest Dirichlet eigenvalue and positive normalized eigenfunction."""
-    _check_mask(mask)
-    op = MaskedOperator(grid, mask)
+    """Smallest Dirichlet eigenvalue and positive normalized eigenfunction
+    of a nonempty, face-connected mask (ValueError otherwise)."""
+    op = _connected_operator(grid, mask)
     vals, vecs = _smallest_eigenpairs(op, 1, tol)
     lam, vec = float(vals[0]), vecs[:, 0]
     _check_residual(op, lam, vec, tol, "principal")
@@ -134,15 +165,14 @@ def principal_eigenvalue(grid: Grid, mask: np.ndarray) -> float:
 
     Unlike principal_eigenpair this accepts disconnected masks, returning the
     minimum over connected components (the smallest eigenvalue of the direct
-    sum).
+    sum).  The components are found once, by principal_eigenpair's own
+    check.
     """
-    if not mask.any():
-        raise ValueError("eigenproblem needs a nonempty mask")
-    labels, n_comp = ndi.label(mask)
-    if n_comp == 1:
+    try:
         return principal_eigenpair(grid, mask).value
-    return min(principal_eigenpair(grid, labels == c).value
-               for c in range(1, n_comp + 1))
+    except _DisconnectedMask as e:
+        return min(principal_eigenpair(grid, part).value
+                   for part in e.components)
 
 
 def second_eigenvalue(grid: Grid, mask: np.ndarray) -> float:
@@ -155,10 +185,9 @@ def second_eigenvalue(grid: Grid, mask: np.ndarray) -> float:
     residual, and near-degenerate second modes converge less tightly than
     the principal one.
     """
-    _check_mask(mask)
-    if np.count_nonzero(mask) < 3:
+    op = _connected_operator(grid, mask)
+    if op.n < 3:
         raise ValueError("second eigenvalue needs a mask of at least 3 nodes")
-    op = MaskedOperator(grid, mask)
     vals, vecs = _smallest_eigenpairs(op, 2, 1e-10)
     lam = float(vals[1])
     _check_residual(op, lam, vecs[:, 1], math.sqrt(1e-10), "second")

@@ -3,7 +3,10 @@
 import hashlib
 import importlib
 import math
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -425,6 +428,42 @@ class TestCommands:
         csv = (tmp_path / "report.csv").read_text().splitlines()
         assert [line for line in csv if ",FAIL," in line] == \
             [f"properties,{n},FAIL,{d}" for n, _, d in rows if n == name]
+
+
+def _child_env(**extra) -> dict:
+    """The environment of a fresh interpreter that imports this package."""
+    src = str(Path(degenlog.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, **extra,
+            "PYTHONPATH": src if not path else src + os.pathsep + path}
+
+
+class TestProcess:
+    def test_closed_reader_exits_quietly(self):
+        # lambda2 of the 191 x 191 square takes about 0.15 s, so the reader
+        # has closed before the second line is written, unbuffered
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "degenlog.cli", "eig",
+             "--domain", "rect:0,0,1,1", "--n", "192", "--second"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=_child_env(PYTHONUNBUFFERED="1"))
+        try:
+            assert proc.stdout.readline().startswith(b"lambda1 = ")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 141
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert err == b""   # no traceback
+
+    def test_import_skips_ndimage_and_spatial(self):
+        code = ("import sys, degenlog.cli; print(sorted(m for m in "
+                "('scipy.ndimage', 'scipy.spatial') if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                             capture_output=True, text=True, timeout=120,
+                             check=True)
+        assert out.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("name", sorted(

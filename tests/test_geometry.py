@@ -331,9 +331,31 @@ class TestCompoundDistances:
         assert union_over_interval(spec, ta, tb) == SetShape.union(shapes)
 
 
+def _random_balls(n, dim, radii, seed):
+    rng = np.random.default_rng(seed)
+    return SetShape.union([
+        SetShape.ball(tuple(rng.uniform(0.0, 2.0, dim)), radii[i % len(radii)])
+        for i in range(n)])
+
+
 class TestBallUnionDistance:
-    """The one array pass over a union of balls is bit-identical to the
-    per-ball loop (the 401-ball envelopes are checked above)."""
+    """The array pass and the tree query over a union of balls are
+    bit-identical to the per-ball loop (the 401-ball envelopes are checked
+    above)."""
+
+    # 31 balls take the array pass, 32 and more the tree query
+    @pytest.mark.parametrize("n, dim, radii", [
+        (31, 2, (0.1,)),
+        (32, 2, (0.1,)),
+        (40, 2, (0.35, 0.0)),
+        (48, 1, (0.05, 0.2)),
+    ], ids=["31-balls", "32-balls", "two-radii", "one-dimensional"])
+    def test_either_side_of_the_tree_threshold(self, n, dim, radii):
+        assert (n >= geometry._TREE_BALLS) == (n > 31)
+        u = _random_balls(n, dim, radii, seed=n)
+        assert len(u.parts) == n
+        p = np.random.default_rng(3).uniform(-0.5, 2.5, (4000, dim))
+        assert np.array_equal(u.distance(p), _per_part_distance(u, p))
 
     # jumping-disjoint's balls are apart and of one radius,
     # alternating-nested's are nested, of radii 0.65 and 0.35

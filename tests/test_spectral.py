@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.ndimage as ndi
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -93,6 +94,34 @@ class TestPrincipalEigenvalueDisconnected:
         assert v_big < v_small
 
 
+class TestComponents:
+    """Face-connected components come from the masked operator's graph;
+    scipy.ndimage.label is the reference."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_match_ndimage_label(self, dim):
+        grid = build_grid(DomainSpec.rectangle((0.0,) * dim, (1.0,) * dim),
+                          48 if dim == 1 else 24)
+        rng = np.random.default_rng(dim)
+        masks = [grid.mask] + [
+            (rng.random(grid.shape) < rng.uniform(0.3, 0.9)) & grid.mask
+            for _ in range(40)]
+        seen = set()
+        for mask in masks:
+            labels, n_comp = ndi.label(mask)
+            if n_comp == 0:
+                continue
+            seen.add(min(n_comp, 2))
+            try:
+                parts = [spectral._connected_operator(grid, mask).mask]
+            except spectral._DisconnectedMask as e:
+                parts = e.components
+            assert len(parts) == n_comp
+            for c, part in enumerate(parts, start=1):
+                assert np.array_equal(part, labels == c)
+        assert seen == {1, 2}
+
+
 class TestSecondEigenvalue:
     def test_square(self):
         g = build_grid(UNIT_SQ, 48)
@@ -150,11 +179,40 @@ def _default_shift_invert(grid, mask, k):
 
 SQUARE_63 = build_grid(DomainSpec.rectangle((0.0, 0.0), (2.0, 2.0)), 64)
 INTERVAL_63 = build_grid(DomainSpec.rectangle((0.0,), (2.0,)), 64)
+THIN_4 = build_grid(DomainSpec.rectangle((0.0, 0.0), (4.0, 1.0)), 32)
+THIN_8 = build_grid(DomainSpec.rectangle((0.0, 0.0), (8.0, 1.0)), 64)
+DISC_32 = build_grid(DomainSpec.disc((0.0, 0.0), 1.0), 32)
+LINE_GRID = build_grid(UNIT_SQ, 16)
+
+
+def _line(length):
+    """A mask of `length` nodes in one lattice row."""
+    m = np.zeros(LINE_GRID.shape, dtype=bool)
+    m[7, 1:1 + length] = True
+    return m
 
 
 class TestSymmetricModeFactor:
     """The symmetric-mode minimum-degree LU behind the eigen solves agrees
-    with eigsh's default factor to 1e-12 relative."""
+    with eigsh's default factor to 1e-12 relative, and the principal
+    solve's 10-vector Lanczos basis with the dense spectrum to 1e-10."""
+
+    # thin rectangles crowd lambda_2 up to lambda_1 (ratios 1.18 and 1.05),
+    # and below 10 nodes the basis is capped at the mask's size
+    @pytest.mark.parametrize("grid, mask", [
+        (THIN_4, THIN_4.mask),
+        (THIN_8, THIN_8.mask),
+        (DISC_32, DISC_32.mask),
+    ] + [(LINE_GRID, _line(n)) for n in range(2, 14)],
+        ids=["rect-4x1", "rect-8x1", "disc-32"]
+        + [f"line-{n}" for n in range(2, 14)])
+    def test_matches_dense(self, grid, mask):
+        vals = np.linalg.eigvalsh(MaskedOperator(grid, mask).matrix.toarray())
+        assert principal_eigenvalue(grid, mask) == pytest.approx(vals[0],
+                                                                 rel=1e-10)
+        if len(vals) >= 3:
+            assert second_eigenvalue(grid, mask) == pytest.approx(vals[1],
+                                                                  rel=1e-10)
 
     @pytest.mark.parametrize("grid, mask", [
         (SQUARE_63, SQUARE_63.mask),
