@@ -25,7 +25,11 @@ instead of from u_k.  This leaves the scheme as it is: the system and its
 right-hand side are the same, only the iterate the conjugate gradients start
 from differs, and every solve still stops at relative residual solve_tol.
 Near a smooth trajectory the extrapolation is much closer to u_{k+1}, so
-the solves take fewer iterations.
+the solves take fewer iterations.  The solve first rescales that start to
+its Galerkin multiple (MaskedOperator.solve_spd), which corrects most of
+what is left on a decaying run, where the extrapolation is off mainly in
+scale.  A run keeps one dt, so the operator writes dt A into K once and
+each step assembles only the diagonal.
 """
 
 from __future__ import annotations
@@ -113,6 +117,8 @@ class Trajectory:
     growth_cap: float = 0.0
     cell_volume: float = 1.0      # lattice cell volume weighting the norms
     cg_iterations: int = 0        # CG iterations over all the run's solves
+    cg_max_iterations: int = 0    # the most CG iterations one solve took
+    worst_residual_ratio: float = 0.0   # worst final residual / its target
 
     def record(self, t: float, u: np.ndarray) -> None:
         """Append the norms of the packed vector u at time t."""
@@ -161,8 +167,10 @@ def run(grid: Grid, params: EquationParams, cfg: SchemeConfig, u0: np.ndarray,
     the growth cap; the cap-hit time is stored on the trajectory.  From the
     third step on, each solve starts from the quadratic extrapolation
     max(3u_k - 3u_{k-1} + u_{k-2}, 0) of the last three states (see the
-    module docstring); the trajectory's cg_iterations counts the
-    iterations the solves took.
+    module docstring).  The trajectory's cg_iterations counts the
+    iterations the solves took, cg_max_iterations the most of one solve,
+    and worst_residual_ratio the largest final residual of a solve over
+    its target solve_tol ||rhs||.
     """
     cfg.validate(params.lam)
     if t_end < t0:
@@ -202,4 +210,6 @@ def run(grid: Grid, params: EquationParams, cfg: SchemeConfig, u0: np.ndarray,
                 tr.cap_hit = t
                 break
     tr.cg_iterations = op.iterations
+    tr.cg_max_iterations = op.max_iterations
+    tr.worst_residual_ratio = op.worst_residual_ratio
     return tr

@@ -8,8 +8,10 @@ which realizes the homogeneous Dirichlet condition in the 3/5-point stencil.
 a MaskedOperator is its principal submatrix on a mask's nodes, which packs
 grid functions to the mask and extends them back, and solves the shifted
 systems K = I + dt A + diag(c) of a time step by Jacobi-preconditioned
-conjugate gradients on K assembled in place: scipy's loop written out bit
-for bit, one sparse product per iteration.
+conjugate gradients on K assembled in place, with dt A rewritten only when
+dt changes.  Each solve first scales its start by the Galerkin factor along
+it, then runs scipy's loop written out bit for bit, one sparse product per
+iteration.
 """
 
 from __future__ import annotations
@@ -126,9 +128,11 @@ class MaskedOperator:
     (I + dt A + diag(c)) u = rhs by conjugate gradients with the Jacobi
     (diagonal) preconditioner.  Solves are deterministic and
     single-threaded; each overwrites the operator's storage for K, so an
-    operator serves one solve at a time.  `iterations` is the running total
-    of CG iterations over the operator's solves.  Packed vectors list the
-    mask's nodes in C order, as `points` does.
+    operator serves one solve at a time.  Over the operator's solves,
+    `iterations` is the running total of CG iterations, `max_iterations`
+    the most one solve took, and `worst_residual_ratio` the largest final
+    residual over its target tol ||rhs||.  Packed vectors list the mask's
+    nodes in C order, as `points` does.
     """
 
     def __init__(self, grid: Grid, mask: np.ndarray | None = None):
@@ -140,6 +144,9 @@ class MaskedOperator:
         self.n = len(idx)
         self.matrix = grid.laplacian[idx][:, idx]
         self.iterations = 0
+        self.max_iterations = 0
+        self.worst_residual_ratio = 0.0
+        self._dt_part = None      # (dt, 1 + dt diag(A)) of the last solve
 
     @cached_property
     def points(self) -> np.ndarray:
@@ -154,19 +161,29 @@ class MaskedOperator:
         return out
 
     @cached_property
-    def diagonal(self) -> np.ndarray:
-        """Diagonal of `matrix`, read by every solve's preconditioner."""
-        return self.matrix.diagonal()
-
-    @cached_property
     def _system(self) -> tuple:
         """Storage for K = I + dt A + diag(c): a copy of `matrix` whose data
-        every solve overwrites, and the positions of its diagonal in
-        K.data.  Built on the first solve, so operators that never solve
-        never pay for it."""
+        solves overwrite, and the positions of its diagonal in K.data.
+        Built on the first solve, so operators that never solve never pay
+        for it."""
         K = self.matrix.copy()
         rows = np.repeat(np.arange(self.n), np.diff(K.indptr))
         return K, np.flatnonzero(K.indices == rows)
+
+    def _assemble(self, dt: float, c: np.ndarray) -> tuple:
+        """K = I + dt A + diag(c) in `_system`'s storage, and its diagonal
+        1 + dt diag(A) + c, which is also the Jacobi preconditioner.
+
+        dt A goes into K.data, and 1 + dt diag(A) into a cache, only when
+        dt differs from the previous solve's; a run keeps one dt, so each
+        of its steps writes the diagonal alone."""
+        K, diag_at = self._system
+        if self._dt_part is None or self._dt_part[0] != dt:
+            np.multiply(self.matrix.data, dt, out=K.data)
+            self._dt_part = (dt, 1.0 + dt * self.matrix.diagonal())
+        diag = self._dt_part[1] + c
+        K.data[diag_at] = diag
+        return K, diag
 
     def solve_spd(self, rhs: np.ndarray, dt: float, c: np.ndarray,
                   tol: float = 1e-10,
@@ -174,13 +191,14 @@ class MaskedOperator:
         """Solve K u = rhs, K = I + dt A + diag(c), to relative residual
         <= tol.
 
-        K is assembled in place: dt A.data, then the diagonal
-        1 + dt diag(A) + c, which is also the Jacobi preconditioner.  The
-        loop is scipy's `cg` (1.17) with that preconditioner written out,
-        one product with K per iteration: every floating-point operation in
-        the same order, so the bits match `cg(K, rhs, x0, rtol=tol, atol=0,
-        maxiter=max(4n, 200), M=...)` on the same K, with preallocated
-        buffers.  Raises SolveFailure unless the final residual is within
+        K is assembled in place (`_assemble`).  A nonzero start x0 whose
+        residual r = rhs - K x0 is not already below target is first scaled
+        by its Galerkin factor: x0 becomes (1 + g) x0 with
+        g = x0.r / x0.K x0, the multiple of x0 nearest the solution in the
+        K-norm, and r becomes r - g K x0 from the product already taken.
+        From (x, r) the loop is `_pcg`.  r is then a recursive residual,
+        so the final residual is recomputed as K x - rhs after every solve
+        that scaled or iterated; SolveFailure is raised unless it is within
         4 tol ||rhs||, NaN included.
         """
         if np.any(c < 0):
@@ -189,47 +207,68 @@ class MaskedOperator:
         b_norm = math.sqrt(b.dot(b))
         if b_norm == 0:
             return b.copy()
-        K, diag_at = self._system
-        np.multiply(self.matrix.data, dt, out=K.data)
-        diag = 1.0 + dt * self.diagonal + c
-        K.data[diag_at] = diag
-        x = np.zeros(self.n) if x0 is None else np.array(x0, dtype=float)
-        r, z, p, w = (np.empty(self.n) for _ in range(4))
-        if x.any():
-            np.subtract(b, K @ x, out=r)
-        else:
-            r[:] = b
+        K, diag = self._assemble(dt, c)
         atol = tol * b_norm
-        rho_prev = None
-        iterations = max(4 * self.n, 200)
-        for it in range(iterations):
-            if not math.sqrt(r.dot(r)) >= atol:   # converged, or NaN
-                iterations = it
-                break
-            np.divide(r, diag, out=z)
-            rho = r.dot(z)
-            if rho_prev is None:
-                p[:] = z
-            else:
-                p *= rho / rho_prev
-                p += z
-            q = K @ p
-            alpha = rho / p.dot(q)
-            np.multiply(p, alpha, out=w)
-            x += w
-            np.multiply(q, alpha, out=w)
-            r -= w
-            rho_prev = rho
+        x = np.zeros(self.n) if x0 is None else np.array(x0, dtype=float)
+        r = b.copy()
+        scaled = False
+        if x.any():
+            kx = K @ x
+            r -= kx
+            if math.sqrt(r.dot(r)) >= atol:
+                g = x.dot(r) / x.dot(kx)
+                x *= 1.0 + g
+                kx *= g
+                r -= kx
+                scaled = True
+        iterations = _pcg(K, diag, x, r, atol, max(4 * self.n, 200))
         self.iterations += iterations
-        if iterations:
+        self.max_iterations = max(self.max_iterations, iterations)
+        if iterations or scaled:
             np.subtract(K @ x, b, out=r)
-        # with no iteration, r is still b - K x0: the same residual negated
+        # otherwise r is still b - K x0: the same residual negated
         res = math.sqrt(r.dot(r))
         if not res <= 4.0 * tol * b_norm:
             raise SolveFailure(
                 f"conjugate gradients stalled: residual {res:.3e} "
                 f"(target {atol:.3e}, {iterations} iterations)")
+        self.worst_residual_ratio = max(self.worst_residual_ratio,
+                                        res / atol)
         return x
+
+
+def _pcg(K, diag: np.ndarray, x: np.ndarray, r: np.ndarray, atol: float,
+         maxiter: int) -> int:
+    """Jacobi-preconditioned conjugate gradients on K from the iterate x
+    and its residual r, both updated in place, until ||r|| < atol (or NaN);
+    returns the iterations taken.
+
+    This is scipy's `cg` (1.17) loop with the preconditioner diag written
+    out, one product with K per iteration: every floating-point operation in
+    the same order, so from r = rhs - K x the bits match `cg(K, rhs, x,
+    rtol=atol / ||rhs||, atol=0, maxiter=maxiter, M=...)`, with
+    preallocated buffers.
+    """
+    z, p, w = (np.empty(len(x)) for _ in range(3))
+    rho_prev = None
+    for it in range(maxiter):
+        if not math.sqrt(r.dot(r)) >= atol:   # converged, or NaN
+            return it
+        np.divide(r, diag, out=z)
+        rho = r.dot(z)
+        if rho_prev is None:
+            p[:] = z
+        else:
+            p *= rho / rho_prev
+            p += z
+        q = K @ p
+        alpha = rho / p.dot(q)
+        np.multiply(p, alpha, out=w)
+        x += w
+        np.multiply(q, alpha, out=w)
+        r -= w
+        rho_prev = rho
+    return maxiter
 
 
 def write_pgm(values: np.ndarray, path, display_max: float) -> None:

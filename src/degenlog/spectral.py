@@ -92,7 +92,10 @@ def _connected_operator(grid: Grid, mask: np.ndarray) -> MaskedOperator:
     if not mask.any():
         raise ValueError("eigenproblem needs a nonempty mask")
     op = MaskedOperator(grid, mask)
-    n_comp, labels = connected_components(op.matrix, directed=False)
+    # the pattern is symmetric, so strong components are the weak ones;
+    # scipy finds them faster
+    n_comp, labels = connected_components(op.matrix, directed=True,
+                                          connection="strong")
     if n_comp != 1:
         parts = []
         for c in range(n_comp):

@@ -9,7 +9,8 @@ import scipy.sparse.linalg as spla
 
 from degenlog.cli import resolve_scenario
 from degenlog.geometry import DomainSpec, SetShape
-from degenlog.grid import (MaskedOperator, SolveFailure, build_grid,
+from degenlog import grid as grid_module
+from degenlog.grid import (MaskedOperator, SolveFailure, _pcg, build_grid,
                            mask_from_shape, mask_within_distance, write_pgm)
 from degenlog.scenarios import realize_initial, scenario_grid
 
@@ -32,7 +33,7 @@ def apply_laplacian(g, values, mask=None):
     return np.where(mask, out, 0.0)
 
 
-def reference_solve(op, rhs, dt, c, tol=1e-10, x0=None, callback=None):
+def reference_solve(op, rhs, dt, c, tol=1e-10, x0=None):
     """The solve through scipy's `cg` on K = I + dt A + diag(c), assembled
     independently of `solve_spd`: the bits `solve_spd` must reproduce."""
     A = op.matrix
@@ -41,7 +42,7 @@ def reference_solve(op, rhs, dt, c, tol=1e-10, x0=None, callback=None):
     K.setdiag(diag)
     pre = spla.LinearOperator((op.n, op.n), matvec=lambda x: x / diag)
     sol, _ = spla.cg(K.tocsr(), rhs, x0=x0, rtol=tol, atol=0.0,
-                     maxiter=max(4 * op.n, 200), M=pre, callback=callback)
+                     maxiter=max(4 * op.n, 200), M=pre)
     return sol
 
 
@@ -204,6 +205,10 @@ class TestMaskedOperator:
     ], ids=["mid-early", "mid-late", "high-early", "high-late", "disc-3205",
             "square16-225", "x0-none", "rhs-zero", "x0-exact"])
     def test_solve_spd_bits_match_scipy_cg(self, state, case):
+        # the loop on solve_spd's assembled K, fed scipy's own start
+        # r = rhs - K x0, reproduces scipy's bits; so does the whole solve
+        # wherever the start is not scaled: a zero start or right-hand side,
+        # or a start already below target
         op, rhs, dt, c, u = step_system(*state)
         x0 = None if case == "x0=None" else u
         if case == "rhs=0":
@@ -211,8 +216,53 @@ class TestMaskedOperator:
         elif case == "x0 exact":
             rhs = u + dt * (op.matrix @ u) + c * u
         want = reference_solve(op, rhs, dt, c, x0=x0)
-        got = op.solve_spd(rhs, dt, c, x0=x0)
+        if case == "rhs=0":
+            got = op.solve_spd(rhs, dt, c, x0=x0)
+        else:
+            K, diag = op._assemble(dt, c)
+            got = np.zeros(op.n) if x0 is None else x0.copy()
+            r = rhs - K @ got
+            _pcg(K, diag, got, r, 1e-10 * math.sqrt(rhs.dot(rhs)),
+                 max(4 * op.n, 200))
         assert got.dtype == want.dtype and np.array_equal(got, want)
+        if case != "step":
+            assert np.array_equal(op.solve_spd(rhs, dt, c, x0=x0), want)
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    def test_multiple_of_the_solution_scaled_to_it(self, alpha):
+        # the Galerkin factor of alpha x* is 1/alpha - 1: the start lands
+        # on x*, and only the start and the final check multiply by K
+        op, _, dt, c, u = step_system("trichotomy-mid", 20)
+        rhs = u + dt * (op.matrix @ u) + c * u
+        counted = _counting_operator(op.grid)
+        got = counted.solve_spd(rhs, dt, c, x0=alpha * u)
+        assert np.linalg.norm(got - u) <= 1e-12 * np.linalg.norm(u)
+        assert counted.iterations == 0
+        assert counted._system[0].products == 2
+
+    @pytest.mark.parametrize("start", ["previous", "ones", "random"])
+    def test_scaled_start_no_farther_in_k_norm(self, start, monkeypatch):
+        op, _, dt, c, u = step_system("trichotomy-mid", 20)
+        K, _ = op._assemble(dt, c)
+        rhs = K @ u
+        x0 = {"previous": step_system("trichotomy-mid", 19)[4],
+              "ones": np.ones(op.n),
+              "random": np.random.default_rng(3).uniform(0.0, 2.0, op.n),
+              }[start]
+        starts = []
+
+        def spy(K, diag, x, r, atol, maxiter):
+            starts.append(x.copy())      # the start the loop receives
+            return _pcg(K, diag, x, r, atol, maxiter)
+
+        monkeypatch.setattr(grid_module, "_pcg", spy)
+        op.solve_spd(rhs, dt, c, x0=x0)
+
+        def k_error(x):
+            e = x - u
+            return e.dot(K @ e)
+
+        assert k_error(starts[0]) <= k_error(x0)
 
     @pytest.mark.parametrize("state, case", [
         (("trichotomy-mid", 0), "step"),
@@ -221,24 +271,20 @@ class TestMaskedOperator:
         (("trichotomy-mid", 20), "x0 exact"),    # no iteration
     ], ids=["mid-early", "high-late", "square16-225", "x0-exact"])
     def test_solve_spd_matrix_products(self, state, case):
-        # one product with K per iteration, one for the initial residual and
-        # one for the final residual check, which a solve that runs no
-        # iteration skips: no dtype probe
+        # one product with K per iteration, one for the initial residual
+        # (which the scaled start reuses) and one for the final residual
+        # check, which a start already below target skips: no dtype probe
         op, rhs, dt, c, u = step_system(*state)
         if case == "x0 exact":
             rhs = u + dt * (op.matrix @ u) + c * u
-        iterations = []
-        reference_solve(op, rhs, dt, c, x0=u,
-                        callback=lambda x: iterations.append(1))
-        counted = MaskedOperator(op.grid)
-        K, diag_at = counted._system
-        counted._system = (_CountingMatrix(K), diag_at)
+        counted = _counting_operator(op.grid)
         counted.solve_spd(rhs, dt, c, x0=u)
         products = counted._system[0].products
         if case == "x0 exact":
-            assert len(iterations) == 0 and products == 1
+            assert counted.iterations == 0 and products == 1
         else:
-            assert len(iterations) > 0 and products == len(iterations) + 2
+            assert counted.iterations > 0
+            assert products == counted.iterations + 2
 
     def test_solve_spd_overwrites_assembled_system(self):
         # K is overwritten in place on every solve: back on (dt1, c1) after
@@ -283,6 +329,13 @@ class _CountingMatrix:
     def __matmul__(self, v):
         self.products += 1
         return self.matrix @ v
+
+
+def _counting_operator(grid):
+    op = MaskedOperator(grid)
+    K, diag_at = op._system
+    op._system = (_CountingMatrix(K), diag_at)
+    return op
 
 
 def _diag_of(a):

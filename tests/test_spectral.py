@@ -7,6 +7,7 @@ import pytest
 import scipy.ndimage as ndi
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from degenlog.geometry import DomainSpec, SetShape
 from degenlog.grid import (MaskedOperator, build_grid, mask_from_shape,
@@ -120,6 +121,20 @@ class TestComponents:
             for c, part in enumerate(parts, start=1):
                 assert np.array_equal(part, labels == c)
         assert seen == {1, 2}
+
+    def test_strong_components_match_weak(self):
+        # _connected_operator asks for strong components, which scipy finds
+        # faster; on the symmetric pattern they are the weak ones, in order
+        grid = build_grid(UNIT_SQ, 64)
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            mask = (rng.random(grid.shape) < rng.uniform(0.3, 0.9)) & grid.mask
+            matrix = MaskedOperator(grid, mask).matrix
+            weak = connected_components(matrix, directed=False)
+            strong = connected_components(matrix, directed=True,
+                                          connection="strong")
+            assert weak[0] == strong[0]
+            assert np.array_equal(weak[1], strong[1])
 
 
 class TestSecondEigenvalue:
