@@ -74,8 +74,10 @@ def parse_shape(text: str) -> SetShape:
         if kind == "point":
             return SetShape.point(vals)
         if kind == "sector":
+            if len(vals) != 5:
+                raise ValueError(f"sector needs 5 numbers, got {len(vals)}")
             return SetShape.sector(vals[:2], vals[2], vals[3], vals[4])
-    except (ValueError, IndexError) as e:
+    except ValueError as e:
         raise CliError(f"invalid shape {text!r}: {e}") from e
     raise CliError(f"unknown shape kind {kind!r}")
 
@@ -109,8 +111,10 @@ def parse_domain(text: str) -> DomainSpec:
             half = len(vals) // 2
             return DomainSpec.rectangle(vals[:half], vals[half:])
         if kind == "disc":
+            if len(vals) != 3:
+                raise ValueError(f"disc needs 3 numbers, got {len(vals)}")
             return DomainSpec.disc(vals[:2], vals[2])
-    except (ValueError, IndexError) as e:
+    except ValueError as e:
         raise CliError(f"invalid domain {text!r}: {e}") from e
     raise CliError(f"unknown domain kind {kind!r}")
 

@@ -160,7 +160,8 @@ def check_outputs(t0: float, t_end: float, sample_every: int,
 def run(grid: Grid, params: EquationParams, cfg: SchemeConfig, u0: np.ndarray,
         t0: float, t_end: float, sample_every: int = 1,
         snapshot_times=()) -> Trajectory:
-    """Iterate step over [t0, t_end], recording norms and snapshots.
+    """Iterate step over [t0, t_end], recording norms and snapshots; each
+    requested snapshot time is served by the state nearest to it.
 
     u0 is a lattice array of shape grid.shape, nonnegative and zero off the
     grid's mask.  Aborts early (after recording) once the sup-norm exceeds
@@ -188,7 +189,7 @@ def run(grid: Grid, params: EquationParams, cfg: SchemeConfig, u0: np.ndarray,
     tr = Trajectory(growth_cap=cfg.growth_cap, cell_volume=grid.cell_volume)
     tr.record(t, u)
     pending_snaps = sorted(float(ts) for ts in snapshot_times)
-    if pending_snaps and abs(pending_snaps[0] - t0) <= 0.5 * cfg.dt:
+    while pending_snaps and abs(pending_snaps[0] - t0) <= 0.5 * cfg.dt:
         tr.snapshots.append((t, u0.copy()))
         pending_snaps.pop(0)
     n_steps = int(round((t_end - t0) / cfg.dt))
@@ -201,7 +202,7 @@ def run(grid: Grid, params: EquationParams, cfg: SchemeConfig, u0: np.ndarray,
         x0 = None if u2 is None else np.maximum(3.0 * (u - u1) + u2, 0.0)
         u2, u1, u = u1, u, step(u, n_next, params, cfg, op, x0)
         t += cfg.dt
-        if pending_snaps and t >= pending_snaps[0] - 0.5 * cfg.dt:
+        while pending_snaps and t >= pending_snaps[0] - 0.5 * cfg.dt:
             tr.snapshots.append((t, op.extend(u)))
             pending_snaps.pop(0)
         if k % sample_every == 0 or k == n_steps:

@@ -187,93 +187,82 @@ class SetShape:
     def _distance(self, p: np.ndarray) -> np.ndarray:
         if self.kind == "empty":
             raise ValueError("distance to the empty set is undefined")
-        balls = self.parts if self.kind == "union" else (self,)
-        if all(b.kind == "ball" for b in balls):
-            return _balls_distance(p, np.array([b.center for b in balls]),
-                                   np.array([b.radius for b in balls]))
-        if self.kind in ("union", "intersection"):
-            # intersection: max is a lower bound, exact membership indicator
-            combine = np.minimum if self.kind == "union" else np.maximum
-            d = self.parts[0]._distance(p).copy()
-            for part in self.parts[1:]:
-                combine(d, part._distance(p), out=d)
-            return d
-        q = p - np.array(self.center)
-        rho = np.linalg.norm(q, axis=1)
-        return _sector_distance(q, rho, self.radius, self.theta0, self.theta1)
+        if self.kind == "ball":
+            return _ball_distance(p, self.center, self.radius)
+        if self.kind == "sector":
+            return _sector_distance(p - np.array(self.center), self.radius,
+                                    self.theta0, self.theta1)
+        if (self.kind == "union" and len(self.parts) >= _TREE_BALLS
+                and all(b.kind == "ball" for b in self.parts)):
+            return _balls_distance(p, np.array([b.center for b in self.parts]),
+                                   np.array([b.radius for b in self.parts]))
+        # intersection: max is a lower bound, exact membership indicator
+        combine = np.minimum if self.kind == "union" else np.maximum
+        d = self.parts[0]._distance(p)
+        for part in self.parts[1:]:
+            combine(d, part._distance(p), out=d)
+        return d
 
 
-# points x balls entries held at once by _balls_distance's array pass
-_BLOCK_ENTRIES = 1 << 16
 # unions of at least this many balls take _balls_distance's tree query
 _TREE_BALLS = 32
+
+
+def _ball_distance(p: np.ndarray, center, radius: float) -> np.ndarray:
+    """Distance from points p (M, d) to the ball B(center, radius): the
+    float operations of max(norm(p - c, axis=1) - r, 0), squares summed
+    axis by axis, then sqrt."""
+    d = p[:, 0] - center[0]
+    d *= d
+    for a in range(1, len(center)):
+        q = p[:, a] - center[a]
+        q *= q
+        d += q
+    np.sqrt(d, out=d)
+    d -= radius
+    return np.maximum(d, 0.0, out=d)
 
 
 def _balls_distance(p: np.ndarray, centers: np.ndarray,
                     radii: np.ndarray) -> np.ndarray:
     """Distance from points p (M, d) to the union of the balls with centres
-    (m, d) and radii (m,).
+    (m, d) and radii (m,): one nearest-centre query of a k-d tree per
+    distinct radius.
 
-    Two paths, chosen by the number of balls.  Below _TREE_BALLS, one array
-    pass over blocks of points: per ball these are the float operations of
-    max(norm(p - c, axis=1) - r, 0) in the same order (squares summed axis
-    by axis, then sqrt), and min is exact.  From _TREE_BALLS on, one
-    nearest-centre query of a k-d tree per distinct radius: in one or two
-    dimensions the tree sums the same squares in the same order, and sqrt
-    and x -> max(x - r, 0) are monotone, so the sqrt of the nearest squared
-    distance, less r, is the min over that radius's balls.  Either way the
-    result equals, bit for bit, the min over the balls taken one at a time.
-    The two cost the same at about 8 balls on 3,969 points, 26 on 961 and
-    50 on 225 (2-core x86_64 host); a union of 401 balls on 3,969 points
-    takes about 1 ms through the tree and 7 ms through the array pass.  The
-    threshold sits at the coarse grids' crossover, so the one- and two-ball
-    sets of a moving-set run, evaluated on every step, keep the array pass
-    (0.02 ms for one ball on 3,969 points, 0.4 ms through a tree).
+    In one or two dimensions the tree sums the same squares in the same
+    order as _ball_distance, and sqrt and x -> max(x - r, 0) are monotone,
+    so the sqrt of the nearest squared distance, less r, is the min over
+    that radius's balls: the result equals, bit for bit, the min over the
+    balls taken one at a time.
     """
-    if len(radii) >= _TREE_BALLS:
-        # imported here, not at module level: scipy.spatial costs about
-        # 20 ms and 2.5 MB of peak memory at import, which runs that never
-        # sample a union of 32 balls should not pay
-        from scipy.spatial import cKDTree
-        out = np.full(len(p), np.inf)
-        for r in np.unique(radii):
-            d = cKDTree(centers[radii == r]).query(p)[0]
-            d -= r
-            np.maximum(d, 0.0, out=d)
-            np.minimum(out, d, out=out)
-        return out
-    rows = max(_BLOCK_ENTRIES // len(radii), 1)
-    out = np.empty(len(p))
-    for i in range(0, len(p), rows):
-        x = p[i:i + rows]
-        s = np.zeros((len(x), len(radii)))
-        for a in range(p.shape[1]):
-            q = x[:, a, None] - centers[:, a]
-            q *= q
-            s += q
-        np.sqrt(s, out=s)
-        s -= radii
-        np.maximum(s, 0.0, out=s)
-        s.min(axis=1, out=out[i:i + rows])
+    # imported here, not at module level: scipy.spatial costs about 20 ms
+    # and 2.5 MB of peak memory at import, which runs that never sample a
+    # union of 32 balls should not pay
+    from scipy.spatial import cKDTree
+    out = np.full(len(p), np.inf)
+    for r in np.unique(radii):
+        d = cKDTree(centers[radii == r]).query(p)[0]
+        d -= r
+        np.maximum(d, 0.0, out=d)
+        np.minimum(out, d, out=out)
     return out
 
 
-def _segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distance from points p (M, 2) to the segment [a, b]."""
-    ab = b - a
-    denom = float(ab @ ab)
-    t = np.clip((p - a) @ ab / denom, 0.0, 1.0) if denom > 0 else np.zeros(len(p))
-    proj = a + t[:, None] * ab
-    return np.linalg.norm(p - proj, axis=1)
+def _segment_distance(p: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance from points p (M, 2) to the segment [0, b]."""
+    denom = float(b @ b)
+    t = np.clip(p @ b / denom, 0.0, 1.0) if denom > 0 else np.zeros(len(p))
+    return np.linalg.norm(p - t[:, None] * b, axis=1)
 
 
-def _sector_distance(q, rho, r0, theta0, theta1) -> np.ndarray:
+def _sector_distance(q, r0, theta0, theta1) -> np.ndarray:
     """Exact distance to a filled circular sector by case split, from the
-    offsets q of the points to its center and their norms rho.
+    offsets q of the points to its center.
 
     Points whose polar angle falls inside [theta0, theta1] (mod 2 pi) see the
     arc face; all others see the nearest radial face.
     """
+    rho = np.linalg.norm(q, axis=1)
     width = theta1 - theta0
     if width >= 2.0 * math.pi:
         return np.maximum(rho - r0, 0.0)
@@ -284,12 +273,10 @@ def _sector_distance(q, rho, r0, theta0, theta1) -> np.ndarray:
     d[inside_wedge] = np.maximum(rho[inside_wedge] - r0, 0.0)
     out = ~inside_wedge
     if np.any(out):
-        o = np.zeros(2)
         e0 = r0 * np.array([math.cos(theta0), math.sin(theta0)])
         e1 = r0 * np.array([math.cos(theta1), math.sin(theta1)])
-        d0 = _segment_distance(q[out], o, e0)
-        d1 = _segment_distance(q[out], o, e1)
-        d[out] = np.minimum(d0, d1)
+        d[out] = np.minimum(_segment_distance(q[out], e0),
+                            _segment_distance(q[out], e1))
     return d
 
 
@@ -314,6 +301,8 @@ class RadiusSchedule:
     def __post_init__(self):
         if self.kind not in ("harmonic_shrink", "approach", "oscillating"):
             raise ValueError(f"unknown radius schedule {self.kind!r}")
+        if self.r0 < 0:
+            raise ValueError(f"radius r0 must be nonnegative, got {self.r0:g}")
 
     def radius(self, t: float) -> float:
         if self.kind == "harmonic_shrink":
@@ -474,14 +463,12 @@ class NuProfile:
 
 
 def evaluate_n(spec, nu: NuProfile, t: float, x):
-    """Logistic coefficient n(t, x); zero exactly on K(t)."""
+    """Logistic coefficient n(t, x) at a point or an (M, d) batch of points,
+    as an (M,) array; zero exactly on K(t)."""
     shape = spec.snapshot(t)
-    p = _as_points(x)
     if shape.is_empty:
-        out = np.full(len(p), nu.n_empty)
-    else:
-        out = nu.value(shape.distance(p))
-    return float(out[0]) if np.asarray(x).ndim == 1 else out
+        return np.full(len(_as_points(x)), nu.n_empty)
+    return nu.value(shape.distance(x))
 
 
 # ---------------------------------------------------------------------------
@@ -588,19 +575,13 @@ def k_inf(spec, tau0: float, horizon: float) -> SetShape:
 
 
 def shape_gap(a: SetShape, b: SetShape) -> float:
-    """Minimum distance between two nonempty shapes.
-
-    Exact for ball pairs; otherwise a dense boundary-sampling bound.
-    """
+    """Minimum distance between two nonempty simple shapes: exact for ball
+    pairs, otherwise a dense boundary-sampling bound."""
     if a.is_empty or b.is_empty:
         raise ValueError("gap of an empty shape is undefined")
     if a.kind == "ball" and b.kind == "ball":
         d = float(np.linalg.norm(np.array(a.center) - np.array(b.center)))
         return max(d - a.radius - b.radius, 0.0)
-    if a.kind == "union":
-        return min(shape_gap(p, b) for p in a.parts)
-    if b.kind == "union":
-        return min(shape_gap(a, p) for p in b.parts)
     return float(np.min(b.distance(_cover_points(a, 96))))
 
 
@@ -609,18 +590,14 @@ def _cover_points(s: SetShape, samples: int) -> np.ndarray:
     sector's angles are clipped to one turn."""
     if s.kind == "ball":
         th = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-        rr = np.linspace(0.0, s.radius, 8)
-        pts = [np.array(s.center) + r * np.stack([np.cos(th), np.sin(th)], axis=1)
-               for r in rr]
-        return np.concatenate(pts)
-    if s.kind == "sector":
+    elif s.kind == "sector":
         th = np.linspace(s.theta0, min(s.theta1, s.theta0 + 2.0 * math.pi),
                          samples)
-        rr = np.linspace(0.0, s.radius, 8)
-        pts = [np.array(s.center) + r * np.stack([np.cos(th), np.sin(th)], axis=1)
-               for r in rr]
-        return np.concatenate(pts)
-    raise ValueError(f"cannot sample shape kind {s.kind!r}")
+    else:
+        raise ValueError(f"cannot sample shape kind {s.kind!r}")
+    ring = np.stack([np.cos(th), np.sin(th)], axis=1)
+    return np.concatenate([np.array(s.center) + r * ring
+                           for r in np.linspace(0.0, s.radius, 8)])
 
 
 def validate_inside_domain(spec, domain: DomainSpec, t0: float,

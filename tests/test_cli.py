@@ -104,7 +104,8 @@ class TestShapeLanguage:
 
     def test_malformed(self):
         for bad in ("ball", "ball:a,b,c", "blob:1,2,3", "ball:0.5",
-                    "ball:0.5,0.5,nan", "point:inf,0"):
+                    "ball:0.5,0.5,nan", "point:inf,0",
+                    "sector:1,1,0.5,0,1,42"):
             with pytest.raises(CliError):
                 parse_shape(bad)
 
@@ -117,7 +118,8 @@ class TestDomainLanguage:
         assert d.kind == "disc" and d.radius == 1.5
 
     def test_malformed(self):
-        for bad in ("rect:0,0,2", "disc:0,0", "torus:1,2,3", "interval:0,3"):
+        for bad in ("rect:0,0,2", "disc:0,0", "torus:1,2,3", "interval:0,3",
+                    "disc:0,0,1,9"):
             with pytest.raises(CliError):
                 parse_domain(bad)
 
@@ -340,7 +342,9 @@ class TestCommands:
         (["predict", "trichotomy-mid", "--set", "domain.resolution=4"],
          "trichotomy-mid: invalid scenario: need at least 8 cells per axis"),
         (["crosscheck", "trichotomy-mid", "--set", "domain.resolution=4"],
-         "trichotomy-mid: invalid scenario: need at least 8 cells per axis")])
+         "trichotomy-mid: invalid scenario: need at least 8 cells per axis"),
+        (["predict", "shrink-case1", "--set", "kset.radius=-0.45"],
+         "shrink-case1: invalid scenario: radius r0 must be nonnegative")])
     def test_scenario_refused(self, argv, error, tmp_path, monkeypatch,
                               capsys):
         monkeypatch.chdir(tmp_path)

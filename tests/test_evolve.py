@@ -170,6 +170,12 @@ class TestRun:
             assert got == pytest.approx(want, abs=1e-3)
             assert snap.shape == g.shape
             assert np.all(snap[~g.mask] == 0.0)
+        # requests less than one step apart are each served within dt/2
+        tr = run(g, params, SchemeConfig(dt=2e-3), _ones(g), 0.0, 0.1,
+                 snapshot_times=(0.05, 0.0505, 0.05))
+        assert len(tr.snapshots) == 3
+        for want, (got, _) in zip((0.05, 0.05, 0.0505), tr.snapshots):
+            assert got == pytest.approx(want, abs=1e-3)
 
     def test_pure_decay_rate(self):
         g = _grid(32)

@@ -170,11 +170,12 @@ class TestNuProfile:
     def test_evaluate_n(self):
         spec = StaticSet(SetShape.ball((0.0, 0.0), 0.5))
         nu = NuProfile(nu_max=1.0, d_ramp=0.1, n_empty=3.0)
-        assert evaluate_n(spec, nu, 0.0, (0.2, 0.0)) == 0.0
-        assert evaluate_n(spec, nu, 0.0, (1.0, 0.0)) > 0.0
+        n = evaluate_n(spec, nu, 0.0, [(0.2, 0.0), (1.0, 0.0)])
+        assert n.shape == (2,) and n[0] == 0.0 and n[1] > 0.0
+        assert evaluate_n(spec, nu, 0.0, (0.2, 0.0)).tolist() == [0.0]
         empty = JumpingSets(SetShape.ball((0, 0), 0.5), SetShape.empty(),
                             period=1.0, t1=0.5)
-        assert evaluate_n(empty, nu, 0.75, (0.0, 0.0)) == 3.0
+        assert evaluate_n(empty, nu, 0.75, (0.0, 0.0)).tolist() == [3.0]
 
     def test_invalid_profiles(self):
         with pytest.raises(ValueError):
@@ -289,7 +290,7 @@ def _envelope_shapes(label, monkeypatch):
 
 
 def _per_part_distance(shape, p):
-    """The per-ball loop the array pass replaces: min over the parts of
+    """The reference, one ball at a time: min over the parts of
     max(norm(p - c) - r, 0)."""
     parts = shape.parts if shape.kind == "union" else (shape,)
     return np.min([np.maximum(np.linalg.norm(p - np.array(b.center), axis=1)
@@ -297,9 +298,9 @@ def _per_part_distance(shape, p):
 
 
 class TestCompoundDistances:
-    """Unions of balls take one array pass, other unions and intersections
-    fold their parts one at a time; all must give exactly the stacked
-    min / max over independently computed parts."""
+    """Unions of 32 or more balls take the tree query, other unions and
+    intersections fold their parts one at a time; all must give exactly the
+    stacked min / max over independently computed parts."""
 
     @pytest.mark.parametrize("label", ["translating-slow", "carried-growth"])
     def test_envelope_union_matches_stacked_min(self, label, monkeypatch):
@@ -339,11 +340,11 @@ def _random_balls(n, dim, radii, seed):
 
 
 class TestBallUnionDistance:
-    """The array pass and the tree query over a union of balls are
-    bit-identical to the per-ball loop (the 401-ball envelopes are checked
-    above)."""
+    """The ball formula, the fold over balls and the tree query over a union
+    of balls are bit-identical to the per-ball loop (the 401-ball envelopes
+    are checked above)."""
 
-    # 31 balls take the array pass, 32 and more the tree query
+    # 31 balls take the fold, 32 and more the tree query
     @pytest.mark.parametrize("n, dim, radii", [
         (31, 2, (0.1,)),
         (32, 2, (0.1,)),
@@ -384,13 +385,24 @@ class TestBallUnionDistance:
         assert d[0] == 0.0
         assert np.array_equal(d, _per_part_distance(u, p))
 
-    def test_more_points_than_one_block(self):
-        assert 70_000 * 3 > 2 * geometry._BLOCK_ENTRIES
-        u = SetShape.union([SetShape.ball((0.3, 0.2), 0.1),
-                            SetShape.ball((1.0, 1.7), 0.4),
-                            SetShape.ball((1.6, 0.9), 0.0)])
-        p = np.random.default_rng(2).uniform(0.0, 2.0, (70_000, 2))
-        assert np.array_equal(u.distance(p), _per_part_distance(u, p))
+    # a union of three balls on 70,000 points folds the ball formula; a
+    # single ball or a point takes the formula alone, on a 128-cell grid
+    @pytest.mark.parametrize("shape", [
+        SetShape.union([SetShape.ball((0.3, 0.2), 0.1),
+                        SetShape.ball((1.0, 1.7), 0.4),
+                        SetShape.ball((1.6, 0.9), 0.0)]),
+        SetShape.ball((0.9, 1.1), 0.45),
+        SetShape.ball((0.7,), 0.2),
+        SetShape.point((1.3, 0.6)),
+    ], ids=["three-balls-70000-points", "ball", "one-dimensional-ball",
+            "point"])
+    def test_matches_the_per_ball_loop(self, shape):
+        if shape.kind == "union":
+            p = np.random.default_rng(2).uniform(0.0, 2.0, (70_000, 2))
+        else:
+            box = DomainSpec.rectangle((0.0,) * shape.dim, (2.0,) * shape.dim)
+            p = build_grid(box, 128).points()
+        assert np.array_equal(shape.distance(p), _per_part_distance(shape, p))
 
 
 class TestGapsAndValidation:
