@@ -2,7 +2,8 @@
 
 Scenario files are flat INI with sections [domain], [equation], [kset],
 [time], [initial], [output], [predict]; every key maps 1:1 to a scenario
-field, unknown keys are errors, and the canonical emission round-trips.
+field, a key the scenario does not use is an error, and the canonical
+emission round-trips.
 All outputs (CSV trajectories, PGM snapshots, suite reports) are
 deterministic byte streams: no timestamps, fixed formatting, fixed ordering.
 """
@@ -254,8 +255,7 @@ def _kset_from_section(k: _Section):
                                  phase=k.get("phase", 0.0))
         else:
             raise ValueError(f"unknown path kind {path!r}")
-        return TranslatingSet(
-            SetShape.ball(k.get("center", (0.0, 0.0)), k["radius"]), curve)
+        return TranslatingSet(k["radius"], curve)
     raise ValueError(f"unknown kset kind {kind!r}")
 
 
@@ -315,8 +315,7 @@ def _kset_to_values(spec) -> dict:
         return {"kind": "jumping", "k0": spec.k0, "k1": spec.k1,
                 "period": spec.period, "t1": spec.t1}
     if isinstance(spec, TranslatingSet):
-        out = {"kind": "translating-ball", "center": spec.template.center,
-               "radius": spec.template.radius}
+        out = {"kind": "translating-ball", "radius": spec.radius}
         c = spec.curve
         if c.kind == "line":
             out.update(path="line", point=c.point, velocity=c.velocity)
@@ -350,8 +349,22 @@ def parse_scenario_file(path, overrides=None) -> Scenario:
             parser.read_file(fh)
     except configparser.Error as e:
         raise CliError(f"{path}: syntax error: {e}") from e
-    cfg = {sec: dict(parser.items(sec)) for sec in parser.sections()}
-    return config_to_scenario(_apply_overrides(cfg, overrides), path.stem)
+    cfg = _apply_overrides({sec: dict(parser.items(sec))
+                            for sec in parser.sections()}, overrides)
+    return _used_only(config_to_scenario(cfg, path.stem), cfg)
+
+
+def _used_only(s: Scenario, given: dict) -> Scenario:
+    """s, unless the section->key mapping given holds keys that s does not
+    use: keys its emission leaves out, an empty snapshot_times aside."""
+    used = {(sec, key) for sec, body in scenario_to_config(s).items()
+            for key in body} | {("output", "snapshot_times")}
+    unused = [f"[{sec}] {key}" for sec, keys in given.items() for key in keys
+              if (sec, key) not in used]
+    if unused:
+        raise CliError(f"{s.label}: the scenario does not use "
+                       + ", ".join(unused))
+    return s
 
 
 def _apply_overrides(cfg: dict, overrides) -> dict:
@@ -371,9 +384,12 @@ def resolve_scenario(ref: str, overrides=None) -> Scenario:
     reg = registry()
     if ref in reg:
         base = reg[ref]
+        # only the --set keys are checked, so that one may switch a kind
         cfg = _apply_overrides(scenario_to_config(base), overrides)
-        return config_to_scenario(cfg, base.label,
-                                  expected_status=base.expected_status)
+        return _used_only(
+            config_to_scenario(cfg, base.label,
+                               expected_status=base.expected_status),
+            _apply_overrides({}, overrides))
     if Path(ref).is_file():
         return parse_scenario_file(ref, overrides)
     raise CliError(f"unknown scenario label or missing file: {ref!r} "
@@ -523,10 +539,13 @@ def _cmd_run(args) -> int:
     (out / "scenario.ini").write_text(emit_scenario_ini(s))
     _require_records(tr)
     verdict = classify(tr)
+    unserved = _nums(tr.unserved_snapshots)
+    note = f"unserved_snapshots = {unserved}" if unserved else ""
     (out / "verdict.txt").write_text(
         f"label = {s.label}\nverdict = {verdict.kind}\n"
-        f"evidence = {verdict.evidence}\n")
-    print(f"{s.label}: {verdict.kind} ({len(tr.times)} records) -> {out}")
+        f"evidence = {verdict.evidence}\n" + (note and note + "\n"))
+    print(f"{s.label}: {verdict.kind} ({len(tr.times)} records) -> {out}"
+          + (note and "; " + note))
     return 0
 
 

@@ -113,6 +113,7 @@ class Trajectory:
     l2_norms: list = field(default_factory=list)
     masses: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)   # (t, lattice array)
+    unserved_snapshots: tuple = ()   # requested times a cap hit cut off
     cap_hit: float | None = None
     growth_cap: float = 0.0
     cell_volume: float = 1.0      # lattice cell volume weighting the norms
@@ -165,13 +166,13 @@ def run(grid: Grid, params: EquationParams, cfg: SchemeConfig, u0: np.ndarray,
 
     u0 is a lattice array of shape grid.shape, nonnegative and zero off the
     grid's mask.  Aborts early (after recording) once the sup-norm exceeds
-    the growth cap; the cap-hit time is stored on the trajectory.  From the
-    third step on, each solve starts from the quadratic extrapolation
-    max(3u_k - 3u_{k-1} + u_{k-2}, 0) of the last three states (see the
-    module docstring).  The trajectory's cg_iterations counts the
-    iterations the solves took, cg_max_iterations the most of one solve,
-    and worst_residual_ratio the largest final residual of a solve over
-    its target solve_tol ||rhs||.
+    the growth cap; the trajectory keeps the cap-hit time and the snapshot
+    times it cut off.  From the third step on, each solve starts from the
+    quadratic extrapolation max(3u_k - 3u_{k-1} + u_{k-2}, 0) of the last
+    three states (see the module docstring).  The trajectory's
+    cg_iterations counts the iterations the solves took, cg_max_iterations
+    the most of one solve, and worst_residual_ratio the largest final
+    residual of a solve over its target solve_tol ||rhs||.
     """
     cfg.validate(params.lam)
     if t_end < t0:
@@ -210,6 +211,7 @@ def run(grid: Grid, params: EquationParams, cfg: SchemeConfig, u0: np.ndarray,
             if tr.sup_norms[-1] > cfg.growth_cap:
                 tr.cap_hit = t
                 break
+    tr.unserved_snapshots = tuple(pending_snaps)
     tr.cg_iterations = op.iterations
     tr.cg_max_iterations = op.max_iterations
     tr.worst_residual_ratio = op.worst_residual_ratio

@@ -175,7 +175,7 @@ class SetShape:
     def dim(self) -> int:
         if self.kind in ("union", "intersection"):
             return self.parts[0].dim
-        return len(self.center)
+        return 2 if self.kind == "sector" else len(self.center)
 
     def distance(self, points) -> np.ndarray:
         p = _as_points(points)
@@ -330,7 +330,7 @@ class RadiusSchedule:
 
 @dataclass(frozen=True)
 class PathSchedule:
-    """Curve gamma(t) carrying a translated template."""
+    """Curve gamma(t) carrying the centre of a translating ball."""
 
     kind: str  # "circle" | "line"
     point: tuple = ()
@@ -415,19 +415,13 @@ class JumpingSets:
 
 @dataclass(frozen=True)
 class TranslatingSet:
-    """Rigid translation of a ball template: K(t) = gamma(t) + K0."""
+    """Ball of fixed radius along a path: K(t) = B(gamma(t), radius)."""
 
-    template: SetShape
+    radius: float
     curve: PathSchedule
 
-    def __post_init__(self):
-        if self.template.kind != "ball":
-            raise ValueError("a translating set carries a ball template, "
-                             f"not a {self.template.kind!r}")
-
     def snapshot(self, t: float) -> SetShape:
-        return SetShape.ball(np.array(self.template.center)
-                             + self.curve.position(t), self.template.radius)
+        return SetShape.ball(self.curve.position(t), self.radius)
 
 
 MovingSet = StaticSet | RadiusBall | RotatingSector | JumpingSets | TranslatingSet
@@ -561,17 +555,16 @@ def k_inf(spec, tau0: float, horizon: float) -> SetShape:
     # the one variant left: a translating ball
     times = _sample_times(tau0, horizon)
     centers = np.array([spec.curve.position(t) for t in times])
-    base = np.array(spec.template.center)
     mid = centers.mean(axis=0)
     reach = float(np.max(np.linalg.norm(centers - mid, axis=1)))
     # Sampled centers can miss excursions between samples by at most
     # half a step at the path's top speed; shrink by that margin so the
     # result stays inside every snapshot.
     reach += 0.5 * _sample_step(tau0, horizon) * spec.curve.max_speed()
-    r_eff = spec.template.radius - reach
+    r_eff = spec.radius - reach
     if r_eff <= 0.0:
         return SetShape.empty()
-    return SetShape.ball(tuple(mid + base), r_eff)
+    return SetShape.ball(mid, r_eff)
 
 
 def shape_gap(a: SetShape, b: SetShape) -> float:
@@ -603,13 +596,16 @@ def _cover_points(s: SetShape, samples: int) -> np.ndarray:
 def validate_inside_domain(spec, domain: DomainSpec, t0: float,
                            t_end: float) -> None:
     """Reject configurations whose K(t) leaves the domain at some time in
-    [t0, t_end]: every part of K_sup over that interval must lie strictly
-    inside.  A ball part is tested exactly and a sector on its cover points;
-    a translating ball's K_sup holds only its sampled snapshots."""
+    [t0, t_end]: every part of K_sup over that interval must have the
+    domain's dimension and lie strictly inside, a ball tested exactly and a
+    sector on its cover points (a translating ball's K_sup is sampled)."""
     swept = k_sup(spec, t0, t_end)
     for part in swept.parts if swept.kind == "union" else (swept,):
         if part.is_empty:
             continue
+        if part.dim != domain.dim:
+            raise ValueError(f"moving set is {part.dim}-d in a "
+                             f"{domain.dim}-d domain")
         if part.kind == "ball":
             inside = domain.interior_margin(part.center)[0] > part.radius
         else:

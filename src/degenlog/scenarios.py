@@ -420,18 +420,14 @@ def _check_carried_growth(s: Scenario, grid: Grid) -> TheoremCheck:
             return TheoremCheck(name, False, "none",
                                 (("reason", "no carry window configured"),))
         v = spec.curve.max_speed()
-        big_r = spec.template.radius
-        r = 0.5 * (big_r - v * window)
+        r = 0.5 * (spec.radius - v * window)
         if r <= 2.0 * grid.h:
             return TheoremCheck(name, False, "none",
                                 (("reason", "overlap ball under-resolved"),
                                  ("r", r)))
-        r_e = big_r - 0.5 * v * window
-        c0 = spec.curve.position(s.t0 + 0.5 * window) \
-            + np.array(spec.template.center)
-        x1 = spec.curve.position(s.t0 + window) + np.array(spec.template.center)
-        e_shape = SetShape.ball(tuple(c0), r_e)
-        d_shape = SetShape.ball(tuple(x1), r)
+        e_shape = SetShape.ball(spec.curve.position(s.t0 + 0.5 * window),
+                                spec.radius - 0.5 * v * window)
+        d_shape = SetShape.ball(spec.curve.position(s.t0 + window), r)
     else:
         return TheoremCheck(name, False, "none",
                             (("reason", "needs a static or rigidly "
@@ -636,15 +632,13 @@ def registry() -> dict:
              outputs=OutputPlan(sample_every=1)),
         # slowly carried sanctuary, bounded side (spectral floor above lam)
         _scn("translating-slow",
-             TranslatingSet(SetShape.ball((0.0, 0.0), 0.3),
-                            geo.PathSchedule(kind="circle", center=_CENTER,
-                                             radius=0.25, omega=0.2)),
+             TranslatingSet(0.3, geo.PathSchedule(
+                 kind="circle", center=_CENTER, radius=0.25, omega=0.2)),
              12.0, 10.0),
         # slowly carried sanctuary, grow-up side
         _scn("carried-growth",
-             TranslatingSet(SetShape.ball((0.0, 0.0), 0.55),
-                            geo.PathSchedule(kind="line", point=(0.8, 1.0),
-                                             velocity=(0.02, 0.0))),
+             TranslatingSet(0.55, geo.PathSchedule(
+                 kind="line", point=(0.8, 1.0), velocity=(0.02, 0.0))),
              26.0, 12.0, scheme=SchemeConfig(growth_cap=1e4),
              outputs=OutputPlan(sample_every=5),
              initial=InitialData.bump((0.8, 1.0), 0.2, 1.0),

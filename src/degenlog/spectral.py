@@ -72,22 +72,13 @@ class EigenFailure(RuntimeError):
     """An eigen solve did not converge or failed its residual check."""
 
 
-class _DisconnectedMask(ValueError):
-    """A mask of more than one face-connected component; `components`
-    lists each component as a lattice mask."""
-
-    def __init__(self, components: list):
-        super().__init__("eigenproblem needs a connected mask")
-        self.components = components
-
-
-def _connected_operator(grid: Grid, mask: np.ndarray) -> MaskedOperator:
-    """The masked operator of a nonempty, face-connected mask.
+def _components(grid: Grid, mask: np.ndarray) -> list:
+    """The masked operators of the face-connected components of a nonempty
+    mask, in the order of their first node.
 
     The off-diagonal pattern of the operator's matrix is the face adjacency
     of the mask's nodes, so its graph components are the mask's
-    face-connected components; raises _DisconnectedMask when there are
-    several.
+    face-connected components; a connected mask keeps its one operator.
     """
     if not mask.any():
         raise ValueError("eigenproblem needs a nonempty mask")
@@ -96,14 +87,10 @@ def _connected_operator(grid: Grid, mask: np.ndarray) -> MaskedOperator:
     # scipy finds them faster
     n_comp, labels = connected_components(op.matrix, directed=True,
                                           connection="strong")
-    if n_comp != 1:
-        parts = []
-        for c in range(n_comp):
-            part = np.zeros(grid.shape, dtype=bool)
-            part[op.mask] = labels == c
-            parts.append(part)
-        raise _DisconnectedMask(parts)
-    return op
+    if n_comp == 1:
+        return [op]
+    return [MaskedOperator(grid, op.extend(labels == c) > 0)
+            for c in range(n_comp)]
 
 
 def _smallest_eigenpairs(op: MaskedOperator, k: int, tol: float):
@@ -143,11 +130,9 @@ def _check_residual(op: MaskedOperator, lam: float, vec: np.ndarray,
                            f"check (residual {residual:.3e})")
 
 
-def principal_eigenpair(grid: Grid, mask: np.ndarray,
-                        tol: float = 1e-10) -> EigenPair:
-    """Smallest Dirichlet eigenvalue and positive normalized eigenfunction
-    of a nonempty, face-connected mask (ValueError otherwise)."""
-    op = _connected_operator(grid, mask)
+def _principal(op: MaskedOperator, tol: float) -> tuple:
+    """Smallest eigenvalue of a connected masked operator and its
+    eigenvector, packed and positive."""
     vals, vecs = _smallest_eigenpairs(op, 1, tol)
     lam, vec = float(vals[0]), vecs[:, 0]
     _check_residual(op, lam, vec, tol, "principal")
@@ -159,6 +144,17 @@ def principal_eigenpair(grid: Grid, mask: np.ndarray,
         if np.min(vec) < -1e-8 * np.max(vec):
             raise EigenFailure("principal eigenvector is not one-signed")
         vec = np.maximum(vec, np.finfo(float).tiny)
+    return lam, vec
+
+
+def principal_eigenpair(grid: Grid, mask: np.ndarray,
+                        tol: float = 1e-10) -> EigenPair:
+    """Smallest Dirichlet eigenvalue and positive normalized eigenfunction
+    of a nonempty, face-connected mask (ValueError otherwise)."""
+    op, *rest = _components(grid, mask)
+    if rest:
+        raise ValueError("eigenproblem needs a connected mask")
+    lam, vec = _principal(op, tol)
     vec = vec / math.sqrt(float(vec @ vec) * grid.cell_volume)
     return EigenPair(value=lam, vector=op.extend(vec), mask=mask)
 
@@ -168,14 +164,9 @@ def principal_eigenvalue(grid: Grid, mask: np.ndarray) -> float:
 
     Unlike principal_eigenpair this accepts disconnected masks, returning the
     minimum over connected components (the smallest eigenvalue of the direct
-    sum).  The components are found once, by principal_eigenpair's own
-    check.
+    sum).
     """
-    try:
-        return principal_eigenpair(grid, mask).value
-    except _DisconnectedMask as e:
-        return min(principal_eigenpair(grid, part).value
-                   for part in e.components)
+    return min(_principal(op, 1e-10)[0] for op in _components(grid, mask))
 
 
 def second_eigenvalue(grid: Grid, mask: np.ndarray) -> float:
@@ -188,7 +179,9 @@ def second_eigenvalue(grid: Grid, mask: np.ndarray) -> float:
     residual, and near-degenerate second modes converge less tightly than
     the principal one.
     """
-    op = _connected_operator(grid, mask)
+    op, *rest = _components(grid, mask)
+    if rest:
+        raise ValueError("eigenproblem needs a connected mask")
     if op.n < 3:
         raise ValueError("second eigenvalue needs a mask of at least 3 nodes")
     vals, vecs = _smallest_eigenpairs(op, 2, 1e-10)
@@ -197,21 +190,16 @@ def second_eigenvalue(grid: Grid, mask: np.ndarray) -> float:
     return lam
 
 
-def default_delta_schedule(delta0: float, h: float) -> tuple:
-    """Geometric schedule delta0, delta0/2, ..., stopping at 2h."""
-    if delta0 < 2.0 * h:
-        raise ValueError("delta0 below grid resolution")
+def lambda0_deltas(grid: Grid) -> tuple:
+    """Default neighborhood ladder of lambda0_of_set on a grid: the
+    geometric schedule delta0 = max(8h, 0.1), delta0/2, ..., stopping at
+    2h."""
     deltas = []
-    d = float(delta0)
-    while d >= 2.0 * h:
+    d = max(8.0 * grid.h, 0.1)
+    while d >= 2.0 * grid.h:
         deltas.append(d)
         d *= 0.5
     return tuple(deltas)
-
-
-def lambda0_deltas(grid: Grid) -> tuple:
-    """Default neighborhood ladder of lambda0_of_set on a grid."""
-    return default_delta_schedule(max(8.0 * grid.h, 0.1), grid.h)
 
 
 def lambda0_of_set(grid: Grid, k: SetShape, deltas=None,

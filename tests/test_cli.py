@@ -19,7 +19,7 @@ from degenlog.cli import (CliError, config_to_scenario, emit_scenario_ini,
                           resolve_scenario, scenario_to_config)
 from degenlog.evolve import EquationParams, SchemeConfig, Trajectory
 from degenlog.geometry import NuProfile, SetShape, StaticSet
-from degenlog.scenarios import OutputPlan, registry
+from degenlog.scenarios import OutputPlan, predict, registry, scenario_grid
 
 TINY_INI = """\
 [domain]
@@ -54,6 +54,46 @@ sample_every = 2
 growth_cap = 100.0
 """
 
+# a ball of radius 0.3 carried along a line of the 1-d domain [0, 2]
+LINE_1D_INI = """\
+[domain]
+lo = 0
+hi = 2
+resolution = 32
+
+[equation]
+lam = 5.0
+
+[kset]
+kind = translating-ball
+radius = 0.3
+path = line
+point = 0.6
+velocity = 0.05
+
+[time]
+t_end = 4.0
+"""
+
+# files that test_scenario_refused writes into its working directory
+SCENARIO_FILES = {
+    # a circle path is 2-d, whatever the dimension of its centre
+    "circle1d.ini": LINE_1D_INI.replace(
+        "path = line\npoint = 0.6\nvelocity = 0.05",
+        "path = circle\npath_center = 1.0\npath_radius = 0.2\nomega = 1.0"),
+    # a sector is 2-d, whatever the dimension of its centre
+    "sector1d.ini": LINE_1D_INI.replace(
+        "translating-ball\nradius = 0.3\npath = line\npoint = 0.6\n"
+        "velocity = 0.05",
+        "rotating-sector\ncenter = 1.0\nradius = 0.3\ntheta1 = 1.0\n"
+        "omega = 1.0"),
+    # the translating ball once took its centre offset from [kset] center
+    "old-translating.ini": TINY_INI.replace(
+        "kind = static-ball\ncenter = 0.5,0.5\nradius = 0.2",
+        "kind = translating-ball\ncenter = 0.0,0.0\nradius = 0.2\n"
+        "path = line\npoint = 0.5,0.5\nvelocity = 0.1,0.0"),
+}
+
 
 REGISTRY_INI_SHA256 = {
     "trichotomy-low":
@@ -77,9 +117,9 @@ REGISTRY_INI_SHA256 = {
     "jumping-control":
         "6ea0f19146f9194358027c2c16d31d5b284aa2c2f7a59b5ce082d2f8ebcc24d0",
     "translating-slow":
-        "93fe9aab7de6a2b9488304344a6dc6b6b06e30cb3f5d0b0f84ca8e02acb44d66",
+        "521c80f34ab16c8b584cbdb6ba13603d59d807f7f74adcacf141793d5af87c22",
     "carried-growth":
-        "96643d5fc19e86d2cc3517c22feef589d963f212a0bda2ca4675f2b9b0372efb",
+        "1221131c8fc13f1e48086ca3e6ffadacf245c59ae5a137bde65015ef06df32e9",
     "intermittent":
         "45de5d4c759d7a43f1979c0e50a8693dd4ff1a32e546a4047935017176c2c088",
     "alternating-nested":
@@ -221,6 +261,24 @@ class TestResolveScenario:
         with pytest.raises(CliError):
             resolve_scenario("trichotomy-low", ["lam=3.5"])
 
+    @pytest.mark.parametrize("overrides, field, kind", [
+        (["domain.kind=disc", "domain.center=1,1", "domain.radius=1"],
+         "domain", "disc"),
+        (["initial.kind=bump", "initial.center=1,1", "initial.radius=0.3"],
+         "initial", "bump")])
+    def test_kind_switch_leaves_label_keys(self, overrides, field, kind):
+        # the label's rectangle corners and constant value go unused, but
+        # they are the label's own keys, not the user's
+        s = resolve_scenario("trichotomy-mid", overrides)
+        assert getattr(s, field).kind == kind
+
+    def test_empty_snapshot_times_is_used(self, tmp_path):
+        s = resolve_scenario("trichotomy-mid", ["output.snapshot_times="])
+        assert s.outputs.snapshot_times == ()
+        p = tmp_path / "tiny.ini"
+        p.write_text(TINY_INI + "snapshot_times =\n")
+        assert parse_scenario_file(p).outputs.snapshot_times == ()
+
     def test_file_override_fills_missing_key(self, tmp_path):
         p = tmp_path / "nolam.ini"
         p.write_text(TINY_INI.replace("lam = 2.0\n", ""))
@@ -344,10 +402,30 @@ class TestCommands:
         (["crosscheck", "trichotomy-mid", "--set", "domain.resolution=4"],
          "trichotomy-mid: invalid scenario: need at least 8 cells per axis"),
         (["predict", "shrink-case1", "--set", "kset.radius=-0.45"],
-         "shrink-case1: invalid scenario: radius r0 must be nonnegative")])
+         "shrink-case1: invalid scenario: radius r0 must be nonnegative"),
+        (["predict", "trichotomy-mid", "--set", "domain.resolution=16",
+          "--set", "kset.omega=5"],
+         "trichotomy-mid: the scenario does not use [kset] omega"),
+        (["predict", "carried-growth", "--set", "kset.path_radius=0.3"],
+         "carried-growth: the scenario does not use [kset] path_radius"),
+        (["predict", "trichotomy-mid", "--set", "initial.height=2"],
+         "trichotomy-mid: the scenario does not use [initial] height"),
+        (["predict", "trichotomy-mid", "--set", "domain.radius=1"],
+         "trichotomy-mid: the scenario does not use [domain] radius"),
+        (["predict", "trichotomy-mid", "--set", "kset.kind=none",
+          "--set", "equation.nu_max=2"],
+         "trichotomy-mid: the scenario does not use [equation] nu_max"),
+        (["predict", "old-translating.ini"],
+         "old-translating: the scenario does not use [kset] center"),
+        (["predict", "circle1d.ini"],
+         "circle1d: invalid scenario: moving set is 2-d in a 1-d domain"),
+        (["predict", "sector1d.ini"],
+         "sector1d: invalid scenario: moving set is 2-d in a 1-d domain")])
     def test_scenario_refused(self, argv, error, tmp_path, monkeypatch,
                               capsys):
         monkeypatch.chdir(tmp_path)
+        for name, text in SCENARIO_FILES.items():
+            (tmp_path / name).write_text(text)
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -405,6 +483,29 @@ class TestCommands:
             assert main(["predict", ref]) == 0
             tables.append(capsys.readouterr().out)
         assert tables[1] == tables[0]
+
+    def test_predict_translating_ball_in_1d(self, tmp_path):
+        p = tmp_path / "line1d.ini"
+        p.write_text(LINE_1D_INI)
+        s = parse_scenario_file(p)
+        assert s.params.moving_set.snapshot(2.0) == SetShape.ball((0.7,), 0.3)
+        names = [c.name for c in predict(s, scenario_grid(s))]
+        label = registry()["translating-slow"]
+        assert names == [c.name for c in predict(label, scenario_grid(label))]
+
+    def test_run_names_unserved_snapshots(self, tmp_path, capsys):
+        # the growth cap stops the run at t = 0.296, before two of the three
+        # requested snapshots
+        assert main(["run", "trichotomy-high", "--set", "domain.resolution=16",
+                     "--set", "output.snapshot_times=0,1,3",
+                     "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == (
+            f"trichotomy-high: grow_up (75 records) -> {tmp_path}; "
+            "unserved_snapshots = 1.0,3.0\n")
+        verdict = (tmp_path / "verdict.txt").read_text()
+        assert verdict.endswith("\nunserved_snapshots = 1.0,3.0\n")
+        assert sorted(p.name for p in tmp_path.glob("*.pgm")) == \
+            ["snapshot_000.pgm"]
 
     def test_predict_single_node_sanctuary(self, capsys):
         assert main(["predict", "trichotomy-mid",

@@ -146,17 +146,10 @@ class TestMovingSets:
             JumpingSets(SetShape.empty(), SetShape.empty(), period=1.0, t1=1.5)
 
     def test_translating_set(self):
-        s = TranslatingSet(SetShape.ball((0.0, 0.0), 0.5),
-                           PathSchedule(kind="line", point=(1.0, 0.0),
-                                        velocity=(0.0, 1.0)))
+        s = TranslatingSet(0.5, PathSchedule(kind="line", point=(1.0, 0.0),
+                                             velocity=(0.0, 1.0)))
         snap = s.snapshot(2.0)
-        assert snap.center == pytest.approx((1.0, 2.0))
-
-    def test_translating_set_refuses_non_ball(self):
-        with pytest.raises(ValueError, match="ball template"):
-            TranslatingSet(SetShape.sector((0.0, 0.0), 0.3, 0.0, 1.0),
-                           PathSchedule(kind="line", point=(1.0, 1.0),
-                                        velocity=(0.02, 0.0)))
+        assert snap == SetShape.ball((1.0, 2.0), 0.5)
 
 
 class TestNuProfile:
@@ -216,18 +209,16 @@ class TestEnvelopes:
         assert i.distance((0.3, 0.0))[0] == 0.0
 
     def test_k_inf_translating_ball(self):
-        s = TranslatingSet(SetShape.ball((0.0, 0.0), 1.0),
-                           PathSchedule(kind="line", point=(0.0, 0.0),
-                                        velocity=(1.0, 0.0)))
+        s = TranslatingSet(1.0, PathSchedule(kind="line", point=(0.0, 0.0),
+                                             velocity=(1.0, 0.0)))
         low = k_inf(s, 0.0, 1.0)
         assert low.kind == "ball"
         # exact intersection radius is 0.5; the sampled surrogate shrinks it
         # by half a sample step (0.01 on a unit interval) at unit speed
         assert low.radius == pytest.approx(0.5 - 0.5 * 0.01, abs=1e-6)
         assert low.radius <= 0.5
-        fast = TranslatingSet(SetShape.ball((0.0, 0.0), 1.0),
-                              PathSchedule(kind="line", point=(0.0, 0.0),
-                                           velocity=(10.0, 0.0)))
+        fast = TranslatingSet(1.0, PathSchedule(kind="line", point=(0.0, 0.0),
+                                                velocity=(10.0, 0.0)))
         assert k_inf(fast, 0.0, 1.0).is_empty
 
     def test_envelope_inclusions_sampled(self):

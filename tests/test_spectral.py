@@ -14,7 +14,7 @@ from degenlog.grid import (MaskedOperator, build_grid, mask_from_shape,
                            mask_within_distance)
 from degenlog import spectral
 from degenlog.spectral import (EigenFailure, Lambda0Estimate, analytic_lambda1,
-                               bessel_j0_first_root, default_delta_schedule,
+                               bessel_j0_first_root, lambda0_deltas,
                                lambda0_of_set, principal_eigenpair,
                                principal_eigenvalue, second_eigenvalue)
 
@@ -113,17 +113,14 @@ class TestComponents:
             if n_comp == 0:
                 continue
             seen.add(min(n_comp, 2))
-            try:
-                parts = [spectral._connected_operator(grid, mask).mask]
-            except spectral._DisconnectedMask as e:
-                parts = e.components
+            parts = [op.mask for op in spectral._components(grid, mask)]
             assert len(parts) == n_comp
             for c, part in enumerate(parts, start=1):
                 assert np.array_equal(part, labels == c)
         assert seen == {1, 2}
 
     def test_strong_components_match_weak(self):
-        # _connected_operator asks for strong components, which scipy finds
+        # _components asks for strong components, which scipy finds
         # faster; on the symmetric pattern they are the weak ones, in order
         grid = build_grid(UNIT_SQ, 64)
         rng = np.random.default_rng(5)
@@ -246,15 +243,14 @@ class TestSymmetricModeFactor:
 
 class TestDeltaSchedule:
     def test_geometric_down_to_resolution(self):
-        deltas = default_delta_schedule(0.2, 0.02)
-        assert deltas[0] == 0.2
-        assert all(b == pytest.approx(0.5 * a)
-                   for a, b in zip(deltas, deltas[1:]))
-        assert deltas[-1] >= 2.0 * 0.02 > deltas[-1] * 0.5
-
-    def test_below_resolution_rejected(self):
-        with pytest.raises(ValueError):
-            default_delta_schedule(0.03, 0.02)
+        # delta0 = max(8h, 0.1): 8h on the coarse grid, 0.1 on the fine one;
+        # halved while it stays at least 2h
+        for n, first in ((16, 0.5), (128, 0.1)):
+            grid = build_grid(UNIT_SQ, n)
+            deltas = lambda0_deltas(grid)
+            assert deltas[0] == first
+            assert all(b == 0.5 * a for a, b in zip(deltas, deltas[1:]))
+            assert deltas[-1] >= 2.0 * grid.h > deltas[-1] * 0.5
 
 
 class TestLambda0:
