@@ -20,9 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from .evolve import EquationParams, SchemeConfig, Trajectory
-from .geometry import (DomainSpec, JumpingSets, NuProfile, PathSchedule,
-                       RadiusBall, RadiusSchedule, RotatingSector, SetShape,
-                       StaticSet, TranslatingSet, validate_inside_domain)
+from .geometry import (DomainSpec, JumpingSets, PathSchedule, RadiusBall,
+                       RadiusSchedule, RotatingSector, SetShape, StaticSet,
+                       TranslatingSet, validate_inside_domain)
 from .grid import build_grid, mask_from_shape, write_pgm
 from .properties import suite_properties
 from .scenarios import (MIN_RECORDS, CrossCheckReport, InitialData,
@@ -134,8 +134,7 @@ _SHAPE = (parse_shape, format_shape)
 _FORMAT = {
     "domain": {"kind": _S, "lo": _FS, "hi": _FS, "center": _FS,
                "radius": _F, "resolution": _I},
-    "equation": {"lam": _F, "rho": _F, "nu_max": _F, "d_ramp": _F,
-                 "n_empty": _F},
+    "equation": {"lam": _F, "rho": _F},
     "kset": {"kind": _S, "center": _FS, "radius": _F, "schedule": _S,
              "omega": _F, "theta0": _F, "theta1": _F, "k0": _SHAPE,
              "k1": _SHAPE, "period": _F, "t1": _F, "path": _S,
@@ -189,7 +188,6 @@ def config_to_scenario(cfg: dict, label: str,
         else:
             raise ValueError(f"unknown domain kind {dkind!r}")
 
-        nu = NuProfile(**eq.given("nu_max", "d_ramp", "n_empty"))
         for sec, key in ((k, "center"), (k, "point"), (k, "velocity"),
                          (k, "path_center"), (i, "center")):
             if key in sec and len(sec[key]) != domain.dim:
@@ -201,7 +199,6 @@ def config_to_scenario(cfg: dict, label: str,
                                  f"{domain.dim}-d domain")
         moving = _kset_from_section(k)
         params = EquationParams(lam=eq["lam"], **eq.given("rho"),
-                                nu=None if moving is None else nu,
                                 moving_set=moving)
         scheme = SchemeConfig(**tm.given("dt"),
                               **o.given("solve_tol", "growth_cap"))
@@ -268,10 +265,6 @@ def scenario_to_config(s: Scenario) -> dict:
         domain = {"kind": "disc", "center": d.center, "radius": d.radius}
     domain["resolution"] = s.resolution
     equation = {"lam": s.params.lam, "rho": s.params.rho}
-    nu = s.params.nu
-    if nu is not None:
-        equation.update(nu_max=nu.nu_max, d_ramp=nu.d_ramp,
-                        n_empty=nu.n_empty)
     kset = _kset_to_values(s.params.moving_set)
     init = s.initial
     if init.kind == "constant":
@@ -465,7 +458,7 @@ def suite_scenarios(jobs: int = 1):
     """Cross-check every registry scenario; rows in registry order."""
     labels = list(registry())
     if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
+        with multiprocessing.Pool(min(jobs, len(labels))) as pool:
             return pool.map(_crosscheck_label, labels)
     return [_crosscheck_label(lb) for lb in labels]
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import MovingSet, NuProfile, evaluate_n
+from .geometry import MovingSet, evaluate_n
 from .grid import Grid, MaskedOperator
 
 __all__ = [
@@ -55,26 +55,23 @@ __all__ = [
 class EquationParams:
     """Growth rate, logistic exponent and the logistic coefficient n(t, x).
 
-    The coefficient is built from the moving set and the nu profile; a None
-    moving set means n is identically zero (purely linear equation).
+    The coefficient is geometry.evaluate_n of the moving set; a None moving
+    set means n is identically zero (purely linear equation).
     """
 
     lam: float
     rho: float = 2.0
-    nu: NuProfile | None = None
     moving_set: MovingSet | None = None
 
     def __post_init__(self):
         if not self.rho > 1.0:
             raise ValueError("logistic exponent rho must exceed 1")
-        if self.moving_set is not None and self.nu is None:
-            raise ValueError("a moving set needs a nu profile")
 
     def n_values(self, t: float, points: np.ndarray) -> np.ndarray:
         """n(t, ·) at points, finite and nonnegative."""
         if self.moving_set is None:
             return np.zeros(len(points))
-        return _checked_n(evaluate_n(self.moving_set, self.nu, t, points))
+        return _checked_n(evaluate_n(self.moving_set, t, points))
 
 
 def _checked_n(vals: np.ndarray) -> np.ndarray:

@@ -3,9 +3,9 @@
 The vanishing set K(t) is described declaratively (static, ball with a radius
 schedule, rotating sector, jumping pair, rigid translation of a ball) and
 realized as a concrete ``SetShape`` snapshot at any time.  The logistic
-coefficient n(t, x) is built from the distance to K(t) through a ``NuProfile``
-so that it vanishes exactly on K(t) and is bounded below by a strictly
-increasing function of the distance elsewhere.
+coefficient n(t, x) = NU_MAX (1 - exp(-d / D_RAMP)) is a fixed formula of the
+distance d to K(t): it vanishes exactly on K(t), increases strictly with the
+distance, and equals its limit NU_MAX wherever K(t) is empty.
 
 All values are immutable after construction; every operation is a pure
 function of its inputs.
@@ -28,7 +28,8 @@ __all__ = [
     "RotatingSector",
     "JumpingSets",
     "TranslatingSet",
-    "NuProfile",
+    "NU_MAX",
+    "D_RAMP",
     "evaluate_n",
     "union_over_interval",
     "k_sup",
@@ -432,37 +433,17 @@ MovingSet = StaticSet | RadiusBall | RotatingSector | JumpingSets | TranslatingS
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NuProfile:
-    """Lower profile for n as a function of distance to K(t).
-
-    The saturating profile nu(d) = nu_max * (1 - exp(-d / d_ramp)), strictly
-    increasing with nu(0) = 0.  ``n_empty`` is the constant value used
-    whenever K(t) is empty.
-    """
-
-    nu_max: float = 1.0
-    d_ramp: float = 0.05
-    n_empty: float = 1.0
-
-    def __post_init__(self):
-        if self.nu_max <= 0 or self.n_empty <= 0:
-            raise ValueError("nu_max and n_empty must be positive")
-        if self.d_ramp <= 0:
-            raise ValueError("saturating profile needs d_ramp > 0")
-
-    def value(self, d):
-        d = np.asarray(d, dtype=float)
-        return self.nu_max * (1.0 - np.exp(-d / self.d_ramp))
+NU_MAX = 1.0    # the limit of n at infinite distance, and n on an empty K(t)
+D_RAMP = 0.05   # the distance over which n rises to 1 - 1/e of NU_MAX
 
 
-def evaluate_n(spec, nu: NuProfile, t: float, x):
+def evaluate_n(spec, t: float, x):
     """Logistic coefficient n(t, x) at a point or an (M, d) batch of points,
     as an (M,) array; zero exactly on K(t)."""
     shape = spec.snapshot(t)
     if shape.is_empty:
-        return np.full(len(_as_points(x)), nu.n_empty)
-    return nu.value(shape.distance(x))
+        return np.full(len(_as_points(x)), NU_MAX)
+    return NU_MAX * (1.0 - np.exp(-shape.distance(x) / D_RAMP))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .evolve import EquationParams, SchemeConfig, run, step
-from .geometry import DomainSpec, NuProfile, SetShape, StaticSet
+from .geometry import NU_MAX, DomainSpec, SetShape, StaticSet
 from .grid import MaskedOperator, build_grid, mask_from_shape
 from .oracles import OdeBoundParams, w_closed_form, w_inf, w_rk4
 from .spectral import (analytic_lambda1, lambda0_of_set, principal_eigenpair,
@@ -130,9 +130,8 @@ def _w_breach(dt: float) -> float:
     """Largest relative excess of simulated sup-norms over the exact
     saturation envelope W when the coefficient has a global floor."""
     grid = build_grid(UNIT_SQ, 16)
-    lam, nu0, rho, w0 = 5.0, 1.0, 2.0, 8.0
+    lam, nu0, rho, w0 = 5.0, NU_MAX, 2.0, 8.0
     params = EquationParams(lam=lam, rho=rho,
-                            nu=NuProfile(n_empty=nu0),
                             moving_set=StaticSet(SetShape.empty()))
     u0 = np.where(grid.mask, w0, 0.0)
     tr = run(grid, params, SchemeConfig(dt=dt, solve_tol=1e-12), u0, 0.0, 1.0)

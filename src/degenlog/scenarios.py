@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry as geo
-from .geometry import (DomainSpec, JumpingSets, NuProfile, RadiusBall,
-                       RotatingSector, SetShape, StaticSet, TranslatingSet,
-                       k_inf, k_sup, shape_gap)
+from .geometry import (DomainSpec, JumpingSets, RadiusBall, RotatingSector,
+                       SetShape, StaticSet, TranslatingSet, k_inf, k_sup,
+                       shape_gap)
 from .evolve import EquationParams, SchemeConfig, Trajectory, check_outputs
 from .evolve import run as evolve_run
 from .grid import Grid, build_grid, mask_from_shape, mask_within_distance
@@ -129,6 +129,11 @@ class Scenario:
         if not self.t_end > self.t0:
             raise ValueError("t_end must exceed t0")
         self.scheme.validate(self.params.lam)
+        steps = (self.t_end - self.t0) / self.scheme.dt
+        if not (math.isfinite(steps)
+                and math.isclose(steps, round(steps), rel_tol=1e-9)):
+            raise ValueError(f"t_end - t0 = {self.t_end - self.t0:g} is not "
+                             f"a whole number of steps dt = {self.scheme.dt:g}")
         check_outputs(self.t0, self.t_end, self.outputs.sample_every,
                       self.outputs.snapshot_times)
         self.predict_plan.check(self.t_end - self.t0)
@@ -328,7 +333,6 @@ def _check_intermittent(s: Scenario) -> TheoremCheck:
     floor everywhere on intervals longer than eta, separated by gaps of
     length at most Xi; bounded for every growth rate."""
     spec = s.params.moving_set
-    nu = s.params.nu
     if not (isinstance(spec, JumpingSets)
             and (spec.k0.is_empty ^ spec.k1.is_empty)):
         return TheoremCheck("intermittent-saturation", False, "none",
@@ -336,7 +340,7 @@ def _check_intermittent(s: Scenario) -> TheoremCheck:
     len0, len1 = _jumping_phases(spec)
     eta = len1 if spec.k1.is_empty else len0
     xi = len0 if spec.k1.is_empty else len1
-    nu0 = nu.n_empty
+    nu0 = geo.NU_MAX
     details = [("eta", eta), ("xi", xi), ("nu0", nu0)]
     if s.params.lam > 0:
         details.append(("w_inf_at_eta",
@@ -579,7 +583,7 @@ def _scn(label, moving_set, lam, t_end, *, scheme=SchemeConfig(),
     t0 = 0, with the defaults of every dataclass it does not pass."""
     return Scenario(
         label=label, domain=_SQ, resolution=64,
-        params=EquationParams(lam=lam, nu=NuProfile(), moving_set=moving_set),
+        params=EquationParams(lam=lam, moving_set=moving_set),
         scheme=scheme, t0=0.0, t_end=t_end, initial=initial,
         outputs=outputs, predict_plan=plan, expected_status=expected)
 

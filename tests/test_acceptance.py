@@ -8,7 +8,7 @@ import scipy.ndimage as ndi
 
 from degenlog.cli import render_suite, scenario_row, suite_report
 from degenlog.evolve import EquationParams, SchemeConfig, run, step
-from degenlog.geometry import DomainSpec, NuProfile, SetShape, StaticSet
+from degenlog.geometry import DomainSpec, SetShape, StaticSet
 from degenlog.grid import MaskedOperator, build_grid
 from degenlog.oracles import TauInputs, tau_unbounded
 from degenlog.scenarios import InitialData, Scenario, scenario_grid
@@ -279,8 +279,7 @@ def test_criterion_12_nested_alternation(cache):
 def test_criterion_13_hopf_and_data_independence():
     dom = DomainSpec.rectangle((0.0, 0.0), (1.0, 1.0))
     grid = build_grid(dom, 32)
-    nu = NuProfile(nu_max=1.0, d_ramp=0.05, n_empty=1.0)
-    params = EquationParams(lam=10.0, rho=2.0, nu=nu,
+    params = EquationParams(lam=10.0, rho=2.0,
                             moving_set=StaticSet(SetShape.ball((0.5, 0.5),
                                                                0.2)))
     # start from a bump vanishing near the boundary so interior positivity

@@ -18,7 +18,7 @@ from degenlog.cli import (CliError, config_to_scenario, emit_scenario_ini,
                           parse_domain, parse_scenario_file, parse_shape,
                           resolve_scenario, scenario_to_config)
 from degenlog.evolve import EquationParams, SchemeConfig, Trajectory
-from degenlog.geometry import NuProfile, SetShape, StaticSet
+from degenlog.geometry import SetShape, StaticSet
 from degenlog.scenarios import OutputPlan, predict, registry, scenario_grid
 
 TINY_INI = """\
@@ -31,9 +31,6 @@ resolution = 16
 [equation]
 lam = 2.0
 rho = 2.0
-nu_max = 1.0
-d_ramp = 0.05
-n_empty = 1.0
 
 [kset]
 kind = static-ball
@@ -92,38 +89,40 @@ SCENARIO_FILES = {
         "kind = static-ball\ncenter = 0.5,0.5\nradius = 0.2",
         "kind = translating-ball\ncenter = 0.0,0.0\nradius = 0.2\n"
         "path = line\npoint = 0.5,0.5\nvelocity = 0.1,0.0"),
+    # the shape of n(t, x) off K(t) is fixed, not a scenario input
+    "ramp.ini": TINY_INI.replace("rho = 2.0", "rho = 2.0\nd_ramp = 0.1"),
 }
 
 
 REGISTRY_INI_SHA256 = {
     "trichotomy-low":
-        "aaab33dc0d291e4c8193846e12c5f89de32310ac6a81755add1c460da1c9b2e1",
+        "529d62d239239e19e9f1881411789ca75d5ddff3b19dbb4279555bcd5153154b",
     "trichotomy-mid":
-        "4dec4a6a4fa07cd44f605f2e0bcb5ed068de8c7253b0d7d0bc3f82c2f29522e1",
+        "53b7090e4630d27a9e0e9e0a64e869e46a645a833f13e661ee14df7dc069eed2",
     "trichotomy-high":
-        "8990bca123d597ba03819d8a475451de0f3559656a566829e2cd59827219579d",
+        "c664dca44a0fc0c195917fc5e2aa2edb8f3e0513c912a9fee3189ffe292e6bc3",
     "shrink-case1":
-        "e9d4eaac5944d4a36450fd4a617450da2bc419aeb58d9ac580b92a91e4025060",
+        "f87eaaab1265d9890446e0606eaf9b628aefe554871b72dcfbe03053418ead4d",
     "shrink-case2":
-        "872288ae97c8b01752d246164926870f26756ca7ca3b3cfb888266beb9f74698",
+        "a16f3b8cde512b25df58ee48412d60f73fb1f9ed5ee5596746e0f4e63bd04e4d",
     "shrink-case3":
-        "33d85186e713b7c64b880eb799150dd73c0b17297693c6b7f39655cb1f555fd6",
+        "7b0e507c11b4ad5827c15e263f5e5c4af4a9ea8713109afa01c1d7b674fed439",
     "rotating-slow":
-        "8ad6579ed5391bbb1085e5e1f343b93d59a6594320cc7f85656d73647d4320ae",
+        "84bc090586204742b11880f4087c1871c904e0f71ae0990f7b50393bed329a81",
     "rotating-fast":
-        "ae6191b846df8123fcf5eca78b5fb0f0da8c9a8a406cd447166e91f14b4eb247",
+        "e9953eb1192512986228fa3cfcc1768a21add2e05eab3ee59c3581a3d6f9764a",
     "jumping-disjoint":
-        "2344b7b2f45242adc38de9ad1fb37b2c8bc613df0345d59800896a65f684f9b6",
+        "2f12ce3d5e6a16b475779b3ac68cb0893aefeed94bb2e2a4f7829d5357fc1697",
     "jumping-control":
-        "6ea0f19146f9194358027c2c16d31d5b284aa2c2f7a59b5ce082d2f8ebcc24d0",
+        "1e338240a4f53f7d29b10ebc5271906b470d84c7420e7710da2da9c0bbf938cb",
     "translating-slow":
-        "521c80f34ab16c8b584cbdb6ba13603d59d807f7f74adcacf141793d5af87c22",
+        "813e3c26bcf2eb19a99397ea04e2632ab018c0612b5aed152783cdd99cf71fb3",
     "carried-growth":
-        "1221131c8fc13f1e48086ca3e6ffadacf245c59ae5a137bde65015ef06df32e9",
+        "4f15976b3fc8a5719bb4a9984bf421f544ab2091061ed3662c3f9e47b358df97",
     "intermittent":
-        "45de5d4c759d7a43f1979c0e50a8693dd4ff1a32e546a4047935017176c2c088",
+        "f5cd1d690026ce667c02c30178becdb0ef5289c2e325f03fc1006f378998fedf",
     "alternating-nested":
-        "a100c2e948e6bce96eb93f298cf278afe19c4579e693bd56612c4b046b628383",
+        "520007f1b38d84bdd087c3b91b16ce0ad8ece27bc7b7218f94ff492229553ba9",
 }
 
 
@@ -181,13 +180,12 @@ class TestScenarioFiles:
             "kset": {"kind": "static-ball", "center": "0.5,0.5",
                      "radius": "0.2"},
             "time": {"t_end": "0.3"}}, "defaults")
-        assert s.params == EquationParams(lam=2.0, nu=NuProfile(),
+        assert s.params == EquationParams(lam=2.0,
                                           moving_set=s.params.moving_set)
         assert s.scheme == SchemeConfig()
         assert s.outputs == OutputPlan()
-        assert (s.params.rho, s.params.nu.d_ramp, s.scheme.dt,
-                s.scheme.growth_cap, s.outputs.sample_every) == \
-            (2.0, 0.05, 0.002, 1e5, 10)
+        assert (s.params.rho, s.scheme.dt, s.scheme.growth_cap,
+                s.outputs.sample_every) == (2.0, 0.002, 1e5, 10)
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "bad.ini"
@@ -414,13 +412,18 @@ class TestCommands:
          "trichotomy-mid: the scenario does not use [domain] radius"),
         (["predict", "trichotomy-mid", "--set", "kset.kind=none",
           "--set", "equation.nu_max=2"],
-         "trichotomy-mid: the scenario does not use [equation] nu_max"),
+         "trichotomy-mid: unknown key 'nu_max' in section [equation]"),
         (["predict", "old-translating.ini"],
          "old-translating: the scenario does not use [kset] center"),
         (["predict", "circle1d.ini"],
          "circle1d: invalid scenario: moving set is 2-d in a 1-d domain"),
         (["predict", "sector1d.ini"],
-         "sector1d: invalid scenario: moving set is 2-d in a 1-d domain")])
+         "sector1d: invalid scenario: moving set is 2-d in a 1-d domain"),
+        (["predict", "ramp.ini"], "ramp: unknown key 'd_ramp' in section "
+                                  "[equation]"),
+        (["predict", "trichotomy-mid", "--set", "time.t_end=0.3011"],
+         "trichotomy-mid: invalid scenario: t_end - t0 = 0.3011 is not a "
+         "whole number of steps dt = 0.002")])
     def test_scenario_refused(self, argv, error, tmp_path, monkeypatch,
                               capsys):
         monkeypatch.chdir(tmp_path)
@@ -520,6 +523,27 @@ class TestCommands:
     def test_jobs_below_one(self, capsys):
         assert main(["suite", "properties", "--jobs", "0"]) == 2
         assert "error: --jobs must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs, processes", [(3, 3), (64, 14)])
+    def test_jobs_capped_at_labels(self, jobs, processes, monkeypatch):
+        started = []
+
+        class Pool:     # records its size and starts no process
+            def __init__(self, n):
+                started.append(n)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, labels):
+                return []
+
+        monkeypatch.setattr(cli.multiprocessing, "Pool", Pool)
+        assert cli.suite_scenarios(jobs) == []
+        assert started == [processes]
 
     def test_failing_property_exits_1(self, properties, tmp_path,
                                       monkeypatch, capsys):

@@ -9,7 +9,7 @@ import pytest
 
 from degenlog import evolve
 from degenlog.cli import emit_trajectory_csv, resolve_scenario
-from degenlog.geometry import DomainSpec, NuProfile, SetShape, StaticSet
+from degenlog.geometry import DomainSpec, SetShape, StaticSet
 from degenlog.grid import MaskedOperator, build_grid
 from degenlog.evolve import (EquationParams, SchemeConfig, Trajectory, run,
                              step)
@@ -46,15 +46,12 @@ class TestValidation:
     def test_equation_params(self):
         with pytest.raises(ValueError):
             EquationParams(lam=1.0, rho=1.0)
-        with pytest.raises(ValueError):
-            EquationParams(lam=1.0, rho=2.0,
-                           moving_set=StaticSet(SetShape.ball((0.5, 0.5), 0.1)))
 
     @staticmethod
     def _n_values_of(value, monkeypatch):
         monkeypatch.setattr(evolve, "evaluate_n",
-                            lambda spec, nu, t, p: np.full(len(p), value))
-        params = EquationParams(lam=1.0, rho=2.0, nu=NuProfile(),
+                            lambda spec, t, p: np.full(len(p), value))
+        params = EquationParams(lam=1.0, rho=2.0,
                                 moving_set=StaticSet(SetShape.empty()))
         return params.n_values(0.0, np.zeros((3, 2)))
 

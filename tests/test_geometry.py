@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from degenlog import geometry, scenarios
-from degenlog.geometry import (DomainSpec, JumpingSets, NuProfile,
+from degenlog.geometry import (D_RAMP, NU_MAX, DomainSpec, JumpingSets,
                                PathSchedule, RadiusBall, RadiusSchedule,
                                RotatingSector, SetShape, StaticSet,
                                TranslatingSet, _sample_step, _sample_times,
@@ -153,26 +153,27 @@ class TestMovingSets:
 
 
 class TestNuProfile:
+    """n(t, x) = NU_MAX (1 - exp(-d / D_RAMP)) of the distance d to K(t)."""
+
     def test_saturating_vanishes_only_on_set(self):
-        nu = NuProfile(nu_max=2.0, d_ramp=0.1)
-        assert nu.value(0.0) == 0.0
-        vals = nu.value(np.array([0.01, 0.1, 1.0]))
-        assert np.all(np.diff(vals) > 0)            # strictly increasing
-        assert vals[-1] < 2.0
+        spec = StaticSet(SetShape.ball((0.0, 0.0), 0.5))
+        xs = (0.0, 0.2, 0.5, 0.5001, 0.51, 0.6, 1.5)
+        n = evaluate_n(spec, 0.0, [(x, 0.0) for x in xs])
+        assert n[:3].tolist() == [0.0, 0.0, 0.0]    # on K(t), edge included
+        assert np.all(np.diff(n[2:]) > 0)           # strictly increasing
+        assert n[-1] < NU_MAX
 
     def test_evaluate_n(self):
         spec = StaticSet(SetShape.ball((0.0, 0.0), 0.5))
-        nu = NuProfile(nu_max=1.0, d_ramp=0.1, n_empty=3.0)
-        n = evaluate_n(spec, nu, 0.0, [(0.2, 0.0), (1.0, 0.0)])
-        assert n.shape == (2,) and n[0] == 0.0 and n[1] > 0.0
-        assert evaluate_n(spec, nu, 0.0, (0.2, 0.0)).tolist() == [0.0]
+        n = evaluate_n(spec, 0.0, [(0.2, 0.0), (1.0, 0.0)])
+        assert n.shape == (2,) and n[0] == 0.0
+        assert n[1] == pytest.approx(NU_MAX * (1.0 - math.exp(-0.5 / D_RAMP)),
+                                     rel=1e-15)
+        assert evaluate_n(spec, 0.0, (0.2, 0.0)).tolist() == [0.0]
         empty = JumpingSets(SetShape.ball((0, 0), 0.5), SetShape.empty(),
                             period=1.0, t1=0.5)
-        assert evaluate_n(empty, nu, 0.75, (0.0, 0.0)).tolist() == [3.0]
-
-    def test_invalid_profiles(self):
-        with pytest.raises(ValueError):
-            NuProfile(nu_max=-1.0)
+        assert evaluate_n(empty, 0.75, [(0.0, 0.0), (0.3, 0.4)]).tolist() \
+            == [NU_MAX, NU_MAX]
 
 
 class TestEnvelopes:

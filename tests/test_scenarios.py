@@ -5,7 +5,7 @@ import pytest
 
 from degenlog import scenarios
 from degenlog.evolve import EquationParams, SchemeConfig, Trajectory
-from degenlog.geometry import DomainSpec, NuProfile, SetShape, StaticSet
+from degenlog.geometry import DomainSpec, SetShape, StaticSet
 from degenlog.scenarios import (InitialData, OutputPlan, REGISTRY_LABELS,
                                 Scenario, classify, cross_check, predict,
                                 realize_initial, registry, run_scenario,
@@ -13,7 +13,6 @@ from degenlog.scenarios import (InitialData, OutputPlan, REGISTRY_LABELS,
 from degenlog.spectral import lambda0_of_set
 
 DOM = DomainSpec.rectangle((0.0, 0.0), (2.0, 2.0))
-NU = NuProfile(nu_max=1.0, d_ramp=0.05, n_empty=1.0)
 
 
 def _scenario(**kw):
@@ -21,7 +20,7 @@ def _scenario(**kw):
         label="t",
         domain=DOM,
         resolution=16,
-        params=EquationParams(lam=5.0, rho=2.0, nu=NU,
+        params=EquationParams(lam=5.0, rho=2.0,
                               moving_set=StaticSet(SetShape.ball((1, 1), 0.3))),
         scheme=SchemeConfig(dt=2e-3),
         t0=0.0,
@@ -80,6 +79,11 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             _scenario(t0=2.0, t_end=1.0)
 
+    def test_horizon_is_whole_number_of_steps(self):
+        with pytest.raises(ValueError, match="whole number of steps"):
+            _scenario(t_end=1.0011)                 # 500.55 steps of 2e-3
+        assert _scenario(t0=0.1, t_end=0.3).t_end == 0.3    # 100 up to ulps
+
     @pytest.mark.parametrize("plan, error", [
         (OutputPlan(snapshot_times=(-1.0,)), "outside"),
         (OutputPlan(snapshot_times=(0.0, 99.0)), "outside"),
@@ -95,7 +99,7 @@ class TestScenarioValidation:
 
     def test_moving_set_must_stay_inside_domain(self):
         s = _scenario(params=EquationParams(
-            lam=5.0, rho=2.0, nu=NU,
+            lam=5.0, rho=2.0,
             moving_set=StaticSet(SetShape.ball((0.1, 0.1), 0.3))))
         with pytest.raises(ValueError):
             run_scenario(s)
@@ -167,7 +171,7 @@ class TestRegistry:
 class TestPredictAndCrossCheck:
     def test_static_ball_below_threshold_predicts_bounded(self):
         s = _scenario(params=EquationParams(
-            lam=6.0, rho=2.0, nu=NU,
+            lam=6.0, rho=2.0,
             moving_set=StaticSet(SetShape.ball((1.0, 1.0), 0.3))),
             resolution=64, t_end=2.0)
         checks = predict(s)
@@ -177,7 +181,7 @@ class TestPredictAndCrossCheck:
 
     def test_static_ball_above_threshold_predicts_grow_up(self):
         s = _scenario(params=EquationParams(
-            lam=80.0, rho=2.0, nu=NU,
+            lam=80.0, rho=2.0,
             moving_set=StaticSet(SetShape.ball((1.0, 1.0), 0.3))),
             scheme=SchemeConfig(dt=2e-3, growth_cap=1e4),
             resolution=64, t_end=2.0)
@@ -188,7 +192,7 @@ class TestPredictAndCrossCheck:
 
     def test_cross_check_consistency_from_synthetic_verdict(self):
         s = _scenario(params=EquationParams(
-            lam=6.0, rho=2.0, nu=NU,
+            lam=6.0, rho=2.0,
             moving_set=StaticSet(SetShape.ball((1.0, 1.0), 0.3))),
             resolution=64, t_end=2.0)
         grid = scenario_grid(s)
