@@ -130,23 +130,20 @@ _I = (int, str)
 _S = (str, str)
 _SHAPE = (parse_shape, format_shape)
 
-#: section -> key -> (parse, format); sections are emitted in this order.
-_FORMAT = {
-    "domain": {"kind": _S, "lo": _FS, "hi": _FS, "center": _FS,
-               "radius": _F, "resolution": _I},
-    "equation": {"lam": _F, "rho": _F},
-    "kset": {"kind": _S, "center": _FS, "radius": _F, "schedule": _S,
-             "omega": _F, "theta0": _F, "theta1": _F, "k0": _SHAPE,
-             "k1": _SHAPE, "period": _F, "t1": _F, "path": _S,
-             "point": _FS, "velocity": _FS, "path_center": _FS,
-             "path_radius": _F, "phase": _F},
-    "time": {"t0": _F, "t_end": _F, "dt": _F},
-    "initial": {"kind": _S, "value": _F, "center": _FS, "radius": _F,
-                "height": _F},
-    "output": {"sample_every": _I, "growth_cap": _F, "solve_tol": _F,
-               "snapshot_times": _FS},
-    "predict": {"tau0_list": _FS, "gamma": _F, "carry_window": _F},
+#: key -> (parse, format), alike in every section that reads the key
+_KEYS = {
+    "kind": _S, "lo": _FS, "hi": _FS, "center": _FS, "radius": _F,
+    "resolution": _I, "lam": _F, "schedule": _S, "omega": _F, "theta0": _F,
+    "theta1": _F, "k0": _SHAPE, "k1": _SHAPE, "period": _F, "t1": _F,
+    "path": _S, "point": _FS, "velocity": _FS, "path_center": _FS,
+    "path_radius": _F, "phase": _F, "t0": _F, "t_end": _F, "dt": _F,
+    "value": _F, "height": _F, "sample_every": _I, "growth_cap": _F,
+    "solve_tol": _F, "snapshot_times": _FS, "tau0_list": _FS, "gamma": _F,
+    "carry_window": _F,
 }
+#: the sections, in emission order
+_SECTIONS = ("domain", "equation", "kset", "time", "initial", "output",
+             "predict")
 
 
 class _Section(dict):
@@ -166,20 +163,17 @@ class _Section(dict):
 
 
 def config_to_scenario(cfg: dict, label: str,
-                       expected_status: str = "CONSISTENT") -> Scenario:
-    """Build a scenario from a section->key->string mapping."""
-    for section, keys in cfg.items():
-        if section not in _FORMAT:
-            raise CliError(f"{label}: unknown section [{section}]")
-        for key in keys:
-            if key not in _FORMAT[section]:
-                raise CliError(
-                    f"{label}: unknown key {key!r} in section [{section}]")
+                       expected_status: str = "CONSISTENT",
+                       checked: dict | None = None) -> Scenario:
+    """Build a scenario from a section->key->string mapping, and refuse
+    every key of checked (default: all of cfg) that the scenario does not
+    use, i.e. that its emission leaves out; snapshot_times counts as used."""
     try:
         d, eq, k, tm, i, o, pr = (
-            _Section(sec, {key: _FORMAT[sec][key][0](v)
-                           for key, v in cfg.get(sec, {}).items()})
-            for sec in _FORMAT)
+            _Section(sec, {key: _KEYS[key][0](v)
+                           for key, v in cfg.get(sec, {}).items()
+                           if key in _KEYS})
+            for sec in _SECTIONS)
         dkind = d.get("kind", "rectangle")
         if dkind == "rectangle":
             domain = DomainSpec.rectangle(d["lo"], d["hi"])
@@ -198,8 +192,7 @@ def config_to_scenario(cfg: dict, label: str,
                 raise ValueError(f"[kset] {key} is {k[key].dim}-d in a "
                                  f"{domain.dim}-d domain")
         moving = _kset_from_section(k)
-        params = EquationParams(lam=eq["lam"], **eq.given("rho"),
-                                moving_set=moving)
+        params = EquationParams(lam=eq["lam"], moving_set=moving)
         scheme = SchemeConfig(**tm.given("dt"),
                               **o.given("solve_tol", "growth_cap"))
 
@@ -218,13 +211,22 @@ def config_to_scenario(cfg: dict, label: str,
                      resolution=d.get("resolution", 64), params=params,
                      scheme=scheme, t0=tm.get("t0", 0.0), t_end=tm["t_end"],
                      initial=initial, outputs=outputs,
-                     predict_plan=PredictPlan(**pr),
+                     predict_plan=PredictPlan(**pr.given(
+                         "tau0_list", "gamma", "carry_window")),
                      expected_status=expected_status)
         if moving is not None:
             validate_inside_domain(moving, domain, s.t0, s.t_end)
-        return s
     except ValueError as e:
         raise CliError(f"{label}: invalid scenario: {e}") from e
+    used = scenario_to_config(s)
+    used["output"]["snapshot_times"] = ""    # used also when empty
+    unused = [f"[{sec}] {key}"
+              for sec, keys in (cfg if checked is None else checked).items()
+              for key in keys if key not in used.get(sec, {})]
+    if unused:
+        raise CliError(f"{label}: the scenario does not use "
+                       + ", ".join(unused))
+    return s
 
 
 def _kset_from_section(k: _Section):
@@ -264,7 +266,7 @@ def scenario_to_config(s: Scenario) -> dict:
     else:
         domain = {"kind": "disc", "center": d.center, "radius": d.radius}
     domain["resolution"] = s.resolution
-    equation = {"lam": s.params.lam, "rho": s.params.rho}
+    equation = {"lam": s.params.lam}
     kset = _kset_to_values(s.params.moving_set)
     init = s.initial
     if init.kind == "constant":
@@ -279,12 +281,14 @@ def scenario_to_config(s: Scenario) -> dict:
               "solve_tol": s.scheme.solve_tol}
     if s.outputs.snapshot_times:
         output["snapshot_times"] = s.outputs.snapshot_times
+    plan = {key: v for key, v in vars(s.predict_plan).items()
+            if v is not None}
+    if not isinstance(s.params.moving_set, TranslatingSet):
+        plan.pop("carry_window", None)   # read for a translating set only
     values = {"domain": domain, "equation": equation, "kset": kset,
               "time": {"t0": s.t0, "t_end": s.t_end, "dt": s.scheme.dt},
-              "initial": initial, "output": output,
-              "predict": {key: v for key, v in vars(s.predict_plan).items()
-                          if v is not None}}
-    return {sec: {key: _FORMAT[sec][key][1](v) for key, v in body.items()}
+              "initial": initial, "output": output, "predict": plan}
+    return {sec: {key: _KEYS[key][1](v) for key, v in body.items()}
             for sec, body in values.items()}
 
 
@@ -297,9 +301,10 @@ def _kset_to_values(spec) -> dict:
         return {"kind": "static-ball", "center": spec.base.center,
                 "radius": spec.base.radius}
     if isinstance(spec, RadiusBall):
+        sch = spec.schedule
+        omega = {"omega": sch.omega} if sch.kind == "oscillating" else {}
         return {"kind": "radius-ball", "center": spec.center,
-                "radius": spec.schedule.r0, "schedule": spec.schedule.kind,
-                "omega": spec.schedule.omega}
+                "radius": sch.r0, "schedule": sch.kind, **omega}
     if isinstance(spec, RotatingSector):
         return {"kind": "rotating-sector", "center": spec.center,
                 "radius": spec.r0, "theta0": spec.theta0,
@@ -324,7 +329,7 @@ def _kset_to_values(spec) -> dict:
 def emit_scenario_ini(s: Scenario) -> str:
     cfg = scenario_to_config(s)
     lines = []
-    for section in _FORMAT:
+    for section in _SECTIONS:
         lines.append(f"[{section}]")
         lines.extend(f"{k} = {v}" for k, v in cfg[section].items())
         lines.append("")
@@ -344,20 +349,7 @@ def parse_scenario_file(path, overrides=None) -> Scenario:
         raise CliError(f"{path}: syntax error: {e}") from e
     cfg = _apply_overrides({sec: dict(parser.items(sec))
                             for sec in parser.sections()}, overrides)
-    return _used_only(config_to_scenario(cfg, path.stem), cfg)
-
-
-def _used_only(s: Scenario, given: dict) -> Scenario:
-    """s, unless the section->key mapping given holds keys that s does not
-    use: keys its emission leaves out, an empty snapshot_times aside."""
-    used = {(sec, key) for sec, body in scenario_to_config(s).items()
-            for key in body} | {("output", "snapshot_times")}
-    unused = [f"[{sec}] {key}" for sec, keys in given.items() for key in keys
-              if (sec, key) not in used]
-    if unused:
-        raise CliError(f"{s.label}: the scenario does not use "
-                       + ", ".join(unused))
-    return s
+    return config_to_scenario(cfg, path.stem)
 
 
 def _apply_overrides(cfg: dict, overrides) -> dict:
@@ -379,10 +371,8 @@ def resolve_scenario(ref: str, overrides=None) -> Scenario:
         base = reg[ref]
         # only the --set keys are checked, so that one may switch a kind
         cfg = _apply_overrides(scenario_to_config(base), overrides)
-        return _used_only(
-            config_to_scenario(cfg, base.label,
-                               expected_status=base.expected_status),
-            _apply_overrides({}, overrides))
+        return config_to_scenario(cfg, base.label, base.expected_status,
+                                  checked=_apply_overrides({}, overrides))
     if Path(ref).is_file():
         return parse_scenario_file(ref, overrides)
     raise CliError(f"unknown scenario label or missing file: {ref!r} "

@@ -5,12 +5,13 @@ One step solves
     (I + dt (-Lap_h) + dt diag(n(t_{k+1}, x) u_k^{rho-1})) u_{k+1}
         = (1 + dt lam) u_k,
 
-i.e. diffusion implicit, the logistic power lagged so the reaction enters as
-a nonnegative diagonal, and the linear growth explicit in the right-hand-side
-multiplier.  The system matrix is an M-matrix, so the scheme preserves
-nonnegativity and nodewise comparison (in initial data, in the coefficient n,
-and under domain inclusion) — the structural properties the continuous
-comparison arguments rest on — at first-order accuracy in dt.
+with the logistic exponent rho = RHO = 2: diffusion implicit, the logistic
+power lagged so the reaction enters as a nonnegative diagonal, and the linear
+growth explicit in the right-hand-side multiplier.  The system matrix is an
+M-matrix, so the scheme preserves nonnegativity and nodewise comparison (in
+initial data, in the coefficient n, and under domain inclusion) — the
+structural properties the continuous comparison arguments rest on — at
+first-order accuracy in dt.
 
 The state is the packed vector of u on the operator's mask (MaskedOperator
 order); run() keeps it packed from the first step to the last and extends
@@ -42,6 +43,7 @@ from .geometry import MovingSet, evaluate_n
 from .grid import Grid, MaskedOperator
 
 __all__ = [
+    "RHO",
     "EquationParams",
     "SchemeConfig",
     "Trajectory",
@@ -50,22 +52,19 @@ __all__ = [
     "run",
 ]
 
+RHO = 2.0    # the logistic exponent rho
+
 
 @dataclass(frozen=True)
 class EquationParams:
-    """Growth rate, logistic exponent and the logistic coefficient n(t, x).
+    """Growth rate and the logistic coefficient n(t, x).
 
     The coefficient is geometry.evaluate_n of the moving set; a None moving
     set means n is identically zero (purely linear equation).
     """
 
     lam: float
-    rho: float = 2.0
     moving_set: MovingSet | None = None
-
-    def __post_init__(self):
-        if not self.rho > 1.0:
-            raise ValueError("logistic exponent rho must exceed 1")
 
     def n_values(self, t: float, points: np.ndarray) -> np.ndarray:
         """n(t, ·) at points, finite and nonnegative."""
@@ -135,7 +134,7 @@ def step(u: np.ndarray, n_next: np.ndarray, params: EquationParams,
     x0 is the iterate the solve starts from (default u).  It changes only
     how many iterations the solve takes: the solution meets solve_tol from
     any start."""
-    c = cfg.dt * n_next * np.power(u, params.rho - 1.0)
+    c = cfg.dt * n_next * u     # n u^(RHO - 1)
     rhs = (1.0 + cfg.dt * params.lam) * u
     sol = op.solve_spd(rhs, cfg.dt, c, tol=cfg.solve_tol,
                        x0=u if x0 is None else x0)

@@ -341,6 +341,10 @@ class PathSchedule:
     phase: float = 0.0
     velocity: tuple = ()
 
+    def __post_init__(self):
+        if self.kind == "line" and len(self.point) != len(self.velocity):
+            raise ValueError("line path: point and velocity dimensions differ")
+
     def position(self, t: float) -> np.ndarray:
         if self.kind == "circle":
             a = self.omega * t + self.phase

@@ -47,7 +47,7 @@ class Grid:
     h: float
     origin: tuple          # lattice corner (node i has coords origin + (i+1) h)
     shape: tuple           # node counts per axis
-    mask: np.ndarray       # boolean, True on interior nodes
+    mask: np.ndarray       # read-only bool, True on interior nodes
 
     @property
     def dim(self) -> int:
@@ -100,6 +100,7 @@ def build_grid(domain: DomainSpec, n: int) -> Grid:
     mask = domain.contains(pts).reshape(shape)
     if not mask.any():
         raise ValueError("degenerate domain: no interior nodes")
+    mask.flags.writeable = False   # so that callers may share one grid
     object.__setattr__(grid, "mask", mask)
     return grid
 

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .evolve import EquationParams, SchemeConfig, run, step
+from .evolve import RHO, EquationParams, SchemeConfig, run, step
 from .geometry import NU_MAX, DomainSpec, SetShape, StaticSet
 from .grid import MaskedOperator, build_grid, mask_from_shape
 from .oracles import OdeBoundParams, w_closed_form, w_inf, w_rk4
@@ -67,7 +67,7 @@ def comparison_rows():
     grid = build_grid(UNIT_SQ, 16)
     op = MaskedOperator(grid)
     cfg = SchemeConfig(dt=1e-3, solve_tol=1e-12)
-    params = EquationParams(lam=5.0, rho=2.0)
+    params = EquationParams(lam=5.0)
     rng = np.random.default_rng(100)
 
     def draw(hi):
@@ -117,7 +117,7 @@ def linear_bound_rows():
         dt = rng.uniform(5e-4, 1e-3)
         t_end = rng.uniform(0.2, 0.4)
         u0 = np.where(grid.mask, rng.uniform(0.0, 1.0, grid.shape), 0.0)
-        tr = run(grid, EquationParams(lam=lam, rho=2.0),
+        tr = run(grid, EquationParams(lam=lam),
                  SchemeConfig(dt=dt, solve_tol=1e-12), u0, 0.0, t_end)
         sup0 = tr.sup_norms[0]
         for t, s in zip(tr.times[1:], tr.sup_norms[1:]):
@@ -130,12 +130,11 @@ def _w_breach(dt: float) -> float:
     """Largest relative excess of simulated sup-norms over the exact
     saturation envelope W when the coefficient has a global floor."""
     grid = build_grid(UNIT_SQ, 16)
-    lam, nu0, rho, w0 = 5.0, NU_MAX, 2.0, 8.0
-    params = EquationParams(lam=lam, rho=rho,
-                            moving_set=StaticSet(SetShape.empty()))
+    lam, nu0, w0 = 5.0, NU_MAX, 8.0
+    params = EquationParams(lam=lam, moving_set=StaticSet(SetShape.empty()))
     u0 = np.where(grid.mask, w0, 0.0)
     tr = run(grid, params, SchemeConfig(dt=dt, solve_tol=1e-12), u0, 0.0, 1.0)
-    p = OdeBoundParams(lam=lam, nu0=nu0, rho=rho, w0=w0)
+    p = OdeBoundParams(lam=lam, nu0=nu0, rho=RHO, w0=w0)
     breach = 0.0
     for t, s in zip(tr.times[1:], tr.sup_norms[1:]):
         w = w_closed_form(p, t)

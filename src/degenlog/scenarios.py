@@ -20,8 +20,8 @@ from . import geometry as geo
 from .geometry import (DomainSpec, JumpingSets, RadiusBall, RotatingSector,
                        SetShape, StaticSet, TranslatingSet, k_inf, k_sup,
                        shape_gap)
-from .evolve import EquationParams, SchemeConfig, Trajectory, check_outputs
-from .evolve import run as evolve_run
+from .evolve import (RHO, EquationParams, SchemeConfig, Trajectory,
+                     check_outputs, run as evolve_run)
 from .grid import Grid, build_grid, mask_from_shape, mask_within_distance
 from .oracles import TauInputs, tau_unbounded, w_inf
 from .spectral import (lambda0_deltas, lambda0_of_set, principal_eigenpair,
@@ -150,6 +150,8 @@ def realize_initial(s: Scenario, grid: Grid) -> np.ndarray:
         return np.where(grid.mask, init.value, 0.0)
     if init.kind == "bump":
         c = np.array(init.center)
+        if c.size != grid.dim:
+            raise ValueError(f"bump centre: {c.size}-d in a {grid.dim}-d grid")
 
         def f(pts):
             q = 1.0 - (np.linalg.norm(pts - c, axis=1) / init.radius) ** 2
@@ -344,7 +346,7 @@ def _check_intermittent(s: Scenario) -> TheoremCheck:
     details = [("eta", eta), ("xi", xi), ("nu0", nu0)]
     if s.params.lam > 0:
         details.append(("w_inf_at_eta",
-                        w_inf(s.params.lam, nu0, s.params.rho, eta)))
+                        w_inf(s.params.lam, nu0, RHO, eta)))
     return TheoremCheck("intermittent-saturation", True, "bounded",
                         tuple(details))
 

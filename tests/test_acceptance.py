@@ -87,7 +87,7 @@ def test_criterion_06_boundary_blow_up():
     # under the radial profile at every recorded time
     prof = z_radial(a=a, lam=5.0, beta=1.0, rho=2.0, dim=2)
     grid = build_grid(DomainSpec.disc((0.0, 0.0), a), 128)
-    params = EquationParams(lam=5.0, rho=2.0)
+    params = EquationParams(lam=5.0)
     op = MaskedOperator(grid)
     ceiling = prof.at(np.linalg.norm(op.points, axis=1))
     t, u, ones = 0.0, np.full(op.n, 20.0), np.ones(op.n)
@@ -279,7 +279,7 @@ def test_criterion_12_nested_alternation(cache):
 def test_criterion_13_hopf_and_data_independence():
     dom = DomainSpec.rectangle((0.0, 0.0), (1.0, 1.0))
     grid = build_grid(dom, 32)
-    params = EquationParams(lam=10.0, rho=2.0,
+    params = EquationParams(lam=10.0,
                             moving_set=StaticSet(SetShape.ball((0.5, 0.5),
                                                                0.2)))
     # start from a bump vanishing near the boundary so interior positivity

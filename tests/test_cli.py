@@ -30,7 +30,6 @@ resolution = 16
 
 [equation]
 lam = 2.0
-rho = 2.0
 
 [kset]
 kind = static-ball
@@ -90,39 +89,43 @@ SCENARIO_FILES = {
         "kind = translating-ball\ncenter = 0.0,0.0\nradius = 0.2\n"
         "path = line\npoint = 0.5,0.5\nvelocity = 0.1,0.0"),
     # the shape of n(t, x) off K(t) is fixed, not a scenario input
-    "ramp.ini": TINY_INI.replace("rho = 2.0", "rho = 2.0\nd_ramp = 0.1"),
+    "ramp.ini": TINY_INI.replace("lam = 2.0", "lam = 2.0\nd_ramp = 0.1"),
+    # the logistic exponent is fixed, not a scenario input
+    "rho.ini": TINY_INI.replace("lam = 2.0", "lam = 2.0\nrho = 3"),
+    # a section that no scenario reads
+    "bar.ini": TINY_INI + "\n[bar]\nx = 1\n",
 }
 
 
 REGISTRY_INI_SHA256 = {
     "trichotomy-low":
-        "529d62d239239e19e9f1881411789ca75d5ddff3b19dbb4279555bcd5153154b",
+        "4477e47016e464304e3426d0a365d270834b9303ec843bb7d8de6cc88dec5f4d",
     "trichotomy-mid":
-        "53b7090e4630d27a9e0e9e0a64e869e46a645a833f13e661ee14df7dc069eed2",
+        "4d7581c5f16779888a9d3914b3068bedf238788e30fca9eefe2df477e583ed81",
     "trichotomy-high":
-        "c664dca44a0fc0c195917fc5e2aa2edb8f3e0513c912a9fee3189ffe292e6bc3",
+        "bdde5b7c3252a2a6146934991be9f761e51d6a284b6f74835a19970f6918a88f",
     "shrink-case1":
-        "f87eaaab1265d9890446e0606eaf9b628aefe554871b72dcfbe03053418ead4d",
+        "7247050689a0b7cf318067a19cb3cc7aef35b7cd0721cc99f4330dce0719a553",
     "shrink-case2":
-        "a16f3b8cde512b25df58ee48412d60f73fb1f9ed5ee5596746e0f4e63bd04e4d",
+        "afb352aabd424f7e4cabe1786ed185cce4d1f9db8e1e4fec6c60907b2aeaf7b9",
     "shrink-case3":
-        "7b0e507c11b4ad5827c15e263f5e5c4af4a9ea8713109afa01c1d7b674fed439",
+        "3332335d4135a96076a4746dc5bcd6973312a92b664f9711ef4ce83031e5aeee",
     "rotating-slow":
-        "84bc090586204742b11880f4087c1871c904e0f71ae0990f7b50393bed329a81",
+        "d544c6691d95fe79c4e001546ee374d4b482e1ab613b2471ccd4cb8f5654bae9",
     "rotating-fast":
-        "e9953eb1192512986228fa3cfcc1768a21add2e05eab3ee59c3581a3d6f9764a",
+        "4d7caa20c5770166b800b6c835862c01c4495e92431136e4e663e513cc7fd563",
     "jumping-disjoint":
-        "2f12ce3d5e6a16b475779b3ac68cb0893aefeed94bb2e2a4f7829d5357fc1697",
+        "0fd844e71470e612e18a0bfb0af79fa1803ab03c38b28d4cda8b8105b6e316f4",
     "jumping-control":
-        "1e338240a4f53f7d29b10ebc5271906b470d84c7420e7710da2da9c0bbf938cb",
+        "88ee029d9d553d7d33d1aa3905067efcd04450fa75d6b9fea2cdb19c5fba3144",
     "translating-slow":
-        "813e3c26bcf2eb19a99397ea04e2632ab018c0612b5aed152783cdd99cf71fb3",
+        "b5aa160965af44773937fc44a421068d5b671e91eb2f4df5f6b9a1f3de589d53",
     "carried-growth":
-        "4f15976b3fc8a5719bb4a9984bf421f544ab2091061ed3662c3f9e47b358df97",
+        "512426019b2b0fe92467d1c7543c342eb38a10cf2dcff31226627cce551f8400",
     "intermittent":
-        "f5cd1d690026ce667c02c30178becdb0ef5289c2e325f03fc1006f378998fedf",
+        "f476271a452ececeaf6658fb8f4f63b1f20cbd3d83d6c98e7ab820a7331aca98",
     "alternating-nested":
-        "520007f1b38d84bdd087c3b91b16ce0ad8ece27bc7b7218f94ff492229553ba9",
+        "20b3feac8e2f128fa7f10d09f9d4de91c22c7bb7e0567c5e421f09d4d95bbc18",
 }
 
 
@@ -184,8 +187,8 @@ class TestScenarioFiles:
                                           moving_set=s.params.moving_set)
         assert s.scheme == SchemeConfig()
         assert s.outputs == OutputPlan()
-        assert (s.params.rho, s.scheme.dt, s.scheme.growth_cap,
-                s.outputs.sample_every) == (2.0, 0.002, 1e5, 10)
+        assert (s.scheme.dt, s.scheme.growth_cap,
+                s.outputs.sample_every) == (0.002, 1e5, 10)
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "bad.ini"
@@ -199,10 +202,18 @@ class TestScenarioFiles:
         with pytest.raises(CliError, match="warp"):
             parse_scenario_file(p)
         # the one-value nu_kind key is gone
-        p.write_text(TINY_INI.replace("rho = 2.0", "rho = 2.0\nnu_kind = "
+        p.write_text(TINY_INI.replace("lam = 2.0", "lam = 2.0\nnu_kind = "
                                       "saturating"))
-        with pytest.raises(CliError, match="unknown key 'nu_kind'"):
+        with pytest.raises(CliError,
+                           match=r"does not use \[equation\] nu_kind"):
             parse_scenario_file(p)
+
+    def test_decoder_refuses_unused_key(self):
+        # a direct call checks every key, not only those of a --set
+        cfg = scenario_to_config(registry()["trichotomy-mid"])
+        cfg["kset"]["omega"] = "5.0"
+        with pytest.raises(CliError, match=r"does not use \[kset\] omega"):
+            config_to_scenario(cfg, "trichotomy-mid")
 
     def test_missing_file(self):
         with pytest.raises(CliError, match="not found"):
@@ -412,18 +423,27 @@ class TestCommands:
          "trichotomy-mid: the scenario does not use [domain] radius"),
         (["predict", "trichotomy-mid", "--set", "kset.kind=none",
           "--set", "equation.nu_max=2"],
-         "trichotomy-mid: unknown key 'nu_max' in section [equation]"),
+         "trichotomy-mid: the scenario does not use [equation] nu_max"),
         (["predict", "old-translating.ini"],
          "old-translating: the scenario does not use [kset] center"),
         (["predict", "circle1d.ini"],
          "circle1d: invalid scenario: moving set is 2-d in a 1-d domain"),
         (["predict", "sector1d.ini"],
          "sector1d: invalid scenario: moving set is 2-d in a 1-d domain"),
-        (["predict", "ramp.ini"], "ramp: unknown key 'd_ramp' in section "
-                                  "[equation]"),
+        (["predict", "ramp.ini"],
+         "ramp: the scenario does not use [equation] d_ramp"),
         (["predict", "trichotomy-mid", "--set", "time.t_end=0.3011"],
          "trichotomy-mid: invalid scenario: t_end - t0 = 0.3011 is not a "
-         "whole number of steps dt = 0.002")])
+         "whole number of steps dt = 0.002"),
+        (["predict", "rho.ini"],
+         "rho: the scenario does not use [equation] rho"),
+        (["predict", "bar.ini"], "bar: the scenario does not use [bar] x"),
+        # an approach schedule reads no omega
+        (["predict", "shrink-case1", "--set", "kset.omega=5"],
+         "shrink-case1: the scenario does not use [kset] omega"),
+        # only a translating set reads the carry window
+        (["predict", "trichotomy-mid", "--set", "predict.carry_window=3"],
+         "trichotomy-mid: the scenario does not use [predict] carry_window")])
     def test_scenario_refused(self, argv, error, tmp_path, monkeypatch,
                               capsys):
         monkeypatch.chdir(tmp_path)

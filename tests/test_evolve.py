@@ -44,14 +44,16 @@ class TestValidation:
         SchemeConfig(dt=1e-3).validate(10.0)
 
     def test_equation_params(self):
-        with pytest.raises(ValueError):
-            EquationParams(lam=1.0, rho=1.0)
+        # the logistic exponent is the constant RHO, not a parameter
+        assert evolve.RHO == 2.0
+        with pytest.raises(TypeError):
+            EquationParams(lam=1.0, rho=3.0)
 
     @staticmethod
     def _n_values_of(value, monkeypatch):
         monkeypatch.setattr(evolve, "evaluate_n",
                             lambda spec, t, p: np.full(len(p), value))
-        params = EquationParams(lam=1.0, rho=2.0,
+        params = EquationParams(lam=1.0,
                                 moving_set=StaticSet(SetShape.empty()))
         return params.n_values(0.0, np.zeros((3, 2)))
 
@@ -68,14 +70,14 @@ class TestValidation:
         g = _grid()
         u0 = np.where(g.mask, -1.0, 0.0)
         with pytest.raises(ValueError):
-            run(g, EquationParams(lam=0.0, rho=2.0), SchemeConfig(dt=1e-3),
+            run(g, EquationParams(lam=0.0), SchemeConfig(dt=1e-3),
                 u0, 0.0, 0.01)
 
     def test_initial_data_off_mask_rejected(self):
         g = build_grid(DomainSpec.disc((0.0, 0.0), 1.0), 16)
         u0 = np.ones(g.shape)
         with pytest.raises(ValueError, match="vanish off"):
-            run(g, EquationParams(lam=0.0, rho=2.0), SchemeConfig(dt=1e-3),
+            run(g, EquationParams(lam=0.0), SchemeConfig(dt=1e-3),
                 u0, 0.0, 0.01)
 
 
@@ -83,7 +85,7 @@ class TestStep:
     def test_preserves_nonnegativity(self):
         g = _grid()
         rng = np.random.default_rng(2)
-        params = EquationParams(lam=5.0, rho=2.0)
+        params = EquationParams(lam=5.0)
         op = MaskedOperator(g)
         u = _random_u0(g, rng)[g.mask]
         for _ in range(20):
@@ -96,7 +98,7 @@ class TestStep:
         pair = principal_eigenpair(g, g.mask, tol=1e-12)
         op = MaskedOperator(g)
         lam, dt = 3.0, 1e-3
-        params = EquationParams(lam=lam, rho=2.0)
+        params = EquationParams(lam=lam)
         mode = pair.vector[g.mask]
         nxt = step(mode, np.zeros(op.n), params,
                    SchemeConfig(dt=dt, solve_tol=1e-13), op)
@@ -108,7 +110,7 @@ class TestStep:
     def test_ordering_in_initial_data(self):
         g = _grid()
         rng = np.random.default_rng(3)
-        params = EquationParams(lam=4.0, rho=2.0)
+        params = EquationParams(lam=4.0)
         op = MaskedOperator(g)
         ones = np.ones(op.n)
         lo = _random_u0(g, rng)
@@ -126,7 +128,7 @@ class TestStep:
         op = MaskedOperator(g)
         n_small = rng.uniform(0.0, 2.0, op.n)
         n_large = n_small + rng.uniform(0.0, 2.0, op.n)
-        params = EquationParams(lam=4.0, rho=2.0)
+        params = EquationParams(lam=4.0)
         u_small = u_large = _random_u0(g, rng)[g.mask]
         cfg = SchemeConfig(dt=2e-3, solve_tol=1e-12)
         for _ in range(25):
@@ -139,7 +141,7 @@ class TestStep:
 class TestRun:
     def test_record_cadence_and_final_record(self):
         g = _grid()
-        params = EquationParams(lam=0.0, rho=2.0)
+        params = EquationParams(lam=0.0)
         tr = run(g, params, SchemeConfig(dt=1e-3), _ones(g), 0.0, 0.05,
                  sample_every=10)
         assert len(tr.times) == 6                # t0 plus every 10th of 50
@@ -149,7 +151,7 @@ class TestRun:
 
     def test_cap_abort(self):
         g = _grid()
-        params = EquationParams(lam=20.0, rho=2.0)   # linear growth, no brake
+        params = EquationParams(lam=20.0)   # linear growth, no brake
         tr = run(g, params, SchemeConfig(dt=1e-3, growth_cap=2.0), _ones(g),
                  0.0, 5.0, sample_every=5)
         assert tr.cap_hit is not None
@@ -159,7 +161,7 @@ class TestRun:
 
     def test_snapshots_near_requested_times(self):
         g = _grid()
-        params = EquationParams(lam=0.0, rho=2.0)
+        params = EquationParams(lam=0.0)
         tr = run(g, params, SchemeConfig(dt=1e-3), _ones(g), 0.0, 0.1,
                  snapshot_times=(0.0, 0.05, 0.1))
         assert len(tr.snapshots) == 3
@@ -177,7 +179,7 @@ class TestRun:
     def test_pure_decay_rate(self):
         g = _grid(32)
         pair = principal_eigenpair(g, g.mask, tol=1e-12)
-        params = EquationParams(lam=0.0, rho=2.0)
+        params = EquationParams(lam=0.0)
         tr = run(g, params, SchemeConfig(dt=5e-4, solve_tol=1e-12),
                  pair.vector, 0.0, 0.2, sample_every=100)
         # first-order-in-dt approximation of e^{-lam1 t}
@@ -187,7 +189,7 @@ class TestRun:
     def test_reversed_time_rejected(self):
         g = _grid()
         with pytest.raises(ValueError):
-            run(g, EquationParams(lam=0.0, rho=2.0), SchemeConfig(dt=1e-3),
+            run(g, EquationParams(lam=0.0), SchemeConfig(dt=1e-3),
                 np.zeros(g.shape), 1.0, 0.0)
 
     @pytest.mark.parametrize("outputs, error", [
@@ -197,14 +199,14 @@ class TestRun:
     def test_bad_outputs_rejected(self, outputs, error):
         g = _grid()
         with pytest.raises(ValueError, match=error):
-            run(g, EquationParams(lam=0.0, rho=2.0), SchemeConfig(dt=1e-3),
+            run(g, EquationParams(lam=0.0), SchemeConfig(dt=1e-3),
                 _ones(g), 0.0, 0.2, **outputs)
 
     def test_packed_initial_data_rejected(self):
         g = _grid()
         packed = _ones(g)[g.mask]
         with pytest.raises(ValueError, match=r"\(225,\).*\(15, 15\)"):
-            run(g, EquationParams(lam=0.0, rho=2.0), SchemeConfig(dt=1e-3),
+            run(g, EquationParams(lam=0.0), SchemeConfig(dt=1e-3),
                 packed, 0.0, 0.01)
 
 

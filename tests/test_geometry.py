@@ -114,6 +114,11 @@ class TestSchedules:
         assert circ.position(0.0) == pytest.approx((2.0, 0.0))
         assert circ.max_speed() == 1.0
 
+    def test_line_path_dimensions_must_agree(self):
+        # a 1-d velocity would broadcast and move a 2-d point diagonally
+        with pytest.raises(ValueError, match="dimensions differ"):
+            PathSchedule(kind="line", point=(0.8, 1.0), velocity=(0.02,))
+
 
 class TestMovingSets:
     def test_static(self):

@@ -59,7 +59,7 @@ def step_system(label, steps, overrides=()):
     u, t, dt = realize_initial(s, grid)[grid.mask], s.t0, s.scheme.dt
     for k in range(steps + 1):
         n_next = s.params.n_values(t + dt, op.points)
-        c = dt * n_next * np.power(u, s.params.rho - 1.0)
+        c = dt * n_next * u
         rhs = (1.0 + dt * s.params.lam) * u
         if k == steps:
             return op, rhs, dt, c, u
@@ -98,6 +98,12 @@ class TestBuildGrid:
         g = build_grid(dom, 64)
         area = g.mask.sum() * g.cell_volume
         assert area == pytest.approx(math.pi, rel=0.02)
+
+    def test_mask_is_read_only(self):
+        # so that one grid may be shared between callers
+        g = build_grid(UNIT_SQ, 16)
+        with pytest.raises(ValueError, match="read-only"):
+            g.mask[0, 0] = False
 
     def test_interval_grid(self):
         g = build_grid(DomainSpec.rectangle((0.0,), (1.0,)), 32)

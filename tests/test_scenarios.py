@@ -20,7 +20,7 @@ def _scenario(**kw):
         label="t",
         domain=DOM,
         resolution=16,
-        params=EquationParams(lam=5.0, rho=2.0,
+        params=EquationParams(lam=5.0,
                               moving_set=StaticSet(SetShape.ball((1, 1), 0.3))),
         scheme=SchemeConfig(dt=2e-3),
         t0=0.0,
@@ -73,6 +73,12 @@ class TestInitialData:
         assert np.all(u0[~g.mask] == 0.0)
         assert np.all(u0[g.mask] > 0.0)
 
+    def test_realize_bump_centre_of_grid_dimension(self):
+        # a 1-d centre would broadcast to the diagonal point (0.8, 0.8)
+        s = _scenario(initial=InitialData.bump((0.8,), 0.2, 1.0))
+        with pytest.raises(ValueError, match="1-d in a 2-d grid"):
+            realize_initial(s, scenario_grid(s))
+
 
 class TestScenarioValidation:
     def test_reversed_times(self):
@@ -94,13 +100,12 @@ class TestScenarioValidation:
 
     def test_scheme_incompatible_with_lam(self):
         with pytest.raises(ValueError):
-            _scenario(params=EquationParams(lam=400.0, rho=2.0),
+            _scenario(params=EquationParams(lam=400.0),
                       scheme=SchemeConfig(dt=2e-3))
 
     def test_moving_set_must_stay_inside_domain(self):
         s = _scenario(params=EquationParams(
-            lam=5.0, rho=2.0,
-            moving_set=StaticSet(SetShape.ball((0.1, 0.1), 0.3))))
+            lam=5.0, moving_set=StaticSet(SetShape.ball((0.1, 0.1), 0.3))))
         with pytest.raises(ValueError):
             run_scenario(s)
 
@@ -171,8 +176,7 @@ class TestRegistry:
 class TestPredictAndCrossCheck:
     def test_static_ball_below_threshold_predicts_bounded(self):
         s = _scenario(params=EquationParams(
-            lam=6.0, rho=2.0,
-            moving_set=StaticSet(SetShape.ball((1.0, 1.0), 0.3))),
+            lam=6.0, moving_set=StaticSet(SetShape.ball((1.0, 1.0), 0.3))),
             resolution=64, t_end=2.0)
         checks = predict(s)
         fired = [c for c in checks if c.hypotheses_hold]
@@ -181,8 +185,7 @@ class TestPredictAndCrossCheck:
 
     def test_static_ball_above_threshold_predicts_grow_up(self):
         s = _scenario(params=EquationParams(
-            lam=80.0, rho=2.0,
-            moving_set=StaticSet(SetShape.ball((1.0, 1.0), 0.3))),
+            lam=80.0, moving_set=StaticSet(SetShape.ball((1.0, 1.0), 0.3))),
             scheme=SchemeConfig(dt=2e-3, growth_cap=1e4),
             resolution=64, t_end=2.0)
         checks = predict(s)
@@ -192,8 +195,7 @@ class TestPredictAndCrossCheck:
 
     def test_cross_check_consistency_from_synthetic_verdict(self):
         s = _scenario(params=EquationParams(
-            lam=6.0, rho=2.0,
-            moving_set=StaticSet(SetShape.ball((1.0, 1.0), 0.3))),
+            lam=6.0, moving_set=StaticSet(SetShape.ball((1.0, 1.0), 0.3))),
             resolution=64, t_end=2.0)
         grid = scenario_grid(s)
         checks = predict(s, grid)
