@@ -54,8 +54,8 @@ def _floats(text: str) -> tuple:
     try:
         return tuple(_finite(v) for v in text.split(",") if v.strip() != "")
     except ValueError as e:
-        raise CliError(f"expected comma-separated finite numbers, "
-                       f"got {text!r}") from e
+        raise ValueError(f"expected comma-separated finite numbers, "
+                         f"got {text!r}") from e
 
 
 def parse_shape(text: str) -> SetShape:
@@ -64,7 +64,7 @@ def parse_shape(text: str) -> SetShape:
     if text == "empty":
         return SetShape.empty()
     if ":" not in text:
-        raise CliError(f"malformed shape {text!r} (expected kind:numbers)")
+        raise ValueError(f"malformed shape {text!r} (expected kind:numbers)")
     kind, _, rest = text.partition(":")
     vals = _floats(rest)
     try:
@@ -79,8 +79,8 @@ def parse_shape(text: str) -> SetShape:
                 raise ValueError(f"sector needs 5 numbers, got {len(vals)}")
             return SetShape.sector(vals[:2], vals[2], vals[3], vals[4])
     except ValueError as e:
-        raise CliError(f"invalid shape {text!r}: {e}") from e
-    raise CliError(f"unknown shape kind {kind!r}")
+        raise ValueError(f"invalid shape {text!r}: {e}") from e
+    raise ValueError(f"unknown shape kind {kind!r}")
 
 
 def _num(v: float) -> str:
@@ -93,13 +93,11 @@ def _nums(vs) -> str:
 
 
 def format_shape(s: SetShape) -> str:
+    """The file form of a jumping phase: a ball or empty."""
     if s.is_empty:
         return "empty"
     if s.kind == "ball":
         return f"ball:{_nums(s.center)},{_num(s.radius)}"
-    if s.kind == "sector":
-        return (f"sector:{_nums(s.center)},{_num(s.radius)},"
-                f"{_num(s.theta0)},{_num(s.theta1)}")
     raise CliError(f"shape kind {s.kind!r} has no file representation")
 
 
@@ -116,8 +114,8 @@ def parse_domain(text: str) -> DomainSpec:
                 raise ValueError(f"disc needs 3 numbers, got {len(vals)}")
             return DomainSpec.disc(vals[:2], vals[2])
     except ValueError as e:
-        raise CliError(f"invalid domain {text!r}: {e}") from e
-    raise CliError(f"unknown domain kind {kind!r}")
+        raise ValueError(f"invalid domain {text!r}: {e}") from e
+    raise ValueError(f"unknown domain kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +235,7 @@ def _kset_from_section(k: _Section):
         return StaticSet(SetShape.ball(k["center"], k["radius"]))
     if kind == "radius-ball":
         return RadiusBall(k["center"], RadiusSchedule(
-            k["schedule"], k["radius"], omega=k.get("omega", 0.0)))
+            k["schedule"], k["radius"], **k.given("omega")))
     if kind == "rotating-sector":
         return RotatingSector(k["center"], k["radius"], k.get("theta0", 0.0),
                               k["theta1"], k["omega"])
@@ -251,7 +249,7 @@ def _kset_from_section(k: _Section):
         elif path == "circle":
             curve = PathSchedule(kind="circle", center=k["path_center"],
                                  radius=k["path_radius"], omega=k["omega"],
-                                 phase=k.get("phase", 0.0))
+                                 **k.given("phase"))
         else:
             raise ValueError(f"unknown path kind {path!r}")
         return TranslatingSet(k["radius"], curve)
@@ -549,9 +547,8 @@ def _cmd_crosscheck(args) -> int:
 
 
 def _cmd_eig(args) -> int:
-    domain = parse_domain(args.domain)
     try:
-        grid = build_grid(domain, args.n)
+        grid = build_grid(parse_domain(args.domain), args.n)
         mask = grid.mask if args.shape is None else \
             mask_from_shape(grid, parse_shape(args.shape))
         print(f"lambda1 = {_num(principal_eigenvalue(grid, mask))}")
@@ -563,10 +560,9 @@ def _cmd_eig(args) -> int:
 
 
 def _cmd_lambda0(args) -> int:
-    domain = parse_domain(args.domain)
     try:
-        est = lambda0_of_set(build_grid(domain, args.n),
-                             parse_shape(args.shape), cap=args.cap)
+        est = lambda0_of_set(build_grid(parse_domain(args.domain), args.n),
+                             parse_shape(args.shape))
     except ValueError as e:
         raise CliError(str(e)) from e
     for d, v in zip(est.deltas, est.values):
@@ -630,8 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", required=True)
     p.add_argument("--shape", required=True)
     p.add_argument("--n", type=int, default=128)
-    p.add_argument("--cap", type=float, default=1e4,
-                   help="threshold above which the value is called infinite")
     p.set_defaults(fn=_cmd_lambda0)
 
     p = sub.add_parser("suite", help="run an acceptance suite")

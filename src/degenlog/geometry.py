@@ -109,17 +109,13 @@ class DomainSpec:
 
 @dataclass(frozen=True)
 class SetShape:
-    """A compact set: ball, circular sector, empty, union, intersection.
+    """A compact set: ball, circular sector, empty, or a union of them.
 
-    A point is the ball of radius 0.
-
-    Distances are exact Euclidean distances for every kind except
-    ``intersection``, where the reported value is ``max`` over the parts: a
-    lower bound that is zero exactly on the intersection, which is all the
-    mask machinery needs.
+    A point is the ball of radius 0.  Distances are exact Euclidean
+    distances for every kind.
     """
 
-    kind: str  # "ball" | "sector" | "empty" | "union" | "intersection"
+    kind: str  # "ball" | "sector" | "empty" | "union"
     center: tuple = ()
     radius: float = 0.0
     theta0: float = 0.0
@@ -139,8 +135,11 @@ class SetShape:
             raise ValueError("sector radius must be positive")
         if not theta0 < theta1:
             raise ValueError("sector needs theta0 < theta1")
-        return SetShape(kind="sector", center=tuple(float(v) for v in center),
-                        radius=float(r0), theta0=float(theta0), theta1=float(theta1))
+        center = tuple(float(v) for v in center)
+        if len(center) != 2:
+            raise ValueError(f"a sector is 2-d, not {len(center)}-d")
+        return SetShape(kind="sector", center=center, radius=float(r0),
+                        theta0=float(theta0), theta1=float(theta1))
 
     @staticmethod
     def point(p) -> "SetShape":
@@ -159,24 +158,15 @@ class SetShape:
             return parts[0]
         return SetShape(kind="union", parts=parts)
 
-    @staticmethod
-    def intersection(parts) -> "SetShape":
-        parts = tuple(parts)
-        if any(p.is_empty for p in parts):
-            return SetShape.empty()
-        if len(parts) == 1:
-            return parts[0]
-        return SetShape(kind="intersection", parts=parts)
-
     @property
     def is_empty(self) -> bool:
         return self.kind == "empty"
 
     @property
     def dim(self) -> int:
-        if self.kind in ("union", "intersection"):
+        if self.kind == "union":
             return self.parts[0].dim
-        return 2 if self.kind == "sector" else len(self.center)
+        return len(self.center)
 
     def distance(self, points) -> np.ndarray:
         p = _as_points(points)
@@ -193,15 +183,13 @@ class SetShape:
         if self.kind == "sector":
             return _sector_distance(p - np.array(self.center), self.radius,
                                     self.theta0, self.theta1)
-        if (self.kind == "union" and len(self.parts) >= _TREE_BALLS
+        if (len(self.parts) >= _TREE_BALLS
                 and all(b.kind == "ball" for b in self.parts)):
             return _balls_distance(p, np.array([b.center for b in self.parts]),
                                    np.array([b.radius for b in self.parts]))
-        # intersection: max is a lower bound, exact membership indicator
-        combine = np.minimum if self.kind == "union" else np.maximum
         d = self.parts[0]._distance(p)
         for part in self.parts[1:]:
-            combine(d, part._distance(p), out=d)
+            np.minimum(d, part._distance(p), out=d)
         return d
 
 
@@ -400,7 +388,8 @@ class RotatingSector:
 
 @dataclass(frozen=True)
 class JumpingSets:
-    """K(t) = k0 on (n*period, n*period + t1], k1 on the rest of each period."""
+    """K(t) = k0 on (n*period, n*period + t1], k1 on the rest of each period;
+    each phase is a ball (a point is the ball of radius 0) or empty."""
 
     k0: SetShape
     k1: SetShape
@@ -408,6 +397,10 @@ class JumpingSets:
     t1: float
 
     def __post_init__(self):
+        for name, phase in (("k0", self.k0), ("k1", self.k1)):
+            if phase.kind not in ("ball", "empty"):
+                raise ValueError(f"jumping phase {name} is a {phase.kind}; a "
+                                 "phase is a ball, a point or empty")
         if not 0.0 < self.t1 < self.period:
             raise ValueError("jump time t1 must lie in (0, period)")
 
@@ -507,7 +500,8 @@ def k_sup(spec, tau0: float, horizon: float) -> SetShape:
 def k_inf(spec, tau0: float, horizon: float) -> SetShape:
     """Finite-horizon surrogate of the intersection of K(t) over t >= tau0.
 
-    Exact or conservative closed forms for every variant.  A translating
+    Exact or conservative closed forms for every variant.  An overlapping
+    jumping pair's is the largest ball inside both phases, and a translating
     ball's is the ball about the mean of its sampled centers, shrunk by
     their spread so that it lies in every snapshot.
     """
@@ -530,13 +524,17 @@ def k_inf(spec, tau0: float, horizon: float) -> SetShape:
         lo = spec.theta0 - spec.omega * (tau0 if spec.omega > 0 else horizon)
         return SetShape.sector(spec.center, spec.r0, lo, lo + (width - swept))
     if isinstance(spec, JumpingSets):
-        if spec.k0 == spec.k1:
-            return spec.k0
-        if spec.k0.is_empty or spec.k1.is_empty:
+        a, b = spec.k0, spec.k1
+        if a.is_empty or b.is_empty or shape_gap(a, b) > 0.0:
             return SetShape.empty()
-        if shape_gap(spec.k0, spec.k1) > 0.0:
-            return SetShape.empty()
-        return SetShape.intersection((spec.k0, spec.k1))
+        for outer, inner in ((a, b), (b, a)):
+            if ball_inside(outer, inner):
+                return inner
+        # the ball inscribed in the lens, 2 * rho thick between the centres
+        ca, cb = np.array(a.center), np.array(b.center)
+        d = float(np.linalg.norm(cb - ca))
+        rho = 0.5 * (a.radius + b.radius - d)
+        return SetShape.ball(ca + (a.radius - rho) / d * (cb - ca), rho)
     # the one variant left: a translating ball
     times = _sample_times(tau0, horizon)
     centers = np.array([spec.curve.position(t) for t in times])
@@ -552,38 +550,52 @@ def k_inf(spec, tau0: float, horizon: float) -> SetShape:
     return SetShape.ball(mid, r_eff)
 
 
+def ball_inside(outer: SetShape, inner: SetShape) -> bool:
+    """Whether the ball inner lies in the ball outer (to 1e-12)."""
+    d = float(np.linalg.norm(np.array(outer.center) - np.array(inner.center)))
+    return d + inner.radius <= outer.radius + 1e-12
+
+
 def shape_gap(a: SetShape, b: SetShape) -> float:
-    """Minimum distance between two nonempty simple shapes: exact for ball
-    pairs, otherwise a dense boundary-sampling bound."""
-    if a.is_empty or b.is_empty:
-        raise ValueError("gap of an empty shape is undefined")
-    if a.kind == "ball" and b.kind == "ball":
-        d = float(np.linalg.norm(np.array(a.center) - np.array(b.center)))
-        return max(d - a.radius - b.radius, 0.0)
-    return float(np.min(b.distance(_cover_points(a, 96))))
+    """Distance between two balls, max(|c_a - c_b| - r_a - r_b, 0)."""
+    if a.kind != "ball" or b.kind != "ball":
+        raise ValueError(f"gap between a {a.kind} and a {b.kind}: balls only")
+    d = float(np.linalg.norm(np.array(a.center) - np.array(b.center)))
+    return max(d - a.radius - b.radius, 0.0)
 
 
-def _cover_points(s: SetShape, samples: int) -> np.ndarray:
-    """Points covering a simple shape (boundary plus interior spokes); a
-    sector's angles are clipped to one turn."""
+def _inside(s: SetShape, domain: DomainSpec) -> bool:
+    """Whether a ball or a sector lies strictly inside the domain, exactly.
+
+    A ball is inside when its centre is farther than its radius from the
+    boundary.  The domain is convex, so a sector is inside when its centre
+    and every point of its arc are.  Along the arc the margin is least at an
+    end or at an angle in between where the arc reaches farthest: towards a
+    wall (k pi/2) in a rectangle, away from the centre in a disc.  An arc of
+    a full turn holds every such angle.
+    """
     if s.kind == "ball":
-        th = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-    elif s.kind == "sector":
-        th = np.linspace(s.theta0, min(s.theta1, s.theta0 + 2.0 * math.pi),
-                         samples)
+        return domain.interior_margin(s.center)[0] > s.radius
+    if domain.kind == "rectangle":
+        far = 0.5 * math.pi * np.arange(4)
     else:
-        raise ValueError(f"cannot sample shape kind {s.kind!r}")
-    ring = np.stack([np.cos(th), np.sin(th)], axis=1)
-    return np.concatenate([np.array(s.center) + r * ring
-                           for r in np.linspace(0.0, s.radius, 8)])
+        v = np.array(s.center) - np.array(domain.center)
+        far = np.array([math.atan2(v[1], v[0])])
+    on_arc = np.mod(far - s.theta0, 2.0 * math.pi) <= s.theta1 - s.theta0
+    angles = np.concatenate(([s.theta0, s.theta1], far[on_arc]))
+    arc = np.array(s.center) + s.radius * np.stack(
+        [np.cos(angles), np.sin(angles)], axis=1)
+    return bool(np.all(domain.contains(np.vstack([s.center, arc]))))
 
 
 def validate_inside_domain(spec, domain: DomainSpec, t0: float,
                            t_end: float) -> None:
     """Reject configurations whose K(t) leaves the domain at some time in
     [t0, t_end]: every part of K_sup over that interval must have the
-    domain's dimension and lie strictly inside, a ball tested exactly and a
-    sector on its cover points (a translating ball's K_sup is sampled)."""
+    domain's dimension and lie strictly inside, tested exactly (a
+    translating ball's K_sup is sampled)."""
+    if isinstance(spec, RotatingSector) and domain.dim != 2:
+        raise ValueError(f"moving set is 2-d in a {domain.dim}-d domain")
     swept = k_sup(spec, t0, t_end)
     for part in swept.parts if swept.kind == "union" else (swept,):
         if part.is_empty:
@@ -591,11 +603,7 @@ def validate_inside_domain(spec, domain: DomainSpec, t0: float,
         if part.dim != domain.dim:
             raise ValueError(f"moving set is {part.dim}-d in a "
                              f"{domain.dim}-d domain")
-        if part.kind == "ball":
-            inside = domain.interior_margin(part.center)[0] > part.radius
-        else:
-            inside = np.all(domain.contains(_cover_points(part, 64)))
-        if not inside:
+        if not _inside(part, domain):
             raise ValueError(
                 f"moving set leaves the domain in [{t0:g}, {t_end:g}]; K(t) "
                 "must stay strictly inside the habitat")

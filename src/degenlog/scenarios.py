@@ -18,8 +18,8 @@ import numpy as np
 
 from . import geometry as geo
 from .geometry import (DomainSpec, JumpingSets, RadiusBall, RotatingSector,
-                       SetShape, StaticSet, TranslatingSet, k_inf, k_sup,
-                       shape_gap)
+                       SetShape, StaticSet, TranslatingSet, ball_inside, k_inf,
+                       k_sup, shape_gap)
 from .evolve import (RHO, EquationParams, SchemeConfig, Trajectory,
                      check_outputs, run as evolve_run)
 from .grid import Grid, build_grid, mask_from_shape, mask_within_distance
@@ -462,11 +462,6 @@ def _check_carried_growth(s: Scenario, grid: Grid) -> TheoremCheck:
                         details + (("carry_window", window),))
 
 
-def _ball_inside(outer: SetShape, inner: SetShape) -> bool:
-    d = float(np.linalg.norm(np.array(outer.center) - np.array(inner.center)))
-    return d + inner.radius <= outer.radius + 1e-12
-
-
 def _check_alternating(s: Scenario, grid: Grid) -> TheoremCheck:
     """Alternating nested sanctuaries: the set contains a large region for
     long stretches and shrinks to a nested small one only briefly; if the
@@ -481,10 +476,10 @@ def _check_alternating(s: Scenario, grid: Grid) -> TheoremCheck:
         return TheoremCheck(name, False, "none",
                             (("reason", "not an alternating ball pair"),))
     len0, len1 = _jumping_phases(spec)
-    if _ball_inside(spec.k0, spec.k1):
+    if ball_inside(spec.k0, spec.k1):
         big, small = spec.k0, spec.k1
         long_len, short_len = len0, len1
-    elif _ball_inside(spec.k1, spec.k0):
+    elif ball_inside(spec.k1, spec.k0):
         big, small = spec.k1, spec.k0
         long_len, short_len = len1, len0
     else:

@@ -14,8 +14,8 @@ which is the lattice's face adjacency.
 The characteristic value of a compact set K is the limit of the principal
 eigenvalue of shrinking neighborhoods {d(x, K) <= delta}; it is estimated on
 a geometric delta schedule with first-order Richardson extrapolation, and
-reported as infinite when the values blow past a cap (thin sets such as
-points in 2-d).
+reported as infinite when the values blow past LAMBDA0_CAP (thin sets
+such as points in 2-d).
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ __all__ = [
     "principal_eigenpair",
     "second_eigenvalue",
     "lambda0_deltas",
+    "LAMBDA0_CAP",
     "lambda0_of_set",
     "analytic_lambda1",
     "bessel_j0_first_root",
@@ -202,22 +203,23 @@ def lambda0_deltas(grid: Grid) -> tuple:
     return tuple(deltas)
 
 
-def lambda0_of_set(grid: Grid, k: SetShape, deltas=None,
-                   cap: float = 1e4) -> Lambda0Estimate:
+#: the characteristic value above which lambda0_of_set calls it infinite
+LAMBDA0_CAP = 1e4
+
+
+def lambda0_of_set(grid: Grid, k: SetShape, deltas=None) -> Lambda0Estimate:
     """Characteristic value of a compact set via shrinking neighborhoods.
 
     Computes lambda_1 of {x in the domain : d(x, k) <= delta} for each delta,
     thresholding one distance field d(., k) over the lattice; verdict
     "infinite" if k is a point (a ball of radius 0, whose neighborhoods'
     eigenvalues grow like 1/delta^2 at every resolution) or the tightest
-    neighborhood exceeds cap, otherwise linear extrapolation of the
+    neighborhood exceeds LAMBDA0_CAP, otherwise linear extrapolation of the
     reciprocal square root of the eigenvalue (the length scale) from the two
-    tightest neighborhoods to delta = 0.  cap must be finite and positive.
+    tightest neighborhoods to delta = 0, infinite again above LAMBDA0_CAP.
     """
     if k.is_empty:
         raise ValueError("characteristic value of the empty set is undefined")
-    if not 0.0 < cap < math.inf:
-        raise ValueError(f"cap must be finite and positive, got {cap!r}")
     if deltas is None:
         deltas = lambda0_deltas(grid)
     deltas = tuple(float(d) for d in deltas)
@@ -228,7 +230,7 @@ def lambda0_of_set(grid: Grid, k: SetShape, deltas=None,
     dist = k.distance(grid.points()).reshape(grid.shape)
     values = [principal_eigenvalue(grid, (dist <= d) & grid.mask)
               for d in deltas]
-    if values[-1] > cap or (k.kind == "ball" and k.radius == 0.0):
+    if values[-1] > LAMBDA0_CAP or (k.kind == "ball" and k.radius == 0.0):
         return Lambda0Estimate(deltas, tuple(values), "infinite", math.inf)
     if len(values) >= 2:
         # The eigenvalue scales like an inverse squared length, and the
@@ -241,7 +243,7 @@ def lambda0_of_set(grid: Grid, k: SetShape, deltas=None,
         extrapolated = s_limit ** -2.0 if s_limit > 0.0 else math.inf
     else:
         extrapolated = values[-1]
-    if extrapolated > cap:
+    if extrapolated > LAMBDA0_CAP:
         return Lambda0Estimate(deltas, tuple(values), "infinite", math.inf)
     return Lambda0Estimate(deltas, tuple(values), "finite", float(extrapolated))
 

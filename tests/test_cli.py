@@ -71,6 +71,12 @@ velocity = 0.05
 t_end = 4.0
 """
 
+# a sector of rotating-slow turning 1e-5 radians over [0, 10], whose arc
+# passes theta = 0 at x = 1.5 + radius; with --set kset.radius=...
+GRAZING_SECTOR = ["--set", "kset.center=1.5,1.0", "--set", "kset.theta0=-0.5",
+                  "--set", "kset.theta1=0.501", "--set", "kset.omega=0.000001",
+                  "--set", "domain.resolution=16"]
+
 # files that test_scenario_refused writes into its working directory
 SCENARIO_FILES = {
     # a circle path is 2-d, whatever the dimension of its centre
@@ -137,8 +143,10 @@ class TestShapeLanguage:
 
     def test_sector_and_point_and_empty(self):
         sec = parse_shape("sector:0,0,1,0,1.5")
-        assert sec.kind == "sector"
-        assert parse_shape(format_shape(sec)) == sec
+        assert sec == SetShape.sector((0.0, 0.0), 1.0, 0.0, 1.5)
+        # format_shape writes jumping phases, which are balls or empty
+        with pytest.raises(CliError, match="no file representation"):
+            format_shape(sec)
         pt = parse_shape("point:0.3,0.4")
         assert pt.kind == "ball" and pt.radius == 0.0
         assert parse_shape(format_shape(pt)) == pt
@@ -148,7 +156,7 @@ class TestShapeLanguage:
         for bad in ("ball", "ball:a,b,c", "blob:1,2,3", "ball:0.5",
                     "ball:0.5,0.5,nan", "point:inf,0",
                     "sector:1,1,0.5,0,1,42"):
-            with pytest.raises(CliError):
+            with pytest.raises(ValueError):
                 parse_shape(bad)
 
 
@@ -162,7 +170,7 @@ class TestDomainLanguage:
     def test_malformed(self):
         for bad in ("rect:0,0,2", "disc:0,0", "torus:1,2,3", "interval:0,3",
                     "disc:0,0,1,9"):
-            with pytest.raises(CliError):
+            with pytest.raises(ValueError):
                 parse_domain(bad)
 
 
@@ -350,8 +358,7 @@ class TestCommands:
         # at n = 16 the ladder stops at lambda1 = 256 and extrapolates under
         # the cap; a point is infinite whatever its ladder reads
         assert main(["lambda0", "--domain", "rect:0,0,1,1",
-                     "--shape", "point:0.5,0.5", "--n", n,
-                     "--cap", "1e4"]) == 0
+                     "--shape", "point:0.5,0.5", "--n", n]) == 0
         out = capsys.readouterr().out
         assert out.count("delta = ") == 3
         assert "verdict = infinite" in out
@@ -383,7 +390,7 @@ class TestCommands:
         "kset.kind=radius-ball", "kset.kind=foo", "initial.kind=gauss",
         "domain.kind=annulus", "predict.gamma=1", "predict.carry_window=0",
         "predict.tau0_list=0.5,99", "predict.gamma=nan",
-        "predict.tau0_list="])
+        "predict.tau0_list=", "kset.center=abc", "kset.k0=ball:a,b"])
     def test_run_rejects_bad_outputs(self, override, tmp_path, capsys):
         assert main(["run", "trichotomy-mid", "--set", "time.t_end=0.2",
                      "--set", override, "--out", str(tmp_path)]) == 2
@@ -443,7 +450,14 @@ class TestCommands:
          "shrink-case1: the scenario does not use [kset] omega"),
         # only a translating set reads the carry window
         (["predict", "trichotomy-mid", "--set", "predict.carry_window=3"],
-         "trichotomy-mid: the scenario does not use [predict] carry_window")])
+         "trichotomy-mid: the scenario does not use [predict] carry_window"),
+        # the arc reaches x = 2.000005 between its ends, at theta = 0
+        (["predict", "rotating-slow"] + GRAZING_SECTOR + [
+            "--set", "kset.radius=0.500005"],
+         "rotating-slow: invalid scenario: moving set leaves the domain"),
+        (["predict", "jumping-disjoint", "--set",
+          "kset.k0=sector:0.5,0.5,0.3,0,1"],
+         "jumping-disjoint: invalid scenario: jumping phase k0 is a sector")])
     def test_scenario_refused(self, argv, error, tmp_path, monkeypatch,
                               capsys):
         monkeypatch.chdir(tmp_path)
@@ -461,13 +475,7 @@ class TestCommands:
         (["lambda0", "--domain", "rect:0,0,1,1", "--n", "16",
           "--shape", "empty"], "empty set"),
         (["eig", "--domain", "rect:0,0,1,1", "--n", "16",
-          "--shape", "ball:0.5,0.3"], "1-d ball"),
-        (["lambda0", "--domain", "rect:0,0,1,1", "--n", "16",
-          "--shape", "point:0.5,0.5", "--cap", "nan"], "finite and positive"),
-        (["lambda0", "--domain", "rect:0,0,1,1", "--n", "16",
-          "--shape", "point:0.5,0.5", "--cap", "-1"], "finite and positive"),
-        (["lambda0", "--domain", "rect:0,0,1,1", "--n", "16",
-          "--shape", "point:0.5,0.5", "--cap", "inf"], "finite and positive")])
+          "--shape", "ball:0.5,0.3"], "1-d ball")])
     def test_spectral_bad_input(self, argv, error, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -492,6 +500,12 @@ class TestCommands:
         assert main(["predict", "trichotomy-low"]) == 0
         out = capsys.readouterr().out
         assert "check" in out and "predicts" in out
+
+    def test_predict_sector_just_inside(self, capsys):
+        # the twin of the grazing sector refused above, 5e-6 inside
+        assert main(["predict", "rotating-slow"] + GRAZING_SECTOR + [
+            "--set", "kset.radius=0.499995"]) == 0
+        assert "envelope-bounded" in capsys.readouterr().out
 
     @pytest.mark.parametrize("label", ["carried-growth", "shrink-case1",
                                        "alternating-nested"])

@@ -8,8 +8,9 @@ from degenlog.geometry import (D_RAMP, NU_MAX, DomainSpec, JumpingSets,
                                PathSchedule, RadiusBall, RadiusSchedule,
                                RotatingSector, SetShape, StaticSet,
                                TranslatingSet, _sample_step, _sample_times,
-                               evaluate_n, k_inf, k_sup, shape_gap,
-                               union_over_interval, validate_inside_domain)
+                               ball_inside, evaluate_n, k_inf, k_sup,
+                               shape_gap, union_over_interval,
+                               validate_inside_domain)
 from degenlog.grid import build_grid
 
 
@@ -61,6 +62,11 @@ class TestSetShape:
         s = SetShape.sector((0.0, 0.0), 1.0, 0.0, 2.0 * math.pi)
         assert s.distance((3.0, 0.0))[0] == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("center", [(1.0,), (1.0, 1.0, 1.0)])
+    def test_sector_centre_must_be_2d(self, center):
+        with pytest.raises(ValueError, match="a sector is 2-d"):
+            SetShape.sector(center, 0.5, 0.0, 1.0)
+
     def test_union_distance_is_min(self):
         u = SetShape.union([SetShape.point((0.0, 0.0)),
                             SetShape.point((4.0, 0.0))])
@@ -70,13 +76,6 @@ class TestSetShape:
         u = SetShape.union([SetShape.empty(), SetShape.ball((0, 0), 1.0)])
         assert u.kind == "ball"
         assert SetShape.union([SetShape.empty()]).is_empty
-
-    def test_intersection_indicator(self):
-        a = SetShape.ball((0.0, 0.0), 1.0)
-        b = SetShape.ball((1.0, 0.0), 1.0)
-        i = SetShape.intersection([a, b])
-        assert i.distance((0.5, 0.0))[0] == 0.0       # in both
-        assert i.distance((-0.5, 0.0))[0] > 0.0       # only in a
 
     def test_empty_distance_raises(self):
         with pytest.raises(ValueError):
@@ -150,6 +149,16 @@ class TestMovingSets:
         with pytest.raises(ValueError):
             JumpingSets(SetShape.empty(), SetShape.empty(), period=1.0, t1=1.5)
 
+    def test_jumping_phase_is_a_ball_or_empty(self):
+        sector = SetShape.sector((0.5, 0.5), 0.3, 0.0, 1.0)
+        union = SetShape.union([SetShape.ball((0.5, 0.5), 0.1),
+                                SetShape.point((1.5, 1.5))])
+        for k0, k1, name in ((sector, SetShape.empty(), "k0 is a sector"),
+                             (SetShape.point((1.0, 1.0)), union,
+                              "k1 is a union")):
+            with pytest.raises(ValueError, match=f"jumping phase {name}"):
+                JumpingSets(k0, k1, period=1.0, t1=0.5)
+
     def test_translating_set(self):
         s = TranslatingSet(0.5, PathSchedule(kind="line", point=(1.0, 0.0),
                                              velocity=(0.0, 1.0)))
@@ -208,11 +217,37 @@ class TestEnvelopes:
         assert k_inf(disjoint, 0.0, 3.0).is_empty
         withempty = JumpingSets(a, SetShape.empty(), period=1.0, t1=0.5)
         assert k_inf(withempty, 0.0, 3.0).is_empty
-        nested = JumpingSets(a, SetShape.ball((0.0, 0.0), 0.5),
-                             period=1.0, t1=0.5)
-        i = k_inf(nested, 0.0, 3.0)
-        assert i.distance((0.7, 0.0))[0] > 0.0
-        assert i.distance((0.3, 0.0))[0] == 0.0
+        inner = SetShape.ball((0.2, 0.1), 0.5)
+        for k0, k1 in ((a, inner), (inner, a)):
+            nested = JumpingSets(k0, k1, period=1.0, t1=0.5)
+            assert k_inf(nested, 0.0, 3.0) == inner
+        same = JumpingSets(a, a, period=1.0, t1=0.5)
+        assert k_inf(same, 0.0, 3.0) == a
+
+    @pytest.mark.parametrize("a, b", [
+        (SetShape.ball((0.6, 0.9), 0.5), SetShape.ball((1.2, 1.3), 0.4)),
+        (SetShape.ball((1.0, 1.0), 0.7), SetShape.ball((0.3, 1.0), 0.05)),
+        (SetShape.ball((0.5,), 0.3), SetShape.ball((0.9,), 0.2)),
+    ], ids=["lens", "thin-lens", "one-dimensional"])
+    def test_k_inf_overlapping_jumping_pair(self, a, b):
+        """The largest ball in both phases: radius (r0 + r1 - d) / 2, inside
+        both balls at seeded random points."""
+        d = float(np.linalg.norm(np.subtract(a.center, b.center)))
+        assert abs(a.radius - b.radius) < d < a.radius + b.radius
+        low = k_inf(JumpingSets(a, b, period=1.0, t1=0.5), 0.0, 3.0)
+        assert low.kind == "ball"
+        assert low.radius == pytest.approx(0.5 * (a.radius + b.radius - d),
+                                           rel=1e-12)
+        rng = np.random.default_rng(7)
+        dirs = rng.normal(size=(2000, a.dim))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        pts = np.array(low.center) + low.radius * (
+            rng.uniform(0.0, 1.0, (2000, 1)) ** (1.0 / a.dim) * dirs)
+        for phase in (a, b):
+            assert np.all(phase.distance(pts) <= 1e-12)
+        # the ball touches each phase's boundary on the line of centres
+        assert ball_inside(a, low) and ball_inside(b, low)
+        assert not ball_inside(a, SetShape.ball(low.center, low.radius + 1e-9))
 
     def test_k_inf_translating_ball(self):
         s = TranslatingSet(1.0, PathSchedule(kind="line", point=(0.0, 0.0),
@@ -276,7 +311,7 @@ def _envelope_shapes(label, monkeypatch):
     s = scenarios.registry()[label]
     shapes = []
 
-    def record(grid, shape, cap=1e4):
+    def record(grid, shape):
         shapes.append(shape)
         return 1.0
 
@@ -295,9 +330,9 @@ def _per_part_distance(shape, p):
 
 
 class TestCompoundDistances:
-    """Unions of 32 or more balls take the tree query, other unions and
-    intersections fold their parts one at a time; all must give exactly the
-    stacked min / max over independently computed parts."""
+    """Unions of 32 or more balls take the tree query, other unions fold
+    their parts one at a time; both must give exactly the stacked min over
+    independently computed parts."""
 
     @pytest.mark.parametrize("label", ["translating-slow", "carried-growth"])
     def test_envelope_union_matches_stacked_min(self, label, monkeypatch):
@@ -307,18 +342,6 @@ class TestCompoundDistances:
         p = grid.points()
         for u in unions:
             assert np.array_equal(u.distance(p), _per_part_distance(u, p))
-
-    def test_intersection_matches_stacked_max(self):
-        spec = RotatingSector((1.0, 1.0), 0.5, 0.0, math.pi / 3.0, 0.5)
-        parts = [SetShape.ball((1.1, 0.9), 0.4),
-                 SetShape.ball((1.0, 1.0), 0.3)]
-        parts += [spec.snapshot(t) for t in np.linspace(0.0, 1.0, 9)]
-        inter = SetShape.intersection(parts)
-        assert inter.kind == "intersection"
-        p = scenarios.scenario_grid(
-            scenarios.registry()["rotating-slow"]).points()
-        stacked = np.max([part.distance(p) for part in parts], axis=0)
-        assert np.array_equal(inter.distance(p), stacked)
 
     @pytest.mark.parametrize("label", ["translating-slow", "carried-growth"])
     def test_union_over_interval_keeps_time_order(self, label):
@@ -409,10 +432,12 @@ class TestGapsAndValidation:
         assert shape_gap(a, b) == pytest.approx(1.0)
         assert shape_gap(a, SetShape.ball((1.0, 0.0), 1.0)) == 0.0
 
-    def test_shape_gap_sector(self):
+    def test_shape_gap_balls_only(self):
         s = SetShape.sector((0.0, 0.0), 1.0, 0.0, math.pi / 2)
         b = SetShape.ball((0.0, -2.0), 0.5)
-        assert shape_gap(s, b) == pytest.approx(1.5, abs=1e-3)
+        for x, y in ((s, b), (b, s), (b, SetShape.empty())):
+            with pytest.raises(ValueError, match="balls only"):
+                shape_gap(x, y)
 
     def test_validate_inside_domain(self):
         d = DomainSpec.rectangle((0.0, 0.0), (2.0, 2.0))
@@ -438,3 +463,30 @@ class TestGapsAndValidation:
         shrink = RadiusBall((1.0, 1.0), RadiusSchedule("harmonic_shrink", 0.5))
         with pytest.raises(ValueError, match="needs t > -1"):
             validate_inside_domain(shrink, d, -1.0, 1.0)
+
+    @pytest.mark.parametrize("domain, center, radius, theta0, theta1", [
+        # the arc reaches x = 1.5 + r at theta = 0, between its ends
+        (DomainSpec.rectangle((0.0, 0.0), (2.0, 2.0)), (1.5, 1.0), 0.5,
+         -0.5, 0.501),
+        # the arc reaches 0.3 + r from the disc's centre at theta = 0
+        (DomainSpec.disc((1.0, 1.0), 1.0), (1.3, 1.0), 0.7, -0.5, 0.5),
+        # the arc reaches y = 1.2 + r at theta = pi / 2 + 2 pi
+        (DomainSpec.rectangle((0.0, 0.0), (2.0, 2.0)), (1.0, 1.2), 0.8,
+         7.0, 9.0),
+    ], ids=["rectangle", "disc", "next-turn"])
+    def test_sector_grazing_the_boundary(self, domain, center, radius,
+                                         theta0, theta1):
+        """The test of a sector is exact: a sector that reaches 1e-5 past
+        the boundary between the ends of its arc is refused, while the same
+        sector 1e-5 inside is accepted."""
+        def sector(r):
+            return StaticSet(SetShape.sector(center, r, theta0, theta1))
+        validate_inside_domain(sector(radius - 1e-5), domain, 0.0, 1.0)
+        with pytest.raises(ValueError, match="leaves the domain"):
+            validate_inside_domain(sector(radius + 1e-5), domain, 0.0, 1.0)
+
+    def test_sector_in_a_1d_domain(self):
+        spec = RotatingSector((1.0,), 0.3, 0.0, 1.0, omega=1.0)
+        with pytest.raises(ValueError, match="2-d in a 1-d domain"):
+            validate_inside_domain(spec, DomainSpec.rectangle((0.0,), (2.0,)),
+                                   0.0, 1.0)

@@ -265,7 +265,7 @@ class TestLambda0:
     def test_point_is_infinite(self):
         dom = DomainSpec.rectangle((0.0, 0.0), (1.0, 1.0))
         g = build_grid(dom, 96)
-        est = lambda0_of_set(g, SetShape.point((0.5, 0.5)), cap=1e4)
+        est = lambda0_of_set(g, SetShape.point((0.5, 0.5)))
         assert est.verdict == "infinite"
         assert est.value == math.inf
 
