@@ -145,11 +145,18 @@ _SECTIONS = ("domain", "equation", "kset", "time", "initial", "output",
 
 
 class _Section(dict):
-    """Typed values of one section; reading an absent key is a user error."""
+    """Typed values of one section, parsed from its strings (keys outside
+    `_KEYS` are left to the unused-key rule); a malformed value and reading
+    an absent key are user errors that name the key."""
 
-    def __init__(self, name: str, values: dict):
-        super().__init__(values)
+    def __init__(self, name: str, strings: dict):
         self.name = name
+        for key, v in strings.items():
+            if key in _KEYS:
+                try:
+                    self[key] = _KEYS[key][0](v)
+                except ValueError as e:
+                    raise ValueError(f"[{name}] {key}: {e}") from e
 
     def __missing__(self, key):
         raise ValueError(f"missing required key {key!r} in [{self.name}]")
@@ -167,11 +174,8 @@ def config_to_scenario(cfg: dict, label: str,
     every key of checked (default: all of cfg) that the scenario does not
     use, i.e. that its emission leaves out; snapshot_times counts as used."""
     try:
-        d, eq, k, tm, i, o, pr = (
-            _Section(sec, {key: _KEYS[key][0](v)
-                           for key, v in cfg.get(sec, {}).items()
-                           if key in _KEYS})
-            for sec in _SECTIONS)
+        d, eq, k, tm, i, o, pr = (_Section(sec, cfg.get(sec, {}))
+                                  for sec in _SECTIONS)
         dkind = d.get("kind", "rectangle")
         if dkind == "rectangle":
             domain = DomainSpec.rectangle(d["lo"], d["hi"])

@@ -13,12 +13,13 @@ initial data, in the coefficient n, and under domain inclusion) — the
 structural properties the continuous comparison arguments rest on — at
 first-order accuracy in dt.
 
-The state is the packed vector of u on the operator's mask (MaskedOperator
-order); run() keeps it packed from the first step to the last and extends
-it to the full lattice only for snapshots.  step() takes n(t_{k+1}, .) as
-an array; run() re-evaluates it only when K(t) moves, that is on steps
-where the snapshot K(t_{k+1}) differs from the previous step's, so a
-static set costs one coefficient evaluation per run.
+The state is the lattice vector of u: the grid function raveled in C order,
+zero off the mask, on which MaskedOperator.solve_spd works; a snapshot is
+that vector reshaped to the lattice.  On a rectangle it is the packed vector
+of u on the mask.  step() takes n(t_{k+1}, .) at every lattice point as an
+array; run() re-evaluates it only when K(t) moves, that is on steps where
+the snapshot K(t_{k+1}) differs from the previous step's, so a static set
+costs one coefficient evaluation per run.
 
 From the third step on, run() starts each solve from the quadratic
 extrapolation max(3u_k - 3u_{k-1} + u_{k-2}, 0) of the last three states
@@ -29,8 +30,9 @@ Near a smooth trajectory the extrapolation is much closer to u_{k+1}, so
 the solves take fewer iterations.  The solve first rescales that start to
 its Galerkin multiple (MaskedOperator.solve_spd), which corrects most of
 what is left on a decaying run, where the extrapolation is off mainly in
-scale.  A run keeps one dt, so the operator writes dt A into K once and
-each step assembles only the diagonal.
+scale.  The extrapolation is written into one buffer that run() keeps
+from step to step.  A run keeps one dt, so the operator writes dt A into K
+once and each step assembles only the diagonal.
 """
 
 from __future__ import annotations
@@ -118,7 +120,8 @@ class Trajectory:
     worst_residual_ratio: float = 0.0   # worst final residual / its target
 
     def record(self, t: float, u: np.ndarray) -> None:
-        """Append the norms of the packed vector u at time t."""
+        """Append the norms of u at time t (a lattice vector, zero off the
+        mask, so its norms are those of u on the mask)."""
         self.times.append(t)
         self.sup_norms.append(float(np.max(np.abs(u))))
         self.l2_norms.append(float(np.sqrt(np.sum(u ** 2) * self.cell_volume)))
@@ -128,8 +131,8 @@ class Trajectory:
 def step(u: np.ndarray, n_next: np.ndarray, params: EquationParams,
          cfg: SchemeConfig, op: MaskedOperator,
          x0: np.ndarray | None = None) -> np.ndarray:
-    """Advance the packed, nonnegative u on op.mask from t to t + dt, where
-    n_next holds n(t + dt, ·) at op.points.
+    """Advance the nonnegative lattice vector u, zero off op.mask, from t to
+    t + dt, where n_next holds n(t + dt, ·) at grid.points().
 
     x0 is the iterate the solve starts from (default u).  It changes only
     how many iterations the solve takes: the solution meets solve_tol from
@@ -181,8 +184,8 @@ def run(grid: Grid, params: EquationParams, cfg: SchemeConfig, u0: np.ndarray,
         raise ValueError("initial data must be nonnegative")
     if np.any(u0[~grid.mask] != 0):
         raise ValueError("initial data must vanish off the domain's mask")
-    op = MaskedOperator(grid)
-    t, u = t0, u0[grid.mask]
+    op, points = MaskedOperator(grid), grid.points()
+    t, u = t0, u0.ravel()
     tr = Trajectory(growth_cap=cfg.growth_cap, cell_volume=grid.cell_volume)
     tr.record(t, u)
     pending_snaps = sorted(float(ts) for ts in snapshot_times)
@@ -191,16 +194,21 @@ def run(grid: Grid, params: EquationParams, cfg: SchemeConfig, u0: np.ndarray,
         pending_snaps.pop(0)
     n_steps = int(round((t_end - t0) / cfg.dt))
     spec, shape, n_next = params.moving_set, None, None
-    u1 = u2 = None            # the two states before u
+    u1 = u2 = x0 = None       # the two states before u, and the start
+    start = np.empty(u.size)
     for k in range(1, n_steps + 1):
         snap = None if spec is None else spec.snapshot(t + cfg.dt)
         if n_next is None or snap != shape:
-            shape, n_next = snap, params.n_values(t + cfg.dt, op.points)
-        x0 = None if u2 is None else np.maximum(3.0 * (u - u1) + u2, 0.0)
+            shape, n_next = snap, params.n_values(t + cfg.dt, points)
+        if u2 is not None:    # max(3 (u - u1) + u2, 0)
+            np.subtract(u, u1, out=start)
+            start *= 3.0
+            start += u2
+            x0 = np.maximum(start, 0.0, out=start)
         u2, u1, u = u1, u, step(u, n_next, params, cfg, op, x0)
         t += cfg.dt
         while pending_snaps and t >= pending_snaps[0] - 0.5 * cfg.dt:
-            tr.snapshots.append((t, op.extend(u)))
+            tr.snapshots.append((t, u.reshape(grid.shape).copy()))
             pending_snaps.pop(0)
         if k % sample_every == 0 or k == n_steps:
             tr.record(t, u)

@@ -332,6 +332,8 @@ class PathSchedule:
     def __post_init__(self):
         if self.kind == "line" and len(self.point) != len(self.velocity):
             raise ValueError("line path: point and velocity dimensions differ")
+        if self.kind == "circle" and len(self.center) != 2:
+            raise ValueError(f"a circle path is 2-d, not {len(self.center)}-d")
 
     def position(self, t: float) -> np.ndarray:
         if self.kind == "circle":

@@ -5,13 +5,15 @@ to the computational mask iff its center lies in the open domain.  A grid
 function is a plain array of shape `Grid.shape` that is zero off the mask,
 which realizes the homogeneous Dirichlet condition in the 3/5-point stencil.
 `Grid.laplacian` is that stencil on every lattice node, built once per grid;
-a MaskedOperator is its principal submatrix on a mask's nodes, which packs
-grid functions to the mask and extends them back, and solves the shifted
-systems K = I + dt A + diag(c) of a time step by Jacobi-preconditioned
-conjugate gradients on K assembled in place, with dt A rewritten only when
-dt changes.  Each solve first scales its start by the Galerkin factor along
-it, then runs scipy's loop written out bit for bit, one sparse product per
-iteration.
+a MaskedOperator's `matrix` is its principal submatrix on a mask's nodes,
+for the eigen solves on packed vectors.  The shifted systems
+K = I + dt A + diag(c) of a time step are solved on lattice vectors (grid
+functions raveled in C order), with K stored by diagonals over the whole
+lattice: zero couplings to nodes off the mask and identity rows there, so on
+a rectangle it is the packed system itself.  Each solve writes only K's main
+diagonal (dt A only when dt changes), scales its start by the Galerkin factor
+along it, then runs scipy's Jacobi-preconditioned CG loop written out bit for
+bit, one sparse product per iteration, in buffers kept between solves.
 """
 
 from __future__ import annotations
@@ -124,16 +126,17 @@ def mask_within_distance(grid: Grid, s: SetShape, delta: float) -> np.ndarray:
 class MaskedOperator:
     """Negative Laplacian restricted to a mask, with SPD solves.
 
-    The matrix is the principal submatrix of `Grid.laplacian` on the mask's
-    nodes, which is the Dirichlet Laplacian of the mask; solves
-    (I + dt A + diag(c)) u = rhs by conjugate gradients with the Jacobi
-    (diagonal) preconditioner.  Solves are deterministic and
-    single-threaded; each overwrites the operator's storage for K, so an
-    operator serves one solve at a time.  Over the operator's solves,
-    `iterations` is the running total of CG iterations, `max_iterations`
-    the most one solve took, and `worst_residual_ratio` the largest final
-    residual over its target tol ||rhs||.  Packed vectors list the mask's
-    nodes in C order, as `points` does.
+    `matrix` is the principal submatrix of `Grid.laplacian` on the mask's
+    nodes, which is the Dirichlet Laplacian of the mask, in packed order:
+    the mask's nodes in C order, as `points` lists them and `extend` reads
+    them.  `solve_spd` solves (I + dt A + diag(c)) u = rhs on lattice
+    vectors instead, by conjugate gradients with the Jacobi (diagonal)
+    preconditioner.  Solves are deterministic and single-threaded; each
+    overwrites the operator's storage for K, so an operator serves one
+    solve at a time.  Over the operator's solves, `iterations` is the
+    running total of CG iterations, `max_iterations` the most one solve
+    took, and `worst_residual_ratio` the largest final residual over its
+    target tol ||rhs||.
     """
 
     def __init__(self, grid: Grid, mask: np.ndarray | None = None):
@@ -141,13 +144,17 @@ class MaskedOperator:
         self.mask = grid.mask if mask is None else (mask & grid.mask)
         if not self.mask.any():
             raise ValueError("empty mask")
-        idx = np.flatnonzero(self.mask)
-        self.n = len(idx)
-        self.matrix = grid.laplacian[idx][:, idx]
+        self.n = int(np.count_nonzero(self.mask))
         self.iterations = 0
         self.max_iterations = 0
         self.worst_residual_ratio = 0.0
         self._dt_part = None      # (dt, 1 + dt diag(A)) of the last solve
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """The mask's Dirichlet Laplacian on packed vectors."""
+        idx = np.flatnonzero(self.mask)
+        return self.grid.laplacian[idx][:, idx]
 
     @cached_property
     def points(self) -> np.ndarray:
@@ -163,13 +170,24 @@ class MaskedOperator:
 
     @cached_property
     def _system(self) -> tuple:
-        """Storage for K = I + dt A + diag(c): a copy of `matrix` whose data
-        solves overwrite, and the positions of its diagonal in K.data.
-        Built on the first solve, so operators that never solve never pay
-        for it."""
-        K = self.matrix.copy()
-        rows = np.repeat(np.arange(self.n), np.diff(K.indptr))
-        return K, np.flatnonzero(K.indices == rows)
+        """Storage for K = I + dt A + diag(c) over the lattice: K as a
+        dia_matrix whose data solves overwrite, A by the same diagonals and
+        four work vectors, built on the first solve.  The offsets ascend
+        (-ny, -1, 0, 1, ny in 2-d), so each row sums in the packed CSR
+        matrix's column order; data[i, j] = A[j - offsets[i], j] is zero
+        for couplings that leave the mask or a lattice row, and on the main
+        diagonal off the mask, where K's rows are those of I + diag(c)."""
+        lap, m = self.grid.laplacian, self.mask.ravel()
+        size = m.size
+        strides = np.cumprod((1,) + self.grid.shape[:0:-1])[::-1]
+        offsets = np.concatenate([-strides, [0], strides[::-1]])
+        a = np.zeros((len(offsets), size))
+        for row, k in zip(a, offsets):
+            lo, hi = max(k, 0), size + min(k, 0)
+            row[lo:hi] = np.where(m[lo:hi] & m[lo - k:hi - k],
+                                  lap.diagonal(k), 0.0)
+        K = sp.dia_matrix((np.empty_like(a), offsets), shape=(size, size))
+        return K, a, np.empty((4, size))
 
     def _assemble(self, dt: float, c: np.ndarray) -> tuple:
         """K = I + dt A + diag(c) in `_system`'s storage, and its diagonal
@@ -177,21 +195,23 @@ class MaskedOperator:
 
         dt A goes into K.data, and 1 + dt diag(A) into a cache, only when
         dt differs from the previous solve's; a run keeps one dt, so each
-        of its steps writes the diagonal alone."""
-        K, diag_at = self._system
+        of its steps writes the main diagonal alone, in place."""
+        K, a, _ = self._system
+        main = self.grid.dim
         if self._dt_part is None or self._dt_part[0] != dt:
-            np.multiply(self.matrix.data, dt, out=K.data)
-            self._dt_part = (dt, 1.0 + dt * self.matrix.diagonal())
-        diag = self._dt_part[1] + c
-        K.data[diag_at] = diag
+            np.multiply(a, dt, out=K.data)
+            self._dt_part = (dt, 1.0 + K.data[main])
+        diag = K.data[main]
+        np.add(self._dt_part[1], c, out=diag)
         return K, diag
 
     def solve_spd(self, rhs: np.ndarray, dt: float, c: np.ndarray,
                   tol: float = 1e-10,
                   x0: np.ndarray | None = None) -> np.ndarray:
         """Solve K u = rhs, K = I + dt A + diag(c), to relative residual
-        <= tol.
+        <= tol, on lattice vectors (length prod(grid.shape), C order).
 
+        rhs, c and x0 vanish off the mask, and then so does u, exactly.
         K is assembled in place (`_assemble`).  A nonzero start x0 whose
         residual r = rhs - K x0 is not already below target is first scaled
         by its Galerkin factor: x0 becomes (1 + g) x0 with
@@ -209,9 +229,10 @@ class MaskedOperator:
         if b_norm == 0:
             return b.copy()
         K, diag = self._assemble(dt, c)
+        r, *work = self._system[2]
         atol = tol * b_norm
-        x = np.zeros(self.n) if x0 is None else np.array(x0, dtype=float)
-        r = b.copy()
+        x = np.zeros(len(r)) if x0 is None else np.array(x0, dtype=float)
+        r[:] = b
         scaled = False
         if x.any():
             kx = K @ x
@@ -222,7 +243,7 @@ class MaskedOperator:
                 kx *= g
                 r -= kx
                 scaled = True
-        iterations = _pcg(K, diag, x, r, atol, max(4 * self.n, 200))
+        iterations = _pcg(K, diag, x, r, atol, max(4 * self.n, 200), work)
         self.iterations += iterations
         self.max_iterations = max(self.max_iterations, iterations)
         if iterations or scaled:
@@ -239,18 +260,18 @@ class MaskedOperator:
 
 
 def _pcg(K, diag: np.ndarray, x: np.ndarray, r: np.ndarray, atol: float,
-         maxiter: int) -> int:
+         maxiter: int, work) -> int:
     """Jacobi-preconditioned conjugate gradients on K from the iterate x
     and its residual r, both updated in place, until ||r|| < atol (or NaN);
-    returns the iterations taken.
+    returns the iterations taken.  work holds three vectors of x's length
+    that the loop overwrites.
 
     This is scipy's `cg` (1.17) loop with the preconditioner diag written
     out, one product with K per iteration: every floating-point operation in
     the same order, so from r = rhs - K x the bits match `cg(K, rhs, x,
-    rtol=atol / ||rhs||, atol=0, maxiter=maxiter, M=...)`, with
-    preallocated buffers.
+    rtol=atol / ||rhs||, atol=0, maxiter=maxiter, M=...)`.
     """
-    z, p, w = (np.empty(len(x)) for _ in range(3))
+    z, p, w = work
     rho_prev = None
     for it in range(maxiter):
         if not math.sqrt(r.dot(r)) >= atol:   # converged, or NaN

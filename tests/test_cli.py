@@ -79,7 +79,7 @@ GRAZING_SECTOR = ["--set", "kset.center=1.5,1.0", "--set", "kset.theta0=-0.5",
 
 # files that test_scenario_refused writes into its working directory
 SCENARIO_FILES = {
-    # a circle path is 2-d, whatever the dimension of its centre
+    # a circle path is 2-d, and so is its centre
     "circle1d.ini": LINE_1D_INI.replace(
         "path = line\npoint = 0.6\nvelocity = 0.05",
         "path = circle\npath_center = 1.0\npath_radius = 0.2\nomega = 1.0"),
@@ -434,7 +434,7 @@ class TestCommands:
         (["predict", "old-translating.ini"],
          "old-translating: the scenario does not use [kset] center"),
         (["predict", "circle1d.ini"],
-         "circle1d: invalid scenario: moving set is 2-d in a 1-d domain"),
+         "circle1d: invalid scenario: a circle path is 2-d, not 1-d"),
         (["predict", "sector1d.ini"],
          "sector1d: invalid scenario: moving set is 2-d in a 1-d domain"),
         (["predict", "ramp.ini"],
@@ -457,7 +457,14 @@ class TestCommands:
          "rotating-slow: invalid scenario: moving set leaves the domain"),
         (["predict", "jumping-disjoint", "--set",
           "kset.k0=sector:0.5,0.5,0.3,0,1"],
-         "jumping-disjoint: invalid scenario: jumping phase k0 is a sector")])
+         "jumping-disjoint: invalid scenario: jumping phase k0 is a sector"),
+        # a malformed value names its key, used by the scenario or not
+        (["predict", "trichotomy-mid", "--set", "equation.center=abc"],
+         "trichotomy-mid: invalid scenario: [equation] center: expected "
+         "comma-separated finite numbers, got 'abc'"),
+        (["predict", "trichotomy-mid", "--set", "domain.resolution=1.5"],
+         "trichotomy-mid: invalid scenario: [domain] resolution: invalid "
+         "literal for int()")])
     def test_scenario_refused(self, argv, error, tmp_path, monkeypatch,
                               capsys):
         monkeypatch.chdir(tmp_path)

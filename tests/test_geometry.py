@@ -118,6 +118,12 @@ class TestSchedules:
         with pytest.raises(ValueError, match="dimensions differ"):
             PathSchedule(kind="line", point=(0.8, 1.0), velocity=(0.02,))
 
+    @pytest.mark.parametrize("center", [(1.0,), (1.0, 1.0, 1.0)])
+    def test_circle_path_centre_must_be_2d(self, center):
+        # a 1-d centre would broadcast into the 2-d point (1.2, 1.0)
+        with pytest.raises(ValueError, match="a circle path is 2-d"):
+            PathSchedule(kind="circle", center=center, radius=0.2, omega=1.0)
+
 
 class TestMovingSets:
     def test_static(self):

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from degenlog.cli import resolve_scenario
@@ -34,13 +35,17 @@ def apply_laplacian(g, values, mask=None):
 
 
 def reference_solve(op, rhs, dt, c, tol=1e-10, x0=None):
-    """The solve through scipy's `cg` on K = I + dt A + diag(c), assembled
+    """The solve through scipy's `cg` on the lattice system
+    K = I + dt A + diag(c), with A = diag(mask) L diag(mask) for the lattice
+    Laplacian L, so that K has identity rows off the mask; assembled
     independently of `solve_spd`: the bits `solve_spd` must reproduce."""
-    A = op.matrix
+    m = sp.diags(op.mask.ravel().astype(float))
+    A = (m @ op.grid.laplacian @ m).tocsr()
     diag = 1.0 + dt * A.diagonal() + c
     K = (dt * A).tolil()
     K.setdiag(diag)
-    pre = spla.LinearOperator((op.n, op.n), matvec=lambda x: x / diag)
+    size = len(diag)
+    pre = spla.LinearOperator((size, size), matvec=lambda x: x / diag)
     sol, _ = spla.cg(K.tocsr(), rhs, x0=x0, rtol=tol, atol=0.0,
                      maxiter=max(4 * op.n, 200), M=pre)
     return sol
@@ -52,19 +57,24 @@ DISC = ("domain.kind=disc", "domain.center=1,1", "domain.radius=1")
 @functools.lru_cache(maxsize=None)
 def step_system(label, steps, overrides=()):
     """(op, rhs, dt, c, u) of the semi-implicit step after `steps` steps of
-    a registry scenario, with --set overrides."""
+    a registry scenario, with --set overrides, on lattice vectors."""
     s = resolve_scenario(label, list(overrides))
     grid = scenario_grid(s)
     op = MaskedOperator(grid)
-    u, t, dt = realize_initial(s, grid)[grid.mask], s.t0, s.scheme.dt
+    u, t, dt = realize_initial(s, grid).ravel(), s.t0, s.scheme.dt
     for k in range(steps + 1):
-        n_next = s.params.n_values(t + dt, op.points)
+        n_next = s.params.n_values(t + dt, grid.points())
         c = dt * n_next * u
         rhs = (1.0 + dt * s.params.lam) * u
         if k == steps:
             return op, rhs, dt, c, u
         u = np.maximum(op.solve_spd(rhs, dt, c, x0=u), 0.0)
         t += dt
+
+
+def bits(v):
+    """The raw 64-bit patterns of a float array, signed zeros told apart."""
+    return np.ascontiguousarray(v, dtype=float).view(np.int64)
 
 
 class TestBuildGrid:
@@ -159,7 +169,7 @@ class TestMaskedOperator:
         op = MaskedOperator(g)
         a = op.matrix
         assert abs(a - a.T).max() == 0.0
-        off = a - _diag_of(a)
+        off = a - sp.diags(a.diagonal())
         assert off.max() <= 0.0                    # nonpositive off-diagonal
         assert a.diagonal().min() > 0.0
 
@@ -218,7 +228,7 @@ class TestMaskedOperator:
         op, rhs, dt, c, u = step_system(*state)
         x0 = None if case == "x0=None" else u
         if case == "rhs=0":
-            rhs = np.zeros(op.n)
+            rhs = np.zeros_like(u)
         elif case == "x0 exact":
             rhs = u + dt * (op.matrix @ u) + c * u
         want = reference_solve(op, rhs, dt, c, x0=x0)
@@ -226,10 +236,10 @@ class TestMaskedOperator:
             got = op.solve_spd(rhs, dt, c, x0=x0)
         else:
             K, diag = op._assemble(dt, c)
-            got = np.zeros(op.n) if x0 is None else x0.copy()
+            got = np.zeros_like(u) if x0 is None else x0.copy()
             r = rhs - K @ got
             _pcg(K, diag, got, r, 1e-10 * math.sqrt(rhs.dot(rhs)),
-                 max(4 * op.n, 200))
+                 max(4 * op.n, 200), np.empty((3, len(got))))
         assert got.dtype == want.dtype and np.array_equal(got, want)
         if case != "step":
             assert np.array_equal(op.solve_spd(rhs, dt, c, x0=x0), want)
@@ -257,9 +267,9 @@ class TestMaskedOperator:
               }[start]
         starts = []
 
-        def spy(K, diag, x, r, atol, maxiter):
+        def spy(K, diag, x, r, atol, maxiter, work):
             starts.append(x.copy())      # the start the loop receives
-            return _pcg(K, diag, x, r, atol, maxiter)
+            return _pcg(K, diag, x, r, atol, maxiter, work)
 
         monkeypatch.setattr(grid_module, "_pcg", spy)
         op.solve_spd(rhs, dt, c, x0=x0)
@@ -303,6 +313,40 @@ class TestMaskedOperator:
             want = MaskedOperator(op.grid).solve_spd(rhs, dt_k, c_k, x0=u)
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("domain, n", [
+        (UNIT_SQ, 16),
+        (DomainSpec.rectangle((0.0, 0.0), (2.0, 1.0)), 32),
+        (DomainSpec.rectangle((0.0,), (1.0,)), 32),
+    ], ids=["square", "rectangle-2x1", "interval"])
+    def test_lattice_product_is_the_packed_product(self, domain, n):
+        # on a rectangle the lattice vector is the packed vector, and K by
+        # diagonals multiplies as the packed CSR K, dt A with its diagonal
+        # set to 1 + dt diag(A) + c, bit for bit
+        op = MaskedOperator(build_grid(domain, n))
+        rng = np.random.default_rng(5)
+        dt, c = 0.01, rng.uniform(0.0, 2.0, op.n)
+        K, diag = op._assemble(dt, c)
+        assert K.format == "dia" and op.n == op.mask.size
+        packed = op.matrix.copy()
+        packed.data *= dt
+        packed.setdiag(diag)
+        for v in (rng.standard_normal(op.n), rng.uniform(0.0, 1.0, op.n)):
+            assert np.array_equal(bits(K @ v), bits(packed @ v))
+
+    @pytest.mark.parametrize("resolution", [16, 64])
+    @pytest.mark.parametrize("start", ["state", "zero"])
+    def test_solve_spd_zero_off_a_disc(self, resolution, start):
+        # off the mask K has identity rows and no couplings: a state that
+        # vanishes there stays exactly zero there
+        op, rhs, dt, c, u = step_system(
+            "trichotomy-mid", 20, DISC + (f"domain.resolution={resolution}",))
+        off = ~op.mask.ravel()
+        assert off.any() and not rhs[off].any() and not u[off].any()
+        fresh = MaskedOperator(op.grid)
+        x = fresh.solve_spd(rhs, dt, c, x0=u if start == "state" else None)
+        assert fresh.iterations > 0 and len(x) == op.mask.size
+        assert np.all(x[off] == 0.0)
+
     def test_nan_reaction_fails_loudly(self):
         op = MaskedOperator(build_grid(UNIT_SQ, 16))
         c = np.zeros(op.n)
@@ -339,14 +383,9 @@ class _CountingMatrix:
 
 def _counting_operator(grid):
     op = MaskedOperator(grid)
-    K, diag_at = op._system
-    op._system = (_CountingMatrix(K), diag_at)
+    K, a, work = op._system
+    op._system = (_CountingMatrix(K), a, work)
     return op
-
-
-def _diag_of(a):
-    import scipy.sparse as sp
-    return sp.diags(a.diagonal())
 
 
 class TestPgm:
