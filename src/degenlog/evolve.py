@@ -14,9 +14,11 @@ structural properties the continuous comparison arguments rest on — at
 first-order accuracy in dt.
 
 The state is the lattice vector of u: the grid function raveled in C order,
-zero off the mask, on which MaskedOperator.solve_spd works; a snapshot is
-that vector reshaped to the lattice.  On a rectangle it is the packed vector
-of u on the mask.  step() takes n(t_{k+1}, .) at every lattice point as an
+zero off the mask; MaskedOperator, the grid's time-step system, takes and
+returns only lattice vectors, and a snapshot is that vector reshaped to the
+lattice.  Nothing here is packed (the mask's values alone, as the eigen
+solves' `grid.dirichlet_matrix` takes them), though on a rectangle the two
+orders coincide.  step() takes n(t_{k+1}, .) at every lattice point as an
 array; run() re-evaluates it only when K(t) moves, that is on steps where
 the snapshot K(t_{k+1}) differs from the previous step's, so a static set
 costs one coefficient evaluation per run.
@@ -131,7 +133,7 @@ class Trajectory:
 def step(u: np.ndarray, n_next: np.ndarray, params: EquationParams,
          cfg: SchemeConfig, op: MaskedOperator,
          x0: np.ndarray | None = None) -> np.ndarray:
-    """Advance the nonnegative lattice vector u, zero off op.mask, from t to
+    """Advance the nonnegative lattice vector u, zero off grid.mask, from t to
     t + dt, where n_next holds n(t + dt, ·) at grid.points().
 
     x0 is the iterate the solve starts from (default u).  It changes only

@@ -4,16 +4,18 @@ Nodes live on a uniform lattice over the domain's bounding box; a node belongs
 to the computational mask iff its center lies in the open domain.  A grid
 function is a plain array of shape `Grid.shape` that is zero off the mask,
 which realizes the homogeneous Dirichlet condition in the 3/5-point stencil.
-`Grid.laplacian` is that stencil on every lattice node, built once per grid;
-a MaskedOperator's `matrix` is its principal submatrix on a mask's nodes,
-for the eigen solves on packed vectors.  The shifted systems
-K = I + dt A + diag(c) of a time step are solved on lattice vectors (grid
-functions raveled in C order), with K stored by diagonals over the whole
-lattice: zero couplings to nodes off the mask and identity rows there, so on
-a rectangle it is the packed system itself.  Each solve writes only K's main
-diagonal (dt A only when dt changes), scales its start by the Galerkin factor
-along it, then runs scipy's Jacobi-preconditioned CG loop written out bit for
-bit, one sparse product per iteration, in buffers kept between solves.
+`Grid.laplacian` is that stencil on every lattice node, built once per grid,
+and two objects are built from it.  `dirichlet_matrix` is its principal
+submatrix on a mask's nodes: the mask's Dirichlet Laplacian on packed
+vectors (the mask's values in C order), which the eigen solves factor.
+`MaskedOperator` is the time-step system K = I + dt A + diag(c) on lattice
+vectors (grid functions raveled in C order), with K stored by diagonals
+over the whole lattice: zero couplings to nodes off the mask and identity
+rows there, so on a rectangle it is the packed system itself.  Each solve
+writes only K's main diagonal (dt A only when dt changes), scales its start
+by the Galerkin factor along it, then runs scipy's Jacobi-preconditioned CG
+loop written out bit for bit, one sparse product per iteration, in buffers
+kept between solves.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
     "SolveFailure",
     "build_grid",
     "mask_from_shape",
+    "dirichlet_matrix",
     "MaskedOperator",
     "write_pgm",
 ]
@@ -109,10 +112,7 @@ def build_grid(domain: DomainSpec, n: int) -> Grid:
 
 def mask_from_shape(grid: Grid, s: SetShape) -> np.ndarray:
     """Interior nodes lying in the set (distance zero)."""
-    if s.is_empty:
-        return np.zeros(grid.shape, dtype=bool)
-    d = s.distance(grid.points()).reshape(grid.shape)
-    return (d <= 0.0) & grid.mask
+    return mask_within_distance(grid, s, 0.0)
 
 
 def mask_within_distance(grid: Grid, s: SetShape, delta: float) -> np.ndarray:
@@ -123,28 +123,33 @@ def mask_within_distance(grid: Grid, s: SetShape, delta: float) -> np.ndarray:
     return (d <= delta) & grid.mask
 
 
-class MaskedOperator:
-    """Negative Laplacian restricted to a mask, with SPD solves.
+def dirichlet_matrix(grid: Grid, mask: np.ndarray) -> sp.csr_matrix:
+    """Dirichlet Laplacian of the nodes of mask & grid.mask on packed
+    vectors: the principal submatrix of `Grid.laplacian` on those nodes, in
+    C order, so that out[mask & grid.mask] = vec unpacks a vector."""
+    idx = np.flatnonzero(mask & grid.mask)
+    return grid.laplacian[idx][:, idx]
 
-    `matrix` is the principal submatrix of `Grid.laplacian` on the mask's
-    nodes, which is the Dirichlet Laplacian of the mask, in packed order:
-    the mask's nodes in C order, as `points` lists them and `extend` reads
-    them.  `solve_spd` solves (I + dt A + diag(c)) u = rhs on lattice
-    vectors instead, by conjugate gradients with the Jacobi (diagonal)
-    preconditioner.  Solves are deterministic and single-threaded; each
+
+class MaskedOperator:
+    """The grid's time-step system K = I + dt A + diag(c), A the Dirichlet
+    Laplacian of `grid.mask`, with SPD solves on lattice vectors.
+
+    `solve_spd` solves K u = rhs by conjugate gradients with the Jacobi
+    (diagonal) preconditioner; every vector it takes or returns is a
+    lattice vector.  Solves are deterministic and single-threaded; each
     overwrites the operator's storage for K, so an operator serves one
     solve at a time.  Over the operator's solves, `iterations` is the
     running total of CG iterations, `max_iterations` the most one solve
     took, and `worst_residual_ratio` the largest final residual over its
-    target tol ||rhs||.
+    target tol ||rhs||.  `n` counts the mask's nodes; `matrix`, the packed
+    `dirichlet_matrix(grid, grid.mask)`, is read by
+    `perfbench/workloads.describe_inputs`, never by the step.
     """
 
-    def __init__(self, grid: Grid, mask: np.ndarray | None = None):
+    def __init__(self, grid: Grid):
         self.grid = grid
-        self.mask = grid.mask if mask is None else (mask & grid.mask)
-        if not self.mask.any():
-            raise ValueError("empty mask")
-        self.n = int(np.count_nonzero(self.mask))
+        self.n = int(np.count_nonzero(grid.mask))
         self.iterations = 0
         self.max_iterations = 0
         self.worst_residual_ratio = 0.0
@@ -152,21 +157,7 @@ class MaskedOperator:
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:
-        """The mask's Dirichlet Laplacian on packed vectors."""
-        idx = np.flatnonzero(self.mask)
-        return self.grid.laplacian[idx][:, idx]
-
-    @cached_property
-    def points(self) -> np.ndarray:
-        """Coordinates of the mask's nodes, shape (n, dim), read-only."""
-        pts = self.grid.points()[self.mask.ravel()]
-        pts.flags.writeable = False
-        return pts
-
-    def extend(self, vec: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.grid.shape)
-        out[self.mask] = vec
-        return out
+        return dirichlet_matrix(self.grid, self.grid.mask)
 
     @cached_property
     def _system(self) -> tuple:
@@ -177,7 +168,7 @@ class MaskedOperator:
         matrix's column order; data[i, j] = A[j - offsets[i], j] is zero
         for couplings that leave the mask or a lattice row, and on the main
         diagonal off the mask, where K's rows are those of I + diag(c)."""
-        lap, m = self.grid.laplacian, self.mask.ravel()
+        lap, m = self.grid.laplacian, self.grid.mask.ravel()
         size = m.size
         strides = np.cumprod((1,) + self.grid.shape[:0:-1])[::-1]
         offsets = np.concatenate([-strides, [0], strides[::-1]])

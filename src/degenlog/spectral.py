@@ -3,14 +3,15 @@
 The principal eigenpair and the second eigenvalue of the discrete negative
 Laplacian come from one path: shift-invert Lanczos about zero (ARPACK's
 eigsh) from a fixed start vector, each inverse applied through one
-symmetric-mode LU of the masked operator on a minimum-degree ordering.  The
-principal solve keeps a Lanczos basis of 10 vectors (ncv), which about
+symmetric-mode LU on a minimum-degree ordering of the mask's packed
+Dirichlet matrix (`grid.dirichlet_matrix`, on the mask's values in C order).
+The principal solve keeps a Lanczos basis of 10 vectors (ncv), which about
 halves its inverse applications against ARPACK's default of 20; the second
 eigenvalue keeps 20, because from the constant start vector a smaller basis
 can converge to a higher mode.  Both pairs are held to a residual bound, and
 the principal eigenvector must be one-signed.  Masks are split into
-face-connected components on the masked operator's own sparsity pattern,
-which is the lattice's face adjacency.
+face-connected components on the matrix's own sparsity pattern, which is
+the lattice's face adjacency.  Eigenfunctions are returned as lattice arrays.
 The characteristic value of a compact set K is the limit of the principal
 eigenvalue of shrinking neighborhoods {d(x, K) <= delta}; it is estimated on
 a geometric delta schedule with first-order Richardson extrapolation, and
@@ -24,12 +25,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 from scipy.special import jn_zeros
 
 from .geometry import DomainSpec, SetShape
-from .grid import Grid, MaskedOperator
+from .grid import Grid, dirichlet_matrix
 
 __all__ = [
     "EigenPair",
@@ -74,41 +76,42 @@ class EigenFailure(RuntimeError):
 
 
 def _components(grid: Grid, mask: np.ndarray) -> list:
-    """The masked operators of the face-connected components of a nonempty
-    mask, in the order of their first node.
+    """The packed Dirichlet matrices of the face-connected components of a
+    nonempty mask, in the order of their first node.
 
-    The off-diagonal pattern of the operator's matrix is the face adjacency
-    of the mask's nodes, so its graph components are the mask's
-    face-connected components; a connected mask keeps its one operator.
+    The off-diagonal pattern of the mask's matrix is the face adjacency of
+    its nodes, so its graph components are the mask's face-connected
+    components, whose matrices are its principal submatrices on them.
     """
-    if not mask.any():
+    a = dirichlet_matrix(grid, mask)
+    if a.shape[0] == 0:
         raise ValueError("eigenproblem needs a nonempty mask")
-    op = MaskedOperator(grid, mask)
     # the pattern is symmetric, so strong components are the weak ones;
     # scipy finds them faster
-    n_comp, labels = connected_components(op.matrix, directed=True,
+    n_comp, labels = connected_components(a, directed=True,
                                           connection="strong")
     if n_comp == 1:
-        return [op]
-    return [MaskedOperator(grid, op.extend(labels == c) > 0)
-            for c in range(n_comp)]
+        return [a]
+    return [a[idx][:, idx]
+            for idx in (np.flatnonzero(labels == c) for c in range(n_comp))]
 
 
-def _smallest_eigenpairs(op: MaskedOperator, k: int, tol: float):
-    """The k smallest eigenpairs of op.matrix: ascending values, and the
-    unit eigenvectors as columns."""
-    if op.n < 2:
+def _smallest_eigenpairs(a: sp.csr_matrix, k: int, tol: float):
+    """The k smallest eigenpairs of a packed Dirichlet matrix: ascending
+    values, and the unit eigenvectors as columns."""
+    n = a.shape[0]
+    if n < 2:
         # eigsh needs k < n; a one-node mask is its own 1x1 eigenproblem
-        return np.array([float(op.matrix[0, 0])]), np.ones((1, 1))
+        return np.array([float(a[0, 0])]), np.ones((1, 1))
     # fixed start vector keeps repeated calls bit-identical (the default is
     # drawn from the global RNG, which would break report determinism)
-    v0 = np.full(op.n, 1.0 / math.sqrt(op.n))
+    v0 = np.full(n, 1.0 / math.sqrt(n))
     # 10 Lanczos vectors for k = 1, ARPACK's 20 for k = 2 (module docstring)
-    ncv = min(10, op.n) if k == 1 else None
+    ncv = min(10, n) if k == 1 else None
     # the matrix is a symmetric M-matrix: its LU needs no pivoting, and a
     # minimum-degree ordering on A + A^T fills far less than eigsh's default
     # COLAMD factor
-    a = op.matrix.tocsc()
+    a = a.tocsc()
     lu = spla.splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                    options={"SymmetricMode": True})
     inverse = spla.LinearOperator(a.shape, matvec=lu.solve, dtype=float)
@@ -122,21 +125,21 @@ def _smallest_eigenpairs(op: MaskedOperator, k: int, tol: float):
     return vals[order], vecs[:, order]
 
 
-def _check_residual(op: MaskedOperator, lam: float, vec: np.ndarray,
+def _check_residual(a: sp.csr_matrix, lam: float, vec: np.ndarray,
                     bound: float, which: str) -> None:
-    """Raise EigenFailure unless ||A vec - lam vec|| <= bound max(1, |lam|)."""
-    residual = float(np.linalg.norm(op.matrix @ vec - lam * vec))
+    """Raise EigenFailure unless ||a vec - lam vec|| <= bound max(1, |lam|)."""
+    residual = float(np.linalg.norm(a @ vec - lam * vec))
     if residual > bound * max(1.0, abs(lam)):
         raise EigenFailure(f"{which} eigenvalue {lam!r} fails its residual "
                            f"check (residual {residual:.3e})")
 
 
-def _principal(op: MaskedOperator, tol: float) -> tuple:
-    """Smallest eigenvalue of a connected masked operator and its
-    eigenvector, packed and positive."""
-    vals, vecs = _smallest_eigenpairs(op, 1, tol)
+def _principal(a: sp.csr_matrix, tol: float) -> tuple:
+    """Smallest eigenvalue of a connected mask's packed Dirichlet matrix
+    and its eigenvector, packed and positive."""
+    vals, vecs = _smallest_eigenpairs(a, 1, tol)
     lam, vec = float(vals[0]), vecs[:, 0]
-    _check_residual(op, lam, vec, tol, "principal")
+    _check_residual(a, lam, vec, tol, "principal")
     if vec.sum() < 0:
         vec = -vec
     if np.any(vec <= 0):
@@ -152,12 +155,14 @@ def principal_eigenpair(grid: Grid, mask: np.ndarray,
                         tol: float = 1e-10) -> EigenPair:
     """Smallest Dirichlet eigenvalue and positive normalized eigenfunction
     of a nonempty, face-connected mask (ValueError otherwise)."""
-    op, *rest = _components(grid, mask)
+    a, *rest = _components(grid, mask)
     if rest:
         raise ValueError("eigenproblem needs a connected mask")
-    lam, vec = _principal(op, tol)
+    lam, vec = _principal(a, tol)
     vec = vec / math.sqrt(float(vec @ vec) * grid.cell_volume)
-    return EigenPair(value=lam, vector=op.extend(vec), mask=mask)
+    out = np.zeros(grid.shape)
+    out[mask & grid.mask] = vec
+    return EigenPair(value=lam, vector=out, mask=mask)
 
 
 def principal_eigenvalue(grid: Grid, mask: np.ndarray) -> float:
@@ -167,7 +172,7 @@ def principal_eigenvalue(grid: Grid, mask: np.ndarray) -> float:
     minimum over connected components (the smallest eigenvalue of the direct
     sum).
     """
-    return min(_principal(op, 1e-10)[0] for op in _components(grid, mask))
+    return min(_principal(a, 1e-10)[0] for a in _components(grid, mask))
 
 
 def second_eigenvalue(grid: Grid, mask: np.ndarray) -> float:
@@ -180,14 +185,14 @@ def second_eigenvalue(grid: Grid, mask: np.ndarray) -> float:
     residual, and near-degenerate second modes converge less tightly than
     the principal one.
     """
-    op, *rest = _components(grid, mask)
+    a, *rest = _components(grid, mask)
     if rest:
         raise ValueError("eigenproblem needs a connected mask")
-    if op.n < 3:
+    if a.shape[0] < 3:
         raise ValueError("second eigenvalue needs a mask of at least 3 nodes")
-    vals, vecs = _smallest_eigenpairs(op, 2, 1e-10)
+    vals, vecs = _smallest_eigenpairs(a, 2, 1e-10)
     lam = float(vals[1])
-    _check_residual(op, lam, vecs[:, 1], math.sqrt(1e-10), "second")
+    _check_residual(a, lam, vecs[:, 1], math.sqrt(1e-10), "second")
     return lam
 
 

@@ -12,7 +12,8 @@ from degenlog.cli import resolve_scenario
 from degenlog.geometry import DomainSpec, SetShape
 from degenlog import grid as grid_module
 from degenlog.grid import (MaskedOperator, SolveFailure, _pcg, build_grid,
-                           mask_from_shape, mask_within_distance, write_pgm)
+                           dirichlet_matrix, mask_from_shape,
+                           mask_within_distance, write_pgm)
 from degenlog.scenarios import realize_initial, scenario_grid
 
 UNIT_SQ = DomainSpec.rectangle((0.0, 0.0), (1.0, 1.0))
@@ -39,7 +40,7 @@ def reference_solve(op, rhs, dt, c, tol=1e-10, x0=None):
     K = I + dt A + diag(c), with A = diag(mask) L diag(mask) for the lattice
     Laplacian L, so that K has identity rows off the mask; assembled
     independently of `solve_spd`: the bits `solve_spd` must reproduce."""
-    m = sp.diags(op.mask.ravel().astype(float))
+    m = sp.diags(op.grid.mask.ravel().astype(float))
     A = (m @ op.grid.laplacian @ m).tocsr()
     diag = 1.0 + dt * A.diagonal() + c
     K = (dt * A).tolil()
@@ -139,12 +140,13 @@ class TestLaplacian:
         (DomainSpec.rectangle((0.0, 0.0), (2.0, 1.0)), 32, None),
     ], ids=["square", "disc", "ball-submask", "interval", "rectangle-2x1"])
     def test_matches_masked_operator(self, domain, n, submask):
+        # the mask's packed Dirichlet matrix, unpacked, is the stencil
         g = build_grid(domain, n)
         mask = g.mask if submask is None else mask_from_shape(g, submask)
         rng = np.random.default_rng(0)
         f = rng.standard_normal(g.shape)
-        op = MaskedOperator(g, mask)
-        via_matrix = op.extend(op.matrix @ f[op.mask])
+        via_matrix = np.zeros(g.shape)
+        via_matrix[mask] = dirichlet_matrix(g, mask) @ f[mask]
         assert np.allclose(apply_laplacian(g, f, mask), via_matrix)
 
 
@@ -166,25 +168,11 @@ class TestMasks:
 class TestMaskedOperator:
     def test_matrix_symmetric_and_m_matrix(self):
         g = build_grid(DomainSpec.disc((0.0, 0.0), 1.0), 32)
-        op = MaskedOperator(g)
-        a = op.matrix
+        a = dirichlet_matrix(g, g.mask)
         assert abs(a - a.T).max() == 0.0
         off = a - sp.diags(a.diagonal())
         assert off.max() <= 0.0                    # nonpositive off-diagonal
         assert a.diagonal().min() > 0.0
-
-    def test_restrict_extend_roundtrip(self):
-        g = build_grid(UNIT_SQ, 16)
-        op = MaskedOperator(g)
-        v = np.arange(op.n, dtype=float)
-        assert np.array_equal(op.extend(v)[op.mask], v)
-
-    def test_points_in_packed_order(self):
-        g = build_grid(DomainSpec.disc((0.0, 0.0), 1.0), 16)
-        op = MaskedOperator(g)
-        x = g.points()[:, 0].reshape(g.shape)
-        assert np.array_equal(op.extend(op.points[:, 0]),
-                              np.where(g.mask, x, 0.0))
 
     def test_solve_spd_accuracy(self):
         g = build_grid(UNIT_SQ, 32)
@@ -326,7 +314,7 @@ class TestMaskedOperator:
         rng = np.random.default_rng(5)
         dt, c = 0.01, rng.uniform(0.0, 2.0, op.n)
         K, diag = op._assemble(dt, c)
-        assert K.format == "dia" and op.n == op.mask.size
+        assert K.format == "dia" and op.n == op.grid.mask.size
         packed = op.matrix.copy()
         packed.data *= dt
         packed.setdiag(diag)
@@ -340,11 +328,11 @@ class TestMaskedOperator:
         # vanishes there stays exactly zero there
         op, rhs, dt, c, u = step_system(
             "trichotomy-mid", 20, DISC + (f"domain.resolution={resolution}",))
-        off = ~op.mask.ravel()
+        off = ~op.grid.mask.ravel()
         assert off.any() and not rhs[off].any() and not u[off].any()
         fresh = MaskedOperator(op.grid)
         x = fresh.solve_spd(rhs, dt, c, x0=u if start == "state" else None)
-        assert fresh.iterations > 0 and len(x) == op.mask.size
+        assert fresh.iterations > 0 and len(x) == op.grid.mask.size
         assert np.all(x[off] == 0.0)
 
     def test_nan_reaction_fails_loudly(self):
@@ -360,11 +348,6 @@ class TestMaskedOperator:
         rhs[17] = np.inf
         with pytest.raises(SolveFailure), np.errstate(invalid="ignore"):
             op.solve_spd(rhs, 0.01, np.zeros(op.n))
-
-    def test_empty_mask_rejected(self):
-        g = build_grid(UNIT_SQ, 16)
-        with pytest.raises(ValueError):
-            MaskedOperator(g, np.zeros(g.shape, dtype=bool))
 
 
 class _CountingMatrix:

@@ -1,5 +1,7 @@
 """Scenario descriptions, the verdict classifier and the prediction layer."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,16 @@ class TestPredictAndCrossCheck:
                          cap_hit=79.0)
         rep2 = cross_check(s, cap_traj, grid, checks=checks)
         assert rep2.status == "VIOLATION"
+
+    def test_registry_predictions_pinned(self):
+        """The bits of the prediction layer over the registry: the first 16
+        hex digits of the sha256 of the UTF-8 bytes of
+        "\\n".join(repr(predict(s)) for s in registry().values())
+        are 7dabd789e2521972.  Any moved eigenvalue, ladder value, tau or
+        verdict of any label moves the hash."""
+        text = "\n".join(repr(predict(s)) for s in registry().values())
+        digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+        assert digest == "7dabd789e2521972"
 
     @pytest.mark.parametrize("label, ladders", [
         ("trichotomy-mid", 1), ("jumping-control", 1),

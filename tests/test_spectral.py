@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from degenlog.geometry import DomainSpec, SetShape
-from degenlog.grid import (MaskedOperator, build_grid, mask_from_shape,
+from degenlog.grid import (build_grid, dirichlet_matrix, mask_from_shape,
                            mask_within_distance)
 from degenlog import spectral
 from degenlog.spectral import (EigenFailure, Lambda0Estimate, analytic_lambda1,
@@ -64,9 +64,8 @@ class TestPrincipalEigenpair:
     def test_residual_small(self):
         g = build_grid(UNIT_SQ, 24)
         pair = principal_eigenpair(g, g.mask, tol=1e-12)
-        op = MaskedOperator(g)
-        v = pair.vector[op.mask]
-        res = np.linalg.norm(op.matrix @ v - pair.value * v)
+        v = pair.vector[g.mask]
+        res = np.linalg.norm(dirichlet_matrix(g, g.mask) @ v - pair.value * v)
         assert res <= 1e-8 * pair.value * np.linalg.norm(v)
 
     def test_disconnected_mask_rejected(self):
@@ -80,6 +79,25 @@ class TestPrincipalEigenpair:
         g = build_grid(UNIT_SQ, 16)
         with pytest.raises(ValueError):
             principal_eigenpair(g, np.zeros(g.shape, dtype=bool))
+
+    def test_mask_cut_to_the_domain(self):
+        # an eigen solve sees mask & grid.mask: on a disc the all-True
+        # lattice mask gives the domain's own bits, and a mask with no node
+        # in the domain is empty
+        g = build_grid(DomainSpec.disc((0.0, 0.0), 1.0), 32)
+        lattice = np.ones(g.shape, dtype=bool)
+        assert not g.mask.all()
+        assert principal_eigenvalue(g, lattice) == \
+            principal_eigenvalue(g, g.mask)
+        got = principal_eigenpair(g, lattice)
+        want = principal_eigenpair(g, g.mask)
+        assert got.value == want.value
+        assert np.array_equal(got.vector, want.vector)
+        corner = np.zeros(g.shape, dtype=bool)
+        corner[0, 0] = True
+        assert not g.mask[0, 0]
+        with pytest.raises(ValueError, match="nonempty mask"):
+            principal_eigenvalue(g, corner)
 
 
 class TestPrincipalEigenvalueDisconnected:
@@ -96,8 +114,8 @@ class TestPrincipalEigenvalueDisconnected:
 
 
 class TestComponents:
-    """Face-connected components come from the masked operator's graph;
-    scipy.ndimage.label is the reference."""
+    """Face-connected components come from the graph of the mask's packed
+    Dirichlet matrix; scipy.ndimage.label is the reference."""
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_match_ndimage_label(self, dim):
@@ -113,10 +131,14 @@ class TestComponents:
             if n_comp == 0:
                 continue
             seen.add(min(n_comp, 2))
-            parts = [op.mask for op in spectral._components(grid, mask)]
+            parts = spectral._components(grid, mask)
             assert len(parts) == n_comp
             for c, part in enumerate(parts, start=1):
-                assert np.array_equal(part, labels == c)
+                # the same CSR arrays as the component mask's own matrix
+                want = dirichlet_matrix(grid, labels == c)
+                for attr in ("indptr", "indices", "data"):
+                    assert np.array_equal(getattr(part, attr),
+                                          getattr(want, attr))
         assert seen == {1, 2}
 
     def test_strong_components_match_weak(self):
@@ -126,7 +148,7 @@ class TestComponents:
         rng = np.random.default_rng(5)
         for _ in range(30):
             mask = (rng.random(grid.shape) < rng.uniform(0.3, 0.9)) & grid.mask
-            matrix = MaskedOperator(grid, mask).matrix
+            matrix = dirichlet_matrix(grid, mask)
             weak = connected_components(matrix, directed=False)
             strong = connected_components(matrix, directed=True,
                                           connection="strong")
@@ -152,7 +174,7 @@ class TestSecondEigenvalue:
         with pytest.raises(ValueError, match="at least 3 nodes"):
             second_eigenvalue(g, m)
         m[8, 9] = True
-        vals = np.linalg.eigvalsh(MaskedOperator(g, m).matrix.toarray())
+        vals = np.linalg.eigvalsh(dirichlet_matrix(g, m).toarray())
         assert second_eigenvalue(g, m) == pytest.approx(vals[1], rel=1e-10)
 
     def test_loose_pair_raises(self, monkeypatch):
@@ -160,8 +182,8 @@ class TestSecondEigenvalue:
         solve = spectral._smallest_eigenpairs
         noise = np.random.default_rng(5).standard_normal(g.mask.sum())
 
-        def perturbed(op, k, tol):
-            vals, vecs = solve(op, k, tol)
+        def perturbed(a, k, tol):
+            vals, vecs = solve(a, k, tol)
             vecs[:, 1] += 1e-5 * noise / np.linalg.norm(noise)
             return vals, vecs
 
@@ -175,14 +197,14 @@ class TestSecondEigenvalue:
     def test_matches_dense_on_carried_growth_sanctuary(self):
         g = build_grid(DomainSpec.rectangle((0.0, 0.0), (2.0, 2.0)), 64)
         m = mask_from_shape(g, SetShape.ball((0.83, 1.0), 0.52))
-        vals = np.linalg.eigvalsh(MaskedOperator(g, m).matrix.toarray())
+        vals = np.linalg.eigvalsh(dirichlet_matrix(g, m).toarray())
         assert second_eigenvalue(g, m) == pytest.approx(vals[1], rel=1e-8)
 
 
 def _default_shift_invert(grid, mask, k):
     """The k smallest eigenvalues from scipy's own shift-invert factor
     (splu with its default COLAMD ordering) from the constant start."""
-    a = MaskedOperator(grid, mask).matrix.tocsc()
+    a = dirichlet_matrix(grid, mask).tocsc()
     n = a.shape[0]
     vals = spla.eigsh(a, k, sigma=0.0, v0=np.full(n, 1.0 / math.sqrt(n)),
                       tol=1e-10, return_eigenvectors=False)
@@ -219,7 +241,7 @@ class TestSymmetricModeFactor:
         ids=["rect-4x1", "rect-8x1", "disc-32"]
         + [f"line-{n}" for n in range(2, 14)])
     def test_matches_dense(self, grid, mask):
-        vals = np.linalg.eigvalsh(MaskedOperator(grid, mask).matrix.toarray())
+        vals = np.linalg.eigvalsh(dirichlet_matrix(grid, mask).toarray())
         assert principal_eigenvalue(grid, mask) == pytest.approx(vals[0],
                                                                  rel=1e-10)
         if len(vals) >= 3:
@@ -309,14 +331,15 @@ class TestLambda0:
                            deltas=(0.1, 0.1))
 
 
-def linear_evolve(op: MaskedOperator, v0: np.ndarray, t: float,
+def linear_evolve(a: sp.csr_matrix, v0: np.ndarray, t: float,
                   lam: float = 0.0) -> np.ndarray:
-    """Reference exact-in-time linear flow exp(t (lam I - A)) v0 on a mask."""
+    """Reference exact-in-time linear flow exp(t (lam I - A)) v0 for a
+    mask's packed Dirichlet matrix A."""
     if t < 0:
         raise ValueError("time must be nonnegative")
     if t == 0.0:
         return v0.copy()
-    gen = sp.identity(op.n, format="csr") * lam - op.matrix
+    gen = sp.identity(a.shape[0], format="csr") * lam - a
     return spla.expm_multiply(gen * t, v0)
 
 
@@ -324,24 +347,23 @@ class TestLinearEvolve:
     def test_principal_mode_decay(self):
         g = build_grid(UNIT_SQ, 32)
         pair = principal_eigenpair(g, g.mask, tol=1e-12)
-        op = MaskedOperator(g)
-        v0 = pair.vector[op.mask]
+        v0 = pair.vector[g.mask]
         t, lam = 0.1, 3.0
-        v = linear_evolve(op, v0, t, lam=lam)
+        v = linear_evolve(dirichlet_matrix(g, g.mask), v0, t, lam=lam)
         assert np.allclose(v, math.exp((lam - pair.value) * t) * v0,
                            rtol=1e-7, atol=1e-12)
 
     def test_zero_time_identity(self):
         g = build_grid(UNIT_SQ, 16)
-        op = MaskedOperator(g)
-        v0 = np.linspace(0.0, 1.0, op.n)
-        assert np.array_equal(linear_evolve(op, v0, 0.0), v0)
+        a = dirichlet_matrix(g, g.mask)
+        v0 = np.linspace(0.0, 1.0, a.shape[0])
+        assert np.array_equal(linear_evolve(a, v0, 0.0), v0)
 
     def test_negative_time_rejected(self):
         g = build_grid(UNIT_SQ, 16)
-        op = MaskedOperator(g)
+        a = dirichlet_matrix(g, g.mask)
         with pytest.raises(ValueError):
-            linear_evolve(op, np.ones(op.n), -1.0)
+            linear_evolve(a, np.ones(a.shape[0]), -1.0)
 
 
 class TestLambda0Estimate:
