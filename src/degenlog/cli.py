@@ -22,7 +22,7 @@ import numpy as np
 from .evolve import EquationParams, SchemeConfig, Trajectory
 from .geometry import (DomainSpec, JumpingSets, PathSchedule, RadiusBall,
                        RadiusSchedule, RotatingSector, SetShape, StaticSet,
-                       TranslatingSet, validate_inside_domain)
+                       TranslatingSet)
 from .grid import build_grid, mask_from_shape, write_pgm
 from .properties import suite_properties
 from .scenarios import (MIN_RECORDS, CrossCheckReport, InitialData,
@@ -216,8 +216,6 @@ def config_to_scenario(cfg: dict, label: str,
                      predict_plan=PredictPlan(**pr.given(
                          "tau0_list", "gamma", "carry_window")),
                      expected_status=expected_status)
-        if moving is not None:
-            validate_inside_domain(moving, domain, s.t0, s.t_end)
     except ValueError as e:
         raise CliError(f"{label}: invalid scenario: {e}") from e
     used = scenario_to_config(s)
@@ -273,11 +271,9 @@ def scenario_to_config(s: Scenario) -> dict:
     init = s.initial
     if init.kind == "constant":
         initial = {"kind": "constant", "value": init.value}
-    elif init.kind == "bump":
+    else:
         initial = {"kind": "bump", "center": init.center,
                    "radius": init.radius, "height": init.value}
-    else:
-        raise CliError(f"initial data kind {init.kind!r} has no file form")
     output = {"sample_every": s.outputs.sample_every,
               "growth_cap": s.scheme.growth_cap,
               "solve_tol": s.scheme.solve_tol}
@@ -319,11 +315,9 @@ def _kset_to_values(spec) -> dict:
         c = spec.curve
         if c.kind == "line":
             out.update(path="line", point=c.point, velocity=c.velocity)
-        elif c.kind == "circle":
+        else:
             out.update(path="circle", path_center=c.center,
                        path_radius=c.radius, omega=c.omega, phase=c.phase)
-        else:
-            raise CliError(f"path kind {c.kind!r} has no file form")
         return out
     raise CliError(f"moving set {type(spec).__name__} has no file form")
 

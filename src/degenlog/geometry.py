@@ -330,6 +330,8 @@ class PathSchedule:
     velocity: tuple = ()
 
     def __post_init__(self):
+        if self.kind not in ("circle", "line"):
+            raise ValueError(f"unknown path schedule {self.kind!r}")
         if self.kind == "line" and len(self.point) != len(self.velocity):
             raise ValueError("line path: point and velocity dimensions differ")
         if self.kind == "circle" and len(self.center) != 2:
@@ -340,9 +342,7 @@ class PathSchedule:
             a = self.omega * t + self.phase
             return np.array(self.center) + self.radius * np.array(
                 [math.cos(a), math.sin(a)])
-        if self.kind == "line":
-            return np.array(self.point) + t * np.array(self.velocity)
-        raise ValueError(f"unknown path schedule {self.kind!r}")
+        return np.array(self.point) + t * np.array(self.velocity)
 
     def max_speed(self) -> float:
         if self.kind == "circle":
@@ -403,6 +403,8 @@ class JumpingSets:
             if phase.kind not in ("ball", "empty"):
                 raise ValueError(f"jumping phase {name} is a {phase.kind}; a "
                                  "phase is a ball, a point or empty")
+        if len({p.dim for p in (self.k0, self.k1) if not p.is_empty}) > 1:
+            raise ValueError("jumping phases k0 and k1 differ in dimension")
         if not 0.0 < self.t1 < self.period:
             raise ValueError("jump time t1 must lie in (0, period)")
 
@@ -566,27 +568,30 @@ def shape_gap(a: SetShape, b: SetShape) -> float:
     return max(d - a.radius - b.radius, 0.0)
 
 
-def _inside(s: SetShape, domain: DomainSpec) -> bool:
-    """Whether a ball or a sector lies strictly inside the domain, exactly.
-
-    A ball is inside when its centre is farther than its radius from the
-    boundary.  The domain is convex, so a sector is inside when its centre
-    and every point of its arc are.  Along the arc the margin is least at an
-    end or at an angle in between where the arc reaches farthest: towards a
-    wall (k pi/2) in a rectangle, away from the centre in a disc.  An arc of
-    a full turn holds every such angle.
-    """
-    if s.kind == "ball":
-        return domain.interior_margin(s.center)[0] > s.radius
+def _arc_points(center, radius: float, theta0: float, theta1: float,
+                domain: DomainSpec) -> np.ndarray:
+    """The points of the arc of the circle (center, radius) over angles
+    [theta0, theta1] where the margin to the domain's boundary is least: its
+    ends and the angles in between where it reaches farthest, towards a wall
+    (k pi/2) in a rectangle and away from the centre in a disc."""
     if domain.kind == "rectangle":
         far = 0.5 * math.pi * np.arange(4)
     else:
-        v = np.array(s.center) - np.array(domain.center)
+        v = np.array(center) - np.array(domain.center)
         far = np.array([math.atan2(v[1], v[0])])
-    on_arc = np.mod(far - s.theta0, 2.0 * math.pi) <= s.theta1 - s.theta0
-    angles = np.concatenate(([s.theta0, s.theta1], far[on_arc]))
-    arc = np.array(s.center) + s.radius * np.stack(
+    on_arc = np.mod(far - theta0, 2.0 * math.pi) <= theta1 - theta0
+    angles = np.concatenate(([theta0, theta1], far[on_arc]))
+    return np.array(center) + radius * np.stack(
         [np.cos(angles), np.sin(angles)], axis=1)
+
+
+def _inside(s: SetShape, domain: DomainSpec) -> bool:
+    """Whether a ball or a sector lies strictly inside the domain, exactly:
+    a ball when its centre is farther than its radius from the boundary, a
+    sector, the domain being convex, when its centre and _arc_points are."""
+    if s.kind == "ball":
+        return domain.interior_margin(s.center)[0] > s.radius
+    arc = _arc_points(s.center, s.radius, s.theta0, s.theta1, domain)
     return bool(np.all(domain.contains(np.vstack([s.center, arc]))))
 
 
@@ -594,12 +599,22 @@ def validate_inside_domain(spec, domain: DomainSpec, t0: float,
                            t_end: float) -> None:
     """Reject configurations whose K(t) leaves the domain at some time in
     [t0, t_end]: every part of K_sup over that interval must have the
-    domain's dimension and lie strictly inside, tested exactly (a
-    translating ball's K_sup is sampled)."""
+    domain's dimension and lie strictly inside, tested exactly.  The domain
+    is convex, so a translating ball is tested, without K_sup, at the ends
+    of its path and, on a circle, at its centres' _arc_points."""
     if isinstance(spec, RotatingSector) and domain.dim != 2:
         raise ValueError(f"moving set is 2-d in a {domain.dim}-d domain")
-    swept = k_sup(spec, t0, t_end)
-    for part in swept.parts if swept.kind == "union" else (swept,):
+    if isinstance(spec, TranslatingSet) and spec.curve.kind == "circle":
+        c = spec.curve
+        ends = sorted(c.omega * t + c.phase for t in (t0, t_end))
+        parts = [SetShape.ball(p, spec.radius)
+                 for p in _arc_points(c.center, c.radius, *ends, domain)]
+    elif isinstance(spec, TranslatingSet):
+        parts = [spec.snapshot(t0), spec.snapshot(t_end)]
+    else:
+        swept = k_sup(spec, t0, t_end)
+        parts = swept.parts if swept.kind == "union" else (swept,)
+    for part in parts:
         if part.is_empty:
             continue
         if part.dim != domain.dim:

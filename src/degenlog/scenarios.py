@@ -60,6 +60,10 @@ class InitialData:
     center: tuple = ()
     radius: float = 0.0
 
+    def __post_init__(self):
+        if self.kind not in ("constant", "bump"):
+            raise ValueError(f"unknown initial data kind {self.kind!r}")
+
     @staticmethod
     def constant(c: float) -> "InitialData":
         if c <= 0:
@@ -111,7 +115,8 @@ class PredictPlan:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Complete experiment description."""
+    """Complete experiment description, refused when built if K(t) leaves
+    the domain in [t0, t_end]."""
 
     label: str
     domain: DomainSpec
@@ -137,6 +142,9 @@ class Scenario:
         check_outputs(self.t0, self.t_end, self.outputs.sample_every,
                       self.outputs.snapshot_times)
         self.predict_plan.check(self.t_end - self.t0)
+        if self.params.moving_set is not None:
+            geo.validate_inside_domain(self.params.moving_set, self.domain,
+                                       self.t0, self.t_end)
 
 
 def scenario_grid(s: Scenario) -> Grid:
@@ -148,24 +156,16 @@ def realize_initial(s: Scenario, grid: Grid) -> np.ndarray:
     init = s.initial
     if init.kind == "constant":
         return np.where(grid.mask, init.value, 0.0)
-    if init.kind == "bump":
-        c = np.array(init.center)
-        if c.size != grid.dim:
-            raise ValueError(f"bump centre: {c.size}-d in a {grid.dim}-d grid")
-
-        def f(pts):
-            q = 1.0 - (np.linalg.norm(pts - c, axis=1) / init.radius) ** 2
-            return init.value * np.maximum(q, 0.0) ** 2
-
-        return np.where(grid.mask, f(grid.points()).reshape(grid.shape), 0.0)
-    raise ValueError(f"unknown initial data kind {init.kind!r}")
+    c = np.array(init.center)
+    if c.size != grid.dim:
+        raise ValueError(f"bump centre: {c.size}-d in a {grid.dim}-d grid")
+    q = 1.0 - (np.linalg.norm(grid.points() - c, axis=1) / init.radius) ** 2
+    bump = init.value * np.maximum(q, 0.0) ** 2
+    return np.where(grid.mask, bump.reshape(grid.shape), 0.0)
 
 
 def run_scenario(s: Scenario, grid: Grid | None = None) -> Trajectory:
     grid = grid if grid is not None else scenario_grid(s)
-    if s.params.moving_set is not None:
-        geo.validate_inside_domain(s.params.moving_set, s.domain, s.t0,
-                                   s.t_end)
     u0 = realize_initial(s, grid)
     if not np.any(u0 > 0):
         raise ValueError("initial data must not vanish identically")

@@ -129,7 +129,7 @@ def _check_residual(a: sp.csr_matrix, lam: float, vec: np.ndarray,
                     bound: float, which: str) -> None:
     """Raise EigenFailure unless ||a vec - lam vec|| <= bound max(1, |lam|)."""
     residual = float(np.linalg.norm(a @ vec - lam * vec))
-    if residual > bound * max(1.0, abs(lam)):
+    if not residual <= bound * max(1.0, abs(lam)):
         raise EigenFailure(f"{which} eigenvalue {lam!r} fails its residual "
                            f"check (residual {residual:.3e})")
 

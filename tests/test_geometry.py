@@ -118,6 +118,10 @@ class TestSchedules:
         with pytest.raises(ValueError, match="dimensions differ"):
             PathSchedule(kind="line", point=(0.8, 1.0), velocity=(0.02,))
 
+    def test_unknown_path_kind(self):
+        with pytest.raises(ValueError, match="unknown path schedule 'spiral'"):
+            PathSchedule(kind="spiral")
+
     @pytest.mark.parametrize("center", [(1.0,), (1.0, 1.0, 1.0)])
     def test_circle_path_centre_must_be_2d(self, center):
         # a 1-d centre would broadcast into the 2-d point (1.2, 1.0)
@@ -164,6 +168,14 @@ class TestMovingSets:
                               "k1 is a union")):
             with pytest.raises(ValueError, match=f"jumping phase {name}"):
                 JumpingSets(k0, k1, period=1.0, t1=0.5)
+
+    def test_jumping_phases_share_a_dimension(self):
+        # a 1-d centre would broadcast against the 2-d one in shape_gap
+        with pytest.raises(ValueError, match="differ in dimension"):
+            JumpingSets(SetShape.ball((0.5,), 0.1),
+                        SetShape.ball((1.0, 1.0), 0.1), period=1.0, t1=0.5)
+        JumpingSets(SetShape.ball((0.5,), 0.1), SetShape.empty(),
+                    period=1.0, t1=0.5)
 
     def test_translating_set(self):
         s = TranslatingSet(0.5, PathSchedule(kind="line", point=(1.0, 0.0),
@@ -490,6 +502,38 @@ class TestGapsAndValidation:
         validate_inside_domain(sector(radius - 1e-5), domain, 0.0, 1.0)
         with pytest.raises(ValueError, match="leaves the domain"):
             validate_inside_domain(sector(radius + 1e-5), domain, 0.0, 1.0)
+
+    @pytest.mark.parametrize("omega", [1.0, -1.0])
+    @pytest.mark.parametrize("domain", [
+        DomainSpec.rectangle((0.0, 0.0), (2.0, 2.0)),
+        DomainSpec.disc((1.0, 1.0), 1.0)], ids=["rectangle", "disc"])
+    def test_circle_path_grazing_the_boundary(self, domain, omega):
+        """The test of a circle path is exact: its centre reaches (1.7, 1),
+        0.3 from the boundary, at angle 0, which no time in 0.025 k hits.
+        A radius 1e-6 past that margin is refused, 1e-6 short accepted."""
+        def carried(r):
+            return TranslatingSet(r, PathSchedule(
+                kind="circle", center=(1.2, 1.0), radius=0.5, omega=omega,
+                phase=-0.0125))
+        validate_inside_domain(carried(0.3 - 1e-6), domain, 0.0, 10.0)
+        with pytest.raises(ValueError, match="leaves the domain"):
+            validate_inside_domain(carried(0.3 + 1e-6), domain, 0.0, 10.0)
+
+    def test_translating_check_reads_no_sampled_set(self, monkeypatch):
+        def sampled(*args):
+            raise AssertionError("the check read a sampled set")
+        monkeypatch.setattr(geometry, "k_sup", sampled)
+        monkeypatch.setattr(geometry, "union_over_interval", sampled)
+        d = DomainSpec.rectangle((0.0, 0.0), (2.0, 2.0))
+        # the line's ball leaves at its end only, (1.5, 1) at t = 5
+        line = PathSchedule(kind="line", point=(1.0, 1.0), velocity=(0.1, 0.0))
+        circle = PathSchedule(kind="circle", center=(1.0, 1.0), radius=0.5,
+                              omega=-2.0, phase=1.0)
+        for curve in (line, circle):
+            validate_inside_domain(TranslatingSet(0.4, curve), d, 0.0, 5.0)
+            with pytest.raises(ValueError, match="leaves the domain"):
+                validate_inside_domain(TranslatingSet(0.6, curve), d, 0.0,
+                                       5.0)
 
     def test_sector_in_a_1d_domain(self):
         spec = RotatingSector((1.0,), 0.3, 0.0, 1.0, omega=1.0)

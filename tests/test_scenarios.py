@@ -1,5 +1,6 @@
 """Scenario descriptions, the verdict classifier and the prediction layer."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -10,8 +11,7 @@ from degenlog.evolve import EquationParams, SchemeConfig, Trajectory
 from degenlog.geometry import DomainSpec, SetShape, StaticSet
 from degenlog.scenarios import (InitialData, OutputPlan, REGISTRY_LABELS,
                                 Scenario, classify, cross_check, predict,
-                                realize_initial, registry, run_scenario,
-                                scenario_grid)
+                                realize_initial, registry, scenario_grid)
 from degenlog.spectral import lambda0_of_set
 
 DOM = DomainSpec.rectangle((0.0, 0.0), (2.0, 2.0))
@@ -48,6 +48,10 @@ class TestInitialData:
     def test_bump_validation(self):
         with pytest.raises(ValueError):
             InitialData.bump((1, 1), 0.0, 1.0)
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown initial data kind"):
+            InitialData(kind="gauss")
 
     def test_realize_constant(self):
         s = _scenario()
@@ -106,10 +110,16 @@ class TestScenarioValidation:
                       scheme=SchemeConfig(dt=2e-3))
 
     def test_moving_set_must_stay_inside_domain(self):
-        s = _scenario(params=EquationParams(
-            lam=5.0, moving_set=StaticSet(SetShape.ball((0.1, 0.1), 0.3))))
-        with pytest.raises(ValueError):
-            run_scenario(s)
+        with pytest.raises(ValueError, match="leaves the domain"):
+            _scenario(params=EquationParams(
+                lam=5.0, moving_set=StaticSet(SetShape.ball((0.1, 0.1), 0.3))))
+        # the same refusal for a scenario derived in Python, which predict()
+        # would otherwise evaluate
+        mid = registry()["trichotomy-mid"]
+        moved = EquationParams(lam=mid.params.lam, moving_set=StaticSet(
+            SetShape.ball((0.1, 0.1), 0.45)))
+        with pytest.raises(ValueError, match="leaves the domain"):
+            dataclasses.replace(mid, params=moved)
 
 
 class TestClassify:

@@ -191,6 +191,20 @@ class TestSecondEigenvalue:
         with pytest.raises(EigenFailure, match="second eigenvalue"):
             second_eigenvalue(g, g.mask)
 
+    def test_nan_pair_raises(self, monkeypatch):
+        # a NaN residual compares false with its bound, so it must be caught
+        # as "not within", not as "above"
+        g = build_grid(UNIT_SQ, 16)
+
+        def nan_pairs(a, k, tol):
+            return np.full(k, np.nan), np.full((a.shape[0], k), np.nan)
+
+        monkeypatch.setattr(spectral, "_smallest_eigenpairs", nan_pairs)
+        with pytest.raises(EigenFailure, match="principal eigenvalue nan"):
+            principal_eigenpair(g, g.mask)
+        with pytest.raises(EigenFailure, match="second eigenvalue nan"):
+            second_eigenvalue(g, g.mask)
+
     @pytest.mark.xfail(strict=True, reason="the constant Lanczos start "
                        "vector is orthogonal to the second mode of this "
                        "mask (overlap ~1e-15), so eigsh returns lambda_3")
