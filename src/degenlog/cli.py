@@ -184,15 +184,11 @@ def config_to_scenario(cfg: dict, label: str,
         else:
             raise ValueError(f"unknown domain kind {dkind!r}")
 
-        for sec, key in ((k, "center"), (k, "point"), (k, "velocity"),
-                         (k, "path_center"), (i, "center")):
-            if key in sec and len(sec[key]) != domain.dim:
-                raise ValueError(f"[{sec.name}] {key} has {len(sec[key])} "
-                                 f"coordinates in a {domain.dim}-d domain")
-        for key in ("k0", "k1"):
-            if key in k and not k[key].is_empty and k[key].dim != domain.dim:
-                raise ValueError(f"[kset] {key} is {k[key].dim}-d in a "
-                                 f"{domain.dim}-d domain")
+        # Scenario checks the vanishing set's dimension, but nothing reads a
+        # bump centre before run()
+        if "center" in i and len(i["center"]) != domain.dim:
+            raise ValueError(f"[initial] center has {len(i['center'])} "
+                             f"coordinates in a {domain.dim}-d domain")
         moving = _kset_from_section(k)
         params = EquationParams(lam=eq["lam"], moving_set=moving)
         scheme = SchemeConfig(**tm.given("dt"),

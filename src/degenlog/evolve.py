@@ -32,9 +32,13 @@ Near a smooth trajectory the extrapolation is much closer to u_{k+1}, so
 the solves take fewer iterations.  The solve first rescales that start to
 its Galerkin multiple (MaskedOperator.solve_spd), which corrects most of
 what is left on a decaying run, where the extrapolation is off mainly in
-scale.  The extrapolation is written into one buffer that run() keeps
-from step to step.  A run keeps one dt, so the operator writes dt A into K
-once and each step assembles only the diagonal.
+scale.  A run keeps one dt, so the operator writes dt A into K once and
+each step assembles only the diagonal.
+
+run() allocates its vectors once: the states u_k, u_{k-1}, u_{k-2} and the
+next solution take turns in a ring of four lattice buffers, and the start,
+the reaction c and the right-hand side have one buffer each, which step()
+and the solve overwrite in place.  A snapshot is a copy.
 """
 
 from __future__ import annotations
@@ -120,6 +124,9 @@ class Trajectory:
     cg_iterations: int = 0        # CG iterations over all the run's solves
     cg_max_iterations: int = 0    # the most CG iterations one solve took
     worst_residual_ratio: float = 0.0   # worst final residual / its target
+    steps: int = 0                # time steps taken
+    clipped_entries: int = 0      # solution entries clipped from below 0
+    most_negative_clip: float = 0.0     # the most negative value clipped
 
     def record(self, t: float, u: np.ndarray) -> None:
         """Append the norms of u at time t (a lattice vector, zero off the
@@ -132,18 +139,30 @@ class Trajectory:
 
 def step(u: np.ndarray, n_next: np.ndarray, params: EquationParams,
          cfg: SchemeConfig, op: MaskedOperator,
-         x0: np.ndarray | None = None) -> np.ndarray:
+         x0: np.ndarray | None = None, out: tuple | None = None,
+         tr: Trajectory | None = None) -> np.ndarray:
     """Advance the nonnegative lattice vector u, zero off grid.mask, from t to
     t + dt, where n_next holds n(t + dt, ·) at grid.points().
 
     x0 is the iterate the solve starts from (default u).  It changes only
     how many iterations the solve takes: the solution meets solve_tol from
-    any start."""
-    c = cfg.dt * n_next * u     # n u^(RHO - 1)
-    rhs = (1.0 + cfg.dt * params.lam) * u
-    sol = op.solve_spd(rhs, cfg.dt, c, tol=cfg.solve_tol,
-                       x0=u if x0 is None else x0)
-    np.maximum(sol, 0.0, out=sol)   # clip solver roundoff
+    any start.  out, if given, is three lattice vectors that the step
+    overwrites: the new state, which it returns, then the reaction c and
+    the right-hand side of its system; none may be u or x0.  Solver
+    roundoff below zero is clipped, and tr, if given, counts the entries
+    clipped and keeps the most negative."""
+    sol, c, rhs = np.empty((3, u.size)) if out is None else out
+    np.multiply(n_next, cfg.dt, out=c)    # c = dt n u^(RHO - 1)
+    c *= u
+    np.multiply(u, 1.0 + cfg.dt * params.lam, out=rhs)
+    op.solve_spd(rhs, cfg.dt, c, tol=cfg.solve_tol,
+                 x0=u if x0 is None else x0, out=sol)
+    lowest = sol.min()
+    if not lowest > 0:    # else the clip would leave every bit as it is
+        if lowest < 0 and tr is not None:
+            tr.clipped_entries += int(np.count_nonzero(sol < 0))
+            tr.most_negative_clip = min(tr.most_negative_clip, float(lowest))
+        np.maximum(sol, 0.0, out=sol)
     return sol
 
 
@@ -173,7 +192,10 @@ def run(grid: Grid, params: EquationParams, cfg: SchemeConfig, u0: np.ndarray,
     three states (see the module docstring).  The trajectory's
     cg_iterations counts the iterations the solves took, cg_max_iterations
     the most of one solve, and worst_residual_ratio the largest final
-    residual of a solve over its target solve_tol ||rhs||.
+    residual of a solve over its target solve_tol ||rhs||; steps counts the
+    steps taken, clipped_entries the solution entries the steps clipped
+    from below zero, and most_negative_clip the most negative of them (0.0
+    if none).
     """
     cfg.validate(params.lam)
     if t_end < t0:
@@ -187,7 +209,10 @@ def run(grid: Grid, params: EquationParams, cfg: SchemeConfig, u0: np.ndarray,
     if np.any(u0[~grid.mask] != 0):
         raise ValueError("initial data must vanish off the domain's mask")
     op, points = MaskedOperator(grid), grid.points()
-    t, u = t0, u0.ravel()
+    ring = list(np.empty((4, u0.size)))      # u, u1, u2 and the next state
+    start, c, rhs = np.empty((3, u0.size))
+    t, u = t0, ring[0]
+    u[:] = u0.ravel()
     tr = Trajectory(growth_cap=cfg.growth_cap, cell_volume=grid.cell_volume)
     tr.record(t, u)
     pending_snaps = sorted(float(ts) for ts in snapshot_times)
@@ -197,7 +222,6 @@ def run(grid: Grid, params: EquationParams, cfg: SchemeConfig, u0: np.ndarray,
     n_steps = int(round((t_end - t0) / cfg.dt))
     spec, shape, n_next = params.moving_set, None, None
     u1 = u2 = x0 = None       # the two states before u, and the start
-    start = np.empty(u.size)
     for k in range(1, n_steps + 1):
         snap = None if spec is None else spec.snapshot(t + cfg.dt)
         if n_next is None or snap != shape:
@@ -207,8 +231,10 @@ def run(grid: Grid, params: EquationParams, cfg: SchemeConfig, u0: np.ndarray,
             start *= 3.0
             start += u2
             x0 = np.maximum(start, 0.0, out=start)
-        u2, u1, u = u1, u, step(u, n_next, params, cfg, op, x0)
+        u2, u1, u = u1, u, step(u, n_next, params, cfg, op, x0,
+                                (ring[k % 4], c, rhs), tr)
         t += cfg.dt
+        tr.steps = k
         while pending_snaps and t >= pending_snaps[0] - 0.5 * cfg.dt:
             tr.snapshots.append((t, u.reshape(grid.shape).copy()))
             pending_snaps.pop(0)

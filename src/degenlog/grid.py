@@ -14,8 +14,10 @@ over the whole lattice: zero couplings to nodes off the mask and identity
 rows there, so on a rectangle it is the packed system itself.  Each solve
 writes only K's main diagonal (dt A only when dt changes), scales its start
 by the Galerkin factor along it, then runs scipy's Jacobi-preconditioned CG
-loop written out bit for bit, one sparse product per iteration, in buffers
-kept between solves.
+loop written out bit for bit, one sparse product per iteration.  Every
+product with K is scipy's own DIA kernel, the one `K @ v` runs, written into
+one of the operator's kept buffers, and the solution into the caller's
+buffer, so that a solve allocates no vector.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import dia_matvec
 
 from .geometry import DomainSpec, SetShape
 
@@ -138,11 +141,11 @@ class MaskedOperator:
     `solve_spd` solves K u = rhs by conjugate gradients with the Jacobi
     (diagonal) preconditioner; every vector it takes or returns is a
     lattice vector.  Solves are deterministic and single-threaded; each
-    overwrites the operator's storage for K, so an operator serves one
-    solve at a time.  Over the operator's solves, `iterations` is the
-    running total of CG iterations, `max_iterations` the most one solve
-    took, and `worst_residual_ratio` the largest final residual over its
-    target tol ||rhs||.  `n` counts the mask's nodes; `matrix`, the packed
+    overwrites the operator's storage for K and its work vectors, so an
+    operator serves one solve at a time.  Over the operator's solves,
+    `iterations` is the running total of CG iterations, `max_iterations`
+    the most one solve took, and `worst_residual_ratio` the largest final
+    residual over its target tol ||rhs||.  `n` counts the mask's nodes; `matrix`, the packed
     `dirichlet_matrix(grid, grid.mask)`, is read by
     `perfbench/workloads.describe_inputs`, never by the step.
     """
@@ -163,7 +166,7 @@ class MaskedOperator:
     def _system(self) -> tuple:
         """Storage for K = I + dt A + diag(c) over the lattice: K as a
         dia_matrix whose data solves overwrite, A by the same diagonals and
-        four work vectors, built on the first solve.  The offsets ascend
+        five work vectors, built on the first solve.  The offsets ascend
         (-ny, -1, 0, 1, ny in 2-d), so each row sums in the packed CSR
         matrix's column order; data[i, j] = A[j - offsets[i], j] is zero
         for couplings that leave the mask or a lattice row, and on the main
@@ -178,7 +181,7 @@ class MaskedOperator:
             row[lo:hi] = np.where(m[lo:hi] & m[lo - k:hi - k],
                                   lap.diagonal(k), 0.0)
         K = sp.dia_matrix((np.empty_like(a), offsets), shape=(size, size))
-        return K, a, np.empty((4, size))
+        return K, a, np.empty((5, size))
 
     def _assemble(self, dt: float, c: np.ndarray) -> tuple:
         """K = I + dt A + diag(c) in `_system`'s storage, and its diagonal
@@ -197,48 +200,53 @@ class MaskedOperator:
         return K, diag
 
     def solve_spd(self, rhs: np.ndarray, dt: float, c: np.ndarray,
-                  tol: float = 1e-10,
-                  x0: np.ndarray | None = None) -> np.ndarray:
+                  tol: float = 1e-10, x0: np.ndarray | None = None,
+                  out: np.ndarray | None = None) -> np.ndarray:
         """Solve K u = rhs, K = I + dt A + diag(c), to relative residual
-        <= tol, on lattice vectors (length prod(grid.shape), C order).
+        <= tol, on lattice vectors (length prod(grid.shape), C order), and
+        return u in out (a fresh vector if out is None).
 
         rhs, c and x0 vanish off the mask, and then so does u, exactly.
-        K is assembled in place (`_assemble`).  A nonzero start x0 whose
-        residual r = rhs - K x0 is not already below target is first scaled
-        by its Galerkin factor: x0 becomes (1 + g) x0 with
-        g = x0.r / x0.K x0, the multiple of x0 nearest the solution in the
-        K-norm, and r becomes r - g K x0 from the product already taken.
-        From (x, r) the loop is `_pcg`.  r is then a recursive residual,
-        so the final residual is recomputed as K x - rhs after every solve
-        that scaled or iterated; SolveFailure is raised unless it is within
-        4 tol ||rhs||, NaN included.
+        The solve writes to none of them; out must share no memory with
+        rhs or c.  K is assembled in place (`_assemble`).  The start x0
+        (zero if None) is copied into out.  If its residual
+        r = rhs - K x0 is not already below target and x0.K x0 > 0 (x0 is
+        not zero), it is first scaled by its Galerkin factor: x0 becomes
+        (1 + g) x0 with g = x0.r / x0.K x0, the multiple of x0 nearest the
+        solution in the K-norm, and r becomes r - g K x0 from the product
+        already taken.  From (x, r) the loop is `_pcg`.  r is then a
+        recursive residual, so the final residual is recomputed as
+        K x - rhs after every solve that scaled or iterated; SolveFailure
+        is raised unless it is within 4 tol ||rhs||, NaN included.
         """
-        if np.any(c < 0):
+        if c.min() < 0:     # a NaN passes, and fails the residual check
             raise ValueError("reaction coefficient c must be nonnegative")
         b = np.asarray(rhs, dtype=float)
+        x = np.empty(len(b)) if out is None else out
         b_norm = math.sqrt(b.dot(b))
         if b_norm == 0:
-            return b.copy()
+            np.copyto(x, b)
+            return x
         K, diag = self._assemble(dt, c)
-        r, *work = self._system[2]
+        r, kx, z, p, w = self._system[2]   # kx: K x0 here, K p in _pcg
         atol = tol * b_norm
-        x = np.zeros(len(r)) if x0 is None else np.array(x0, dtype=float)
-        r[:] = b
+        np.copyto(x, 0.0 if x0 is None else x0)
+        np.subtract(b, _product(K, x, kx), out=r)
         scaled = False
-        if x.any():
-            kx = K @ x
-            r -= kx
-            if math.sqrt(r.dot(r)) >= atol:
-                g = x.dot(r) / x.dot(kx)
+        if math.sqrt(r.dot(r)) >= atol:
+            xkx = x.dot(kx)
+            if xkx > 0:
+                g = x.dot(r) / xkx
                 x *= 1.0 + g
                 kx *= g
                 r -= kx
                 scaled = True
-        iterations = _pcg(K, diag, x, r, atol, max(4 * self.n, 200), work)
+        iterations = _pcg(K, diag, x, r, atol, max(4 * self.n, 200),
+                          (z, p, kx, w))
         self.iterations += iterations
         self.max_iterations = max(self.max_iterations, iterations)
         if iterations or scaled:
-            np.subtract(K @ x, b, out=r)
+            np.subtract(_product(K, x, kx), b, out=r)
         # otherwise r is still b - K x0: the same residual negated
         res = math.sqrt(r.dot(r))
         if not res <= 4.0 * tol * b_norm:
@@ -250,11 +258,22 @@ class MaskedOperator:
         return x
 
 
+def _product(K: sp.dia_matrix, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """K v written into out and returned: scipy's kernel for `K @ v` (1.17,
+    `_dia_base._matmul_vector`), which adds each diagonal's products to a
+    zeroed vector, so the bits are those of `K @ v` without the fresh
+    result array.  Every product with the step's K goes through here."""
+    out.fill(0.0)
+    dia_matvec(*K.shape, len(K.offsets), K.data.shape[1], K.offsets, K.data,
+               v, out)
+    return out
+
+
 def _pcg(K, diag: np.ndarray, x: np.ndarray, r: np.ndarray, atol: float,
          maxiter: int, work) -> int:
     """Jacobi-preconditioned conjugate gradients on K from the iterate x
     and its residual r, both updated in place, until ||r|| < atol (or NaN);
-    returns the iterations taken.  work holds three vectors of x's length
+    returns the iterations taken.  work holds four vectors of x's length
     that the loop overwrites.
 
     This is scipy's `cg` (1.17) loop with the preconditioner diag written
@@ -262,7 +281,7 @@ def _pcg(K, diag: np.ndarray, x: np.ndarray, r: np.ndarray, atol: float,
     the same order, so from r = rhs - K x the bits match `cg(K, rhs, x,
     rtol=atol / ||rhs||, atol=0, maxiter=maxiter, M=...)`.
     """
-    z, p, w = work
+    z, p, q, w = work
     rho_prev = None
     for it in range(maxiter):
         if not math.sqrt(r.dot(r)) >= atol:   # converged, or NaN
@@ -274,7 +293,7 @@ def _pcg(K, diag: np.ndarray, x: np.ndarray, r: np.ndarray, atol: float,
         else:
             p *= rho / rho_prev
             p += z
-        q = K @ p
+        _product(K, p, q)
         alpha = rho / p.dot(q)
         np.multiply(p, alpha, out=w)
         x += w

@@ -395,7 +395,11 @@ class TestCommands:
         assert main(["run", "trichotomy-mid", "--set", "time.t_end=0.2",
                      "--set", override, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert "error: trichotomy-mid: invalid scenario:" in err
+        # a static ball reads no k0, so a well-formed one is an unused key
+        refusal = ("the scenario does not use [kset] k0"
+                   if override == "kset.k0=ball:0.5,0.35"
+                   else "invalid scenario:")
+        assert f"error: trichotomy-mid: {refusal}" in err
 
     @pytest.mark.parametrize("argv, error", [
         (["predict", "trichotomy-mid", "--set", "kset.center=1.9,1.0"],
@@ -464,7 +468,12 @@ class TestCommands:
          "comma-separated finite numbers, got 'abc'"),
         (["predict", "trichotomy-mid", "--set", "domain.resolution=1.5"],
          "trichotomy-mid: invalid scenario: [domain] resolution: invalid "
-         "literal for int()")])
+         "literal for int()"),
+        # phases of the wrong dimension are the scenario's to refuse
+        (["predict", "jumping-disjoint", "--set", "kset.k0=ball:0.5,0.35",
+          "--set", "kset.k1=ball:1.5,0.2"],
+         "jumping-disjoint: invalid scenario: moving set is 1-d in a 2-d "
+         "domain")])
     def test_scenario_refused(self, argv, error, tmp_path, monkeypatch,
                               capsys):
         monkeypatch.chdir(tmp_path)

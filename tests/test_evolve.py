@@ -262,6 +262,22 @@ class TestTrajectory:
         assert tr.l2_norms[0] == pytest.approx(15 / 16)
 
 
+class TestRunStatistics:
+    def test_clips_counted(self):
+        # measured: the only clips seen over the registry, both benchmark
+        # off-registry inputs and three bump inputs are these, 3 entries
+        # on steps 14-16, the worst -2.19e-15, from a bump of radius 0.05
+        s = resolve_scenario("trichotomy-low", [
+            "initial.kind=bump", "initial.center=0.3,0.3",
+            "initial.radius=0.05"])
+        before = _run_steps(s, 13)
+        assert before.steps == 13 and before.clipped_entries == 0
+        assert before.most_negative_clip == 0.0
+        tr = _run_steps(s, 20)
+        assert tr.steps == 20 and tr.clipped_entries == 3
+        assert -1e-14 < tr.most_negative_clip < 0.0
+
+
 def _run_200_steps(s, solve_tol=None):
     scheme = s.scheme if solve_tol is None else \
         dataclasses.replace(s.scheme, solve_tol=solve_tol)
@@ -314,6 +330,110 @@ class TestPredictedStart:
         worst = max(abs(a - b) / b for a, b in zip(got, ref))
         # measured: 9.3e-10 on the square, 1.24e-9 on the disc
         assert worst <= 5e-9
+
+
+def _fresh_run(grid, params, cfg, u0, t0, t_end, sample_every=1,
+               snapshot_times=()):
+    """run() with a fresh array for every vector, each step's inputs
+    checked unchanged after it: the reference for run()'s kept buffers."""
+    op, points = MaskedOperator(grid), grid.points()
+    tr = Trajectory(growth_cap=cfg.growth_cap, cell_volume=grid.cell_volume)
+    t, states = t0, [u0.ravel().copy()]
+    tr.record(t, states[-1])
+    pending = sorted(float(ts) for ts in snapshot_times)
+    while pending and abs(pending[0] - t0) <= 0.5 * cfg.dt:
+        tr.snapshots.append((t, u0.copy()))
+        pending.pop(0)
+    n_steps = int(round((t_end - t0) / cfg.dt))
+    spec, shape, n_next = params.moving_set, None, None
+    for k in range(1, n_steps + 1):
+        snap = None if spec is None else spec.snapshot(t + cfg.dt)
+        if n_next is None or snap != shape:
+            shape, n_next = snap, params.n_values(t + cfg.dt, points)
+        x0 = None if len(states) < 3 else np.maximum(
+            3.0 * (states[-1] - states[-2]) + states[-3], 0.0)
+        given = [v.copy() for v in (states[-1], n_next, x0) if v is not None]
+        states.append(step(states[-1], n_next, params, cfg, op, x0, tr=tr))
+        after = [v for v in (states[-2], n_next, x0) if v is not None]
+        assert all(np.array_equal(_bits(a), _bits(b))
+                   for a, b in zip(given, after))
+        t += cfg.dt
+        tr.steps = k
+        while pending and t >= pending[0] - 0.5 * cfg.dt:
+            tr.snapshots.append((t, states[-1].reshape(grid.shape).copy()))
+            pending.pop(0)
+        if k % sample_every == 0 or k == n_steps:
+            tr.record(t, states[-1])
+            if tr.sup_norms[-1] > cfg.growth_cap:
+                tr.cap_hit = t
+                break
+    tr.unserved_snapshots = tuple(pending)
+    tr.cg_iterations = op.iterations
+    tr.cg_max_iterations = op.max_iterations
+    tr.worst_residual_ratio = op.worst_residual_ratio
+    return tr
+
+
+def _bits(v):
+    return np.ascontiguousarray(v, dtype=float).view(np.int64)
+
+
+class TestKeptBuffers:
+    """run() keeps its states, start, reaction and right-hand side in
+    buffers it overwrites; the solves write into kept buffers too.  None of
+    that may change a bit, or write to a vector a solve reads."""
+
+    @pytest.fixture
+    def unchanged_inputs(self, monkeypatch):
+        """Wrap solve_spd to check that rhs, c and x0 leave it unchanged."""
+        solve, calls = MaskedOperator.solve_spd, []
+
+        def checked(op, rhs, dt, c, tol=1e-10, x0=None, out=None):
+            given = [v.copy() for v in (rhs, c, x0) if v is not None]
+            sol = solve(op, rhs, dt, c, tol=tol, x0=x0, out=out)
+            after = [v for v in (rhs, c, x0) if v is not None]
+            assert all(np.array_equal(_bits(a), _bits(b))
+                       for a, b in zip(given, after))
+            calls.append(dt)
+            return sol
+
+        monkeypatch.setattr(MaskedOperator, "solve_spd", checked)
+        return calls
+
+    @pytest.mark.parametrize("label, overrides, snapshot_times", [
+        ("trichotomy-high", ["domain.resolution=16"], (0.0, 0.1, 0.25, 0.3)),
+        ("trichotomy-mid", ["domain.kind=disc", "domain.center=1,1",
+                            "domain.radius=1", "domain.resolution=32"],
+         (0.0, 0.05, 0.1, 0.101, 0.3)),
+    ], ids=["high-square16-cap", "mid-disc32-snapshots"])
+    def test_run_is_a_loop_of_fresh_steps(self, label, overrides,
+                                          snapshot_times, unchanged_inputs):
+        s = resolve_scenario(label, overrides)
+        grid = scenario_grid(s)
+        t_end = s.t0 + 150 * s.scheme.dt
+        args = (grid, s.params, s.scheme, realize_initial(s, grid), s.t0,
+                t_end, 1, snapshot_times)
+        got = run(*args)
+        solves = len(unchanged_inputs)
+        want = _fresh_run(*args)
+        assert len(unchanged_inputs) == 2 * solves == 2 * got.steps
+        # the cap cuts the high run off at step 147, before t = 0.3
+        assert (got.cap_hit is not None) == (label == "trichotomy-high")
+        assert got.steps == (147 if label == "trichotomy-high" else 150)
+        assert got.unserved_snapshots == \
+            ((0.3,) if label == "trichotomy-high" else ())
+        assert len(got.snapshots) == len(snapshot_times) - \
+            len(got.unserved_snapshots) >= 2
+        for name in ("times", "sup_norms", "l2_norms", "masses",
+                     "unserved_snapshots", "cap_hit", "cg_iterations",
+                     "cg_max_iterations", "worst_residual_ratio", "steps",
+                     "clipped_entries", "most_negative_clip"):
+            assert repr(getattr(got, name)) == repr(getattr(want, name)), \
+                name
+        for (t_got, a_got), (t_want, a_want) in zip(got.snapshots,
+                                                   want.snapshots):
+            assert t_got == t_want
+            assert np.array_equal(_bits(a_got), _bits(a_want))
 
 
 class TestPinnedTrajectories:
