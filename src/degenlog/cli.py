@@ -27,8 +27,7 @@ from .grid import build_grid, mask_from_shape, write_pgm
 from .properties import suite_properties
 from .scenarios import (MIN_RECORDS, CrossCheckReport, InitialData,
                         OutputPlan, PredictPlan, Scenario, classify,
-                        cross_check, predict, registry, run_scenario,
-                        scenario_grid)
+                        cross_check, predict, registry, run_scenario)
 from .spectral import lambda0_of_set, principal_eigenvalue, second_eigenvalue
 
 __all__ = ["main"]
@@ -183,26 +182,17 @@ def config_to_scenario(cfg: dict, label: str,
             domain = DomainSpec.disc(d["center"], d["radius"])
         else:
             raise ValueError(f"unknown domain kind {dkind!r}")
-
-        # Scenario checks the vanishing set's dimension, but nothing reads a
-        # bump centre before run()
-        if "center" in i and len(i["center"]) != domain.dim:
-            raise ValueError(f"[initial] center has {len(i['center'])} "
-                             f"coordinates in a {domain.dim}-d domain")
         moving = _kset_from_section(k)
         params = EquationParams(lam=eq["lam"], moving_set=moving)
         scheme = SchemeConfig(**tm.given("dt"),
                               **o.given("solve_tol", "growth_cap"))
 
-        ikind = i.get("kind", "constant")
-        if ikind == "constant":
-            initial = InitialData.constant(i.get("value", 1.0))
-        elif ikind == "bump":
+        if i.get("kind") == "bump":
             initial = InitialData.bump(i["center"], i["radius"],
                                        i.get("height", 1.0))
-        else:
-            raise ValueError(f"unknown initial data kind {ikind!r} "
-                           "(files support constant | bump)")
+        else:   # a constant uses no centre, but Scenario checks one's size
+            initial = InitialData(i.get("kind", "constant"),
+                                  i.get("value", 1.0), **i.given("center"))
 
         outputs = OutputPlan(**o.given("sample_every", "snapshot_times"))
         s = Scenario(label=label, domain=domain,
@@ -496,19 +486,11 @@ def _require_records(tr: Trajectory) -> None:
                        f"{MIN_RECORDS}")
 
 
-def _refused(fn, s: Scenario, *args):
-    """fn(s, *args), with its refusals of the scenario as user errors."""
-    try:
-        return fn(s, *args)
-    except ValueError as e:
-        raise CliError(f"{s.label}: invalid scenario: {e}") from e
-
-
 def _cmd_run(args) -> int:
     s = resolve_scenario(args.scenario, args.set)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    tr = _refused(run_scenario, s)
+    tr = run_scenario(s)
     emit_trajectory_csv(tr, out / "trajectory.csv")
     emit_snapshots(tr, out)
     (out / "scenario.ini").write_text(emit_scenario_ini(s))
@@ -526,16 +508,15 @@ def _cmd_run(args) -> int:
 
 def _cmd_predict(args) -> int:
     s = resolve_scenario(args.scenario, args.set)
-    print(checks_table(predict(s, _refused(scenario_grid, s))))
+    print(checks_table(predict(s)))
     return 0
 
 
 def _cmd_crosscheck(args) -> int:
     s = resolve_scenario(args.scenario, args.set)
-    grid = _refused(scenario_grid, s)
-    tr = _refused(run_scenario, s, grid)
+    tr = run_scenario(s)
     _require_records(tr)
-    rep = cross_check(s, tr, grid)
+    rep = cross_check(s, tr)
     print(crosscheck_text(rep))
     return 1 if rep.status == "VIOLATION" else 0
 

@@ -98,14 +98,18 @@ class SchemeConfig:
     growth_cap: float = 1e5
 
     def validate(self, lam: float) -> None:
-        if self.dt <= 0:
+        if not np.isfinite(lam):
+            raise ValueError(f"lam must be finite, got {lam!r}")
+        if not self.dt > 0:
             raise ValueError("dt must be positive")
         if self.dt * max(lam, 0.0) >= 0.5:
             raise ValueError("dt * max(lam, 0) must stay below 0.5")
         if 1.0 + self.dt * lam <= 0.0:
             raise ValueError("1 + dt*lam must be positive")
-        if self.growth_cap <= 0:
-            raise ValueError("growth cap must be positive")
+        if not self.solve_tol > 0:      # NaN too
+            raise ValueError("solve_tol must be positive")
+        if not self.growth_cap > 0:
+            raise ValueError("growth_cap must be positive")
 
 
 @dataclass

@@ -4,8 +4,9 @@ Nodes live on a uniform lattice over the domain's bounding box; a node belongs
 to the computational mask iff its center lies in the open domain.  A grid
 function is a plain array of shape `Grid.shape` that is zero off the mask,
 which realizes the homogeneous Dirichlet condition in the 3/5-point stencil.
-`Grid.laplacian` is that stencil on every lattice node, built once per grid,
-and two objects are built from it.  `dirichlet_matrix` is its principal
+`build_grid` keeps one grid per domain and resolution, so `Grid.laplacian`,
+that stencil on every lattice node, is built once per lattice, and two
+objects are built from it.  `dirichlet_matrix` is its principal
 submatrix on a mask's nodes: the mask's Dirichlet Laplacian on packed
 vectors (the mask's values in C order), which the eigen solves factor.
 `MaskedOperator` is the time-step system K = I + dt A + diag(c) on lattice
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -87,9 +88,11 @@ class Grid:
         return (reduce(sp.kronsum, d2) / self.h ** 2).tocsr()
 
 
+@cache
 def build_grid(domain: DomainSpec, n: int) -> Grid:
     """Lattice with n cells on the first axis and the remaining axes sized
     to keep the spacing uniform; nodes are cell corners strictly inside.
+    Memoized: a Grid is frozen, so every caller on one lattice shares it.
     """
     lo, hi = domain.bounding_box()
     extent = hi - lo

@@ -1,6 +1,7 @@
 """Experiment registry, hypothesis-driven predictions and the classifier.
 
-A Scenario bundles everything one simulation needs.  predict() evaluates the
+A Scenario bundles everything one simulation needs, and one that builds can
+predict and run: nothing downstream checks it again.  predict() evaluates the
 boundedness / grow-up criteria mechanically on the declarative moving-set
 description (never on simulated fields), each returning a check with its
 measured spectral numbers.  classify() reads a verdict off a recorded
@@ -53,7 +54,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class InitialData:
-    """Nonnegative, nontrivial starting profile."""
+    """A positive constant, or a bump of positive height and radius."""
 
     kind: str  # "constant" | "bump"
     value: float = 1.0
@@ -61,19 +62,17 @@ class InitialData:
     radius: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("constant", "bump"):
+        if self.kind == "constant":
+            if not self.value > 0:
+                raise ValueError("constant initial data must be positive")
+        elif self.kind == "bump":
+            if not (self.radius > 0 and self.value > 0):
+                raise ValueError("bump needs positive radius and height")
+        else:
             raise ValueError(f"unknown initial data kind {self.kind!r}")
 
     @staticmethod
-    def constant(c: float) -> "InitialData":
-        if c <= 0:
-            raise ValueError("constant initial data must be positive")
-        return InitialData(kind="constant", value=c)
-
-    @staticmethod
     def bump(center, radius: float, height: float) -> "InitialData":
-        if radius <= 0 or height <= 0:
-            raise ValueError("bump needs positive radius and height")
         return InitialData(kind="bump", value=height,
                            center=tuple(float(v) for v in center),
                            radius=float(radius))
@@ -116,7 +115,8 @@ class PredictPlan:
 @dataclass(frozen=True)
 class Scenario:
     """Complete experiment description, refused when built if K(t) leaves
-    the domain in [t0, t_end]."""
+    the domain in [t0, t_end], or if its grid or initial data cannot be
+    made; every scenario on one lattice shares one grid."""
 
     label: str
     domain: DomainSpec
@@ -145,6 +145,7 @@ class Scenario:
         if self.params.moving_set is not None:
             geo.validate_inside_domain(self.params.moving_set, self.domain,
                                        self.t0, self.t_end)
+        realize_initial(self, scenario_grid(self))
 
 
 def scenario_grid(s: Scenario) -> Grid:
@@ -152,25 +153,28 @@ def scenario_grid(s: Scenario) -> Grid:
 
 
 def realize_initial(s: Scenario, grid: Grid) -> np.ndarray:
-    """The initial data as a lattice array, zero off the grid's mask."""
+    """The initial data as a lattice array, zero off the grid's mask;
+    refused when it vanishes on every node of the mask."""
     init = s.initial
+    c = np.array(init.center)
+    # a constant reads no centre, but one it is given must fit the grid
+    if c.size != grid.dim and (c.size or init.kind == "bump"):
+        raise ValueError(f"initial data centre: {c.size}-d in a "
+                         f"{grid.dim}-d grid")
     if init.kind == "constant":
         return np.where(grid.mask, init.value, 0.0)
-    c = np.array(init.center)
-    if c.size != grid.dim:
-        raise ValueError(f"bump centre: {c.size}-d in a {grid.dim}-d grid")
     q = 1.0 - (np.linalg.norm(grid.points() - c, axis=1) / init.radius) ** 2
-    bump = init.value * np.maximum(q, 0.0) ** 2
-    return np.where(grid.mask, bump.reshape(grid.shape), 0.0)
+    u0 = np.where(grid.mask, (init.value * np.maximum(q, 0.0) ** 2)
+                  .reshape(grid.shape), 0.0)
+    if not np.any(u0 > 0):
+        raise ValueError("initial data must not vanish identically")
+    return u0
 
 
 def run_scenario(s: Scenario, grid: Grid | None = None) -> Trajectory:
     grid = grid if grid is not None else scenario_grid(s)
-    u0 = realize_initial(s, grid)
-    if not np.any(u0 > 0):
-        raise ValueError("initial data must not vanish identically")
-    return evolve_run(grid, s.params, s.scheme, u0, s.t0, s.t_end,
-                      sample_every=s.outputs.sample_every,
+    return evolve_run(grid, s.params, s.scheme, realize_initial(s, grid),
+                      s.t0, s.t_end, sample_every=s.outputs.sample_every,
                       snapshot_times=s.outputs.snapshot_times)
 
 
@@ -393,10 +397,9 @@ def _check_moving_floor(s: Scenario, grid: Grid) -> TheoremCheck:
                          ("lam", s.params.lam)))
 
 
-def _ball_spectral_data(grid: Grid, pair_e, d_shape: SetShape):
-    """Eigen data of a set E, given its principal pair, with a strictly
-    interior ball D."""
-    m_d = mask_from_shape(grid, d_shape)
+def _ball_spectral_data(grid: Grid, pair_e, m_d: np.ndarray):
+    """Eigen data of a set E, given its principal pair, with the nodes m_d
+    of a strictly interior ball D."""
     lam2_e = second_eigenvalue(grid, pair_e.mask)
     pair_d = principal_eigenpair(grid, m_d)
     phi_e, phi_d = pair_e.vector, pair_d.vector
@@ -438,14 +441,18 @@ def _check_carried_growth(s: Scenario, grid: Grid) -> TheoremCheck:
         return TheoremCheck(name, False, "none",
                             (("reason", "needs a static or rigidly "
                                         "translated ball"),))
-    pair_e = principal_eigenpair(grid, mask_from_shape(grid, e_shape))
+    m_e, m_d = mask_from_shape(grid, e_shape), mask_from_shape(grid, d_shape)
+    if not (m_e.any() and m_d.any()):
+        return TheoremCheck(name, False, "none",
+                            (("reason", "set covers no lattice node"),))
+    pair_e = principal_eigenpair(grid, m_e)
     if lam <= pair_e.value:
         return TheoremCheck(name, False, "none",
                             (("lam", lam), ("lam1_e", pair_e.value),
                              ("reason", "growth rate below the set's "
                                         "principal eigenvalue")))
     lam2_e, pair_d, alpha1, inf_e_on_d, max_d = \
-        _ball_spectral_data(grid, pair_e, d_shape)
+        _ball_spectral_data(grid, pair_e, m_d)
     tau = tau_unbounded(TauInputs(
         dim=grid.dim, lam=lam, lam1_e=pair_e.value, lam2_e=lam2_e,
         c_inf=1.0, v0_norm=1.0, alpha1=alpha1,
@@ -493,9 +500,13 @@ def _check_alternating(s: Scenario, grid: Grid) -> TheoremCheck:
                              ("lambda0_small", l0_small),
                              ("reason", "growth rate not between the two "
                                         "characteristic values")))
-    pair_e = principal_eigenpair(grid, mask_from_shape(grid, big))
+    m_big, m_small = mask_from_shape(grid, big), mask_from_shape(grid, small)
+    if not (m_big.any() and m_small.any()):
+        return TheoremCheck(name, False, "none",
+                            (("reason", "set covers no lattice node"),))
+    pair_e = principal_eigenpair(grid, m_big)
     lam2_e, pair_d, alpha1, inf_e_on_d, max_d = \
-        _ball_spectral_data(grid, pair_e, small)
+        _ball_spectral_data(grid, pair_e, m_small)
     lam_eff = min(lam, pair_e.value + 0.9 * (lam2_e - pair_e.value))
     alpha = math.exp((lam_eff - pair_d.value) * short_len)
     tau = tau_unbounded(TauInputs(
@@ -574,7 +585,7 @@ _CENTER = (1.0, 1.0)
 
 
 def _scn(label, moving_set, lam, t_end, *, scheme=SchemeConfig(),
-         outputs=OutputPlan(), initial=InitialData.constant(1.0),
+         outputs=OutputPlan(), initial=InitialData("constant"),
          expected="CONSISTENT", plan=PredictPlan()):
     """A registry scenario on the square (0, 2)^2 at resolution 64 from
     t0 = 0, with the defaults of every dataclass it does not pass."""
@@ -627,7 +638,7 @@ def registry() -> dict:
              JumpingSets(ball35a, ball35b, period=0.05, t1=0.025),
              94.4, 41.0, scheme=SchemeConfig(dt=1e-3, growth_cap=1e6),
              outputs=OutputPlan(sample_every=25),
-             initial=InitialData.constant(200.0)),
+             initial=InitialData("constant", 200.0)),
         _scn("jumping-control", StaticSet(ball35a),
              94.4, 1.5, scheme=SchemeConfig(dt=1e-3, growth_cap=1e4),
              outputs=OutputPlan(sample_every=1)),

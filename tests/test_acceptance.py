@@ -300,7 +300,7 @@ def test_criterion_13_hopf_and_data_independence():
 
     s = Scenario(label="sandwich", domain=dom, resolution=16,
                  params=params, scheme=SchemeConfig(dt=2e-3),
-                 t0=0.0, t_end=1.0, initial=InitialData.constant(1.0))
+                 t0=0.0, t_end=1.0, initial=InitialData("constant"))
     g16 = scenario_grid(s)
     rng = np.random.default_rng(13)
     worst = -math.inf

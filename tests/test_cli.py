@@ -566,6 +566,26 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "growth rate below the set's principal eigenvalue" in out
 
+    @pytest.mark.parametrize("sets, check", [
+        # the carried-growth set E covers no node
+        (["trichotomy-mid", "--set", "kset.radius=0.005",
+          "--set", "kset.center=1.01,1.01"], "carried-growth"),
+        # the nested small ball covers no node
+        (["alternating-nested", "--set", "domain.resolution=32",
+          "--set", "kset.k1=ball:1.031,1.031,0.04"],
+         "alternating-nested-growth")])
+    def test_predict_set_without_nodes(self, sets, check, capsys):
+        assert main(["predict"] + sets) == 0
+        row = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith(check + " ")]
+        assert row and "reason=set covers no lattice node" in row[0]
+
+    def test_predict_refuses_unreachable_solve_tol(self, capsys):
+        assert main(["predict", "trichotomy-mid",
+                     "--set", "output.solve_tol=0"]) == 2
+        assert "error: trichotomy-mid: invalid scenario: solve_tol must be " \
+            "positive" in capsys.readouterr().err
+
     def test_cli_error_exit_code(self, tmp_path, capsys):
         assert main(["run", "no-such-label", "--out", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err

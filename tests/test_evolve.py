@@ -43,6 +43,17 @@ class TestValidation:
             SchemeConfig(dt=0.1, growth_cap=0.0).validate(1.0)
         SchemeConfig(dt=1e-3).validate(10.0)
 
+    @pytest.mark.parametrize("cfg, lam, error", [
+        (SchemeConfig(solve_tol=0.0), 1.0, "solve_tol must be positive"),
+        (SchemeConfig(solve_tol=-1.0), 1.0, "solve_tol must be positive"),
+        (SchemeConfig(growth_cap=math.nan), 1.0,
+         "growth_cap must be positive"),
+        (SchemeConfig(), math.nan, "lam must be finite"),
+        (SchemeConfig(), math.inf, "lam must be finite")])
+    def test_scheme_config_names_field(self, cfg, lam, error):
+        with pytest.raises(ValueError, match=error):
+            cfg.validate(lam)
+
     def test_equation_params(self):
         # the logistic exponent is the constant RHO, not a parameter
         assert evolve.RHO == 2.0

@@ -27,7 +27,7 @@ def _scenario(**kw):
         scheme=SchemeConfig(dt=2e-3),
         t0=0.0,
         t_end=1.0,
-        initial=InitialData.constant(1.0),
+        initial=InitialData("constant"),
     )
     base.update(kw)
     return Scenario(**base)
@@ -43,7 +43,7 @@ def _traj(sups, cap=1e5, cap_hit=None):
 class TestInitialData:
     def test_constant_positive_only(self):
         with pytest.raises(ValueError):
-            InitialData.constant(0.0)
+            InitialData("constant", 0.0)
 
     def test_bump_validation(self):
         with pytest.raises(ValueError):
@@ -52,6 +52,15 @@ class TestInitialData:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown initial data kind"):
             InitialData(kind="gauss")
+
+    def test_direct_construction_checks_values(self):
+        # the bump's radius is squared, so a negative one would run as its
+        # absolute value
+        with pytest.raises(ValueError, match="positive radius and height"):
+            InitialData(kind="bump", value=1.0, center=(1.0, 1.0),
+                        radius=-0.5)
+        with pytest.raises(ValueError, match="must be positive"):
+            InitialData(kind="constant", value=-2.0)
 
     def test_realize_constant(self):
         s = _scenario()
@@ -81,9 +90,15 @@ class TestInitialData:
 
     def test_realize_bump_centre_of_grid_dimension(self):
         # a 1-d centre would broadcast to the diagonal point (0.8, 0.8)
-        s = _scenario(initial=InitialData.bump((0.8,), 0.2, 1.0))
         with pytest.raises(ValueError, match="1-d in a 2-d grid"):
-            realize_initial(s, scenario_grid(s))
+            _scenario(initial=InitialData.bump((0.8,), 0.2, 1.0))
+
+    def test_bump_missing_every_node_refused(self):
+        # a derived scenario is refused when built, not when it runs
+        mid = registry()["trichotomy-mid"]
+        with pytest.raises(ValueError, match="must not vanish identically"):
+            dataclasses.replace(
+                mid, initial=InitialData.bump((0.01, 0.01), 0.005, 1.0))
 
 
 class TestScenarioValidation:
@@ -120,6 +135,18 @@ class TestScenarioValidation:
             SetShape.ball((0.1, 0.1), 0.45)))
         with pytest.raises(ValueError, match="leaves the domain"):
             dataclasses.replace(mid, params=moved)
+
+    def test_grid_refused_without_moving_set(self):
+        # without a vanishing set nothing else reads the grid before run()
+        mid = registry()["trichotomy-mid"]
+        with pytest.raises(ValueError, match="at least 8 cells per axis"):
+            dataclasses.replace(mid, resolution=4, params=EquationParams(
+                lam=mid.params.lam, moving_set=None))
+
+    def test_scenarios_on_one_lattice_share_a_grid(self):
+        reg = registry()
+        assert scenario_grid(reg["trichotomy-low"]) is \
+            scenario_grid(reg["carried-growth"])
 
 
 class TestClassify:
