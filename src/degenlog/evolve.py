@@ -43,12 +43,13 @@ and the solve overwrite in place.  A snapshot is a copy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import MovingSet, evaluate_n
-from .grid import Grid, MaskedOperator
+from .grid import Grid, MaskedOperator, SolveFailure
 
 __all__ = [
     "RHO",
@@ -154,7 +155,9 @@ def step(u: np.ndarray, n_next: np.ndarray, params: EquationParams,
     overwrites: the new state, which it returns, then the reaction c and
     the right-hand side of its system; none may be u or x0.  Solver
     roundoff below zero is clipped, and tr, if given, counts the entries
-    clipped and keeps the most negative."""
+    clipped and keeps the most negative; an entry below
+    -4 solve_tol ||rhs||, more than the solve's own error, raises
+    SolveFailure."""
     sol, c, rhs = np.empty((3, u.size)) if out is None else out
     np.multiply(n_next, cfg.dt, out=c)    # c = dt n u^(RHO - 1)
     c *= u
@@ -163,9 +166,17 @@ def step(u: np.ndarray, n_next: np.ndarray, params: EquationParams,
                  x0=u if x0 is None else x0, out=sol)
     lowest = sol.min()
     if not lowest > 0:    # else the clip would leave every bit as it is
-        if lowest < 0 and tr is not None:
-            tr.clipped_entries += int(np.count_nonzero(sol < 0))
-            tr.most_negative_clip = min(tr.most_negative_clip, float(lowest))
+        if lowest < 0:
+            # K's eigenvalues are >= 1 and the exact solution is >= 0, so
+            # a solve within 4 tol ||rhs|| of rhs is that close to it
+            bound = 4.0 * cfg.solve_tol * math.sqrt(rhs.dot(rhs))
+            if lowest < -bound:
+                raise SolveFailure(f"solution entry {lowest:.3e} lies below "
+                                   f"the solve's error bound -{bound:.3e}")
+            if tr is not None:
+                tr.clipped_entries += int(np.count_nonzero(sol < 0))
+                tr.most_negative_clip = min(tr.most_negative_clip,
+                                            float(lowest))
         np.maximum(sol, 0.0, out=sol)
     return sol
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -25,8 +26,8 @@ from .evolve import (RHO, EquationParams, SchemeConfig, Trajectory,
                      check_outputs, run as evolve_run)
 from .grid import Grid, build_grid, mask_from_shape, mask_within_distance
 from .oracles import TauInputs, tau_unbounded, w_inf
-from .spectral import (lambda0_deltas, lambda0_of_set, principal_eigenpair,
-                       second_eigenvalue)
+from .spectral import (_one_solve_per_problem, lambda0_deltas,
+                       lambda0_of_set, principal_eigenpair, second_eigenvalue)
 
 __all__ = [
     "InitialData",
@@ -522,18 +523,20 @@ def _check_alternating(s: Scenario, grid: Grid) -> TheoremCheck:
 
 
 def predict(s: Scenario, grid: Grid | None = None) -> list:
-    """Evaluate every criterion on the declarative scenario description."""
+    """Evaluate every criterion on the declarative scenario description;
+    each distinct principal eigenproblem is solved once per call."""
     if s.params.moving_set is None:
         return [TheoremCheck("envelope-bounded", False, "none",
                              (("reason", "no vanishing set (purely linear "
                                          "coefficient)"),))]
     grid = grid if grid is not None else scenario_grid(s)
-    checks = _check_envelopes(s, grid)
-    checks.append(_check_intermittent(s))
-    checks.append(_check_jumping(s))
-    checks.append(_check_moving_floor(s, grid))
-    checks.append(_check_carried_growth(s, grid))
-    checks.append(_check_alternating(s, grid))
+    with _one_solve_per_problem():
+        checks = _check_envelopes(s, grid)
+        checks.append(_check_intermittent(s))
+        checks.append(_check_jumping(s))
+        checks.append(_check_moving_floor(s, grid))
+        checks.append(_check_carried_growth(s, grid))
+        checks.append(_check_alternating(s, grid))
     fired = {c.predicted for c in checks if c.hypotheses_hold}
     if "bounded" in fired and "grow_up" in fired:
         raise RuntimeError(
@@ -597,14 +600,20 @@ def _scn(label, moving_set, lam, t_end, *, scheme=SchemeConfig(),
 
 
 def registry() -> dict:
-    """All shipped experiments, keyed by label."""
+    """All shipped experiments, keyed by label: a fresh dict over scenarios
+    built once per process (every one is frozen, down to its tuples)."""
+    return {s.label: s for s in _registry_scenarios()}
+
+
+@cache
+def _registry_scenarios() -> tuple:
     ball45 = StaticSet(SetShape.ball(_CENTER, 0.45))
     # centers chosen so the node lattice maps one ball onto the other:
     # the alternation is then exactly symmetric and the recorded envelope
     # settles to a clean periodic level
     ball35a = SetShape.ball((0.5, 0.5), 0.35)
     ball35b = SetShape.ball((1.5, 1.5), 0.35)
-    scs = [
+    return (
         # autonomous reference triple around the two thresholds
         _scn("trichotomy-low", ball45, 2.47, 10.0),
         _scn("trichotomy-mid", ball45, 16.7, 8.0),
@@ -669,8 +678,7 @@ def registry() -> dict:
              outputs=OutputPlan(sample_every=25),
              initial=InitialData.bump(_CENTER, 0.3, 0.01),
              plan=PredictPlan(gamma=1.6)),
-    ]
-    return {s.label: s for s in scs}
+    )
 
 
 REGISTRY_LABELS = tuple(registry().keys())

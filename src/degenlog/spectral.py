@@ -17,10 +17,21 @@ eigenvalue of shrinking neighborhoods {d(x, K) <= delta}; it is estimated on
 a geometric delta schedule with first-order Richardson extrapolation, and
 reported as infinite when the values blow past LAMBDA0_CAP (thin sets
 such as points in 2-d).
+
+Within one scenarios.predict() call each distinct principal eigenproblem
+is solved once: the call keeps each principal eigenvalue and packed
+eigenvector, keyed by a digest of the component's packed matrix, so an equal
+problem reached through another shape, start time or criterion is not solved
+again.  The memo lives in a context variable that predict() sets to a fresh
+dict and resets when it returns; elsewhere nothing is kept.  No LU factor
+outlives the solve that made it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import hashlib
 import math
 from dataclasses import dataclass
 
@@ -110,9 +121,9 @@ def _smallest_eigenpairs(a: sp.csr_matrix, k: int, tol: float):
     ncv = min(10, n) if k == 1 else None
     # the matrix is a symmetric M-matrix: its LU needs no pivoting, and a
     # minimum-degree ordering on A + A^T fills far less than eigsh's default
-    # COLAMD factor
-    a = a.tocsc()
-    lu = spla.splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+    # COLAMD factor; a.T is the CSC matrix on a's own arrays, which for a
+    # symmetric a is a itself, without tocsc()'s copy
+    lu = spla.splu(a.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                    options={"SymmetricMode": True})
     inverse = spla.LinearOperator(a.shape, matvec=lu.solve, dtype=float)
     try:
@@ -134,9 +145,44 @@ def _check_residual(a: sp.csr_matrix, lam: float, vec: np.ndarray,
                            f"check (residual {residual:.3e})")
 
 
+#: the principal pairs solved in the current predict() call, by
+#: _problem_key; None, so nothing is kept, outside one
+_SOLVED = contextvars.ContextVar("degenlog_principal_pairs", default=None)
+
+
+@contextlib.contextmanager
+def _one_solve_per_problem():
+    """Within the block, _principal solves each distinct eigenproblem once."""
+    token = _SOLVED.set({})
+    try:
+        yield
+    finally:
+        _SOLVED.reset(token)
+
+
+def _problem_key(a: sp.csr_matrix, tol: float) -> tuple:
+    """The tolerance, size and sha256 digest of a's arrays: equal keys mean
+    equal arrays (n and nnz fix where one array ends and the next begins)."""
+    h = hashlib.sha256(a.indptr)
+    h.update(a.indices)
+    h.update(a.data)
+    return tol, a.shape[0], a.nnz, h.digest()
+
+
 def _principal(a: sp.csr_matrix, tol: float) -> tuple:
     """Smallest eigenvalue of a connected mask's packed Dirichlet matrix
-    and its eigenvector, packed and positive."""
+    and its eigenvector, packed, positive and read-only; solved once per
+    distinct problem inside _one_solve_per_problem."""
+    solved = _SOLVED.get()
+    if solved is None:
+        return _solve_principal(a, tol)
+    key = _problem_key(a, tol)
+    if key not in solved:
+        solved[key] = _solve_principal(a, tol)
+    return solved[key]
+
+
+def _solve_principal(a: sp.csr_matrix, tol: float) -> tuple:
     vals, vecs = _smallest_eigenpairs(a, 1, tol)
     lam, vec = float(vals[0]), vecs[:, 0]
     _check_residual(a, lam, vec, tol, "principal")
@@ -148,6 +194,7 @@ def _principal(a: sp.csr_matrix, tol: float) -> tuple:
         if np.min(vec) < -1e-8 * np.max(vec):
             raise EigenFailure("principal eigenvector is not one-signed")
         vec = np.maximum(vec, np.finfo(float).tiny)
+    vec.flags.writeable = False
     return lam, vec
 
 
@@ -228,6 +275,9 @@ def lambda0_of_set(grid: Grid, k: SetShape, deltas=None) -> Lambda0Estimate:
     if deltas is None:
         deltas = lambda0_deltas(grid)
     deltas = tuple(float(d) for d in deltas)
+    if not (deltas and all(0 < d < math.inf for d in deltas)):
+        raise ValueError(f"deltas must be nonempty, finite and positive, "
+                         f"got {deltas}")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("deltas must be strictly decreasing")
     if deltas[-1] < 2.0 * grid.h:

@@ -10,7 +10,7 @@ import pytest
 from degenlog import evolve
 from degenlog.cli import emit_trajectory_csv, resolve_scenario
 from degenlog.geometry import DomainSpec, SetShape, StaticSet
-from degenlog.grid import MaskedOperator, build_grid
+from degenlog.grid import MaskedOperator, SolveFailure, build_grid
 from degenlog.evolve import (EquationParams, SchemeConfig, Trajectory, run,
                              step)
 from degenlog.scenarios import (realize_initial, registry, run_scenario,
@@ -287,6 +287,33 @@ class TestRunStatistics:
         tr = _run_steps(s, 20)
         assert tr.steps == 20 and tr.clipped_entries == 3
         assert -1e-14 < tr.most_negative_clip < 0.0
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-14])
+    def test_clip_beyond_the_solve_error_fails(self, scale, monkeypatch):
+        # a solve within 4 solve_tol ||rhs|| of rhs is that close to the
+        # nonnegative exact solution, so a deeper negative entry is a fault
+        g = _grid()
+        u = _ones(g).ravel()
+        params, cfg = EquationParams(lam=1.0), SchemeConfig()
+        solve = MaskedOperator.solve_spd
+
+        def dented(op, rhs, *args, **kw):
+            x = solve(op, rhs, *args, **kw)
+            x[np.flatnonzero(g.mask)[0]] = -scale * np.linalg.norm(rhs)
+            return x
+
+        monkeypatch.setattr(MaskedOperator, "solve_spd", dented)
+        tr = Trajectory()
+        if scale > 4 * cfg.solve_tol:
+            with pytest.raises(SolveFailure, match="below the solve's"):
+                step(u, np.ones(u.size), params, cfg, MaskedOperator(g),
+                     tr=tr)
+        else:
+            out = step(u, np.ones(u.size), params, cfg, MaskedOperator(g),
+                       tr=tr)
+            assert out.min() == 0.0 and tr.clipped_entries == 1
+            assert tr.most_negative_clip == pytest.approx(
+                -scale * (1 + cfg.dt) * np.linalg.norm(u))
 
 
 def _run_200_steps(s, solve_tol=None):

@@ -6,7 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from degenlog import scenarios
+from degenlog import scenarios, spectral
 from degenlog.evolve import EquationParams, SchemeConfig, Trajectory
 from degenlog.geometry import DomainSpec, SetShape, StaticSet
 from degenlog.scenarios import (InitialData, OutputPlan, REGISTRY_LABELS,
@@ -204,6 +204,27 @@ class TestRegistry:
         for s in registry().values():
             assert s.expected_status in ("CONSISTENT", "UNDECIDED")
 
+    def test_built_once_in_fresh_dicts(self):
+        first = registry()
+        first.pop("trichotomy-low")
+        first["extra"] = None
+        second = registry()
+        assert list(second) == list(REGISTRY_LABELS)
+        assert all(second[k] is first[k] for k in first if k != "extra")
+
+    def test_scenarios_frozen_throughout(self):
+        # shared objects are safe because nothing in them can change
+        def frozen(v):
+            if dataclasses.is_dataclass(v):
+                return v.__dataclass_params__.frozen and all(
+                    frozen(getattr(v, f.name))
+                    for f in dataclasses.fields(v))
+            if isinstance(v, tuple):
+                return all(frozen(x) for x in v)
+            return isinstance(v, (str, int, float, type(None)))
+
+        assert all(frozen(s) for s in registry().values())
+
     def test_scenarios_are_well_formed(self):
         for s in registry().values():
             g = scenario_grid(s)
@@ -256,6 +277,39 @@ class TestPredictAndCrossCheck:
         text = "\n".join(repr(predict(s)) for s in registry().values())
         digest = hashlib.sha256(text.encode()).hexdigest()[:16]
         assert digest == "7dabd789e2521972"
+
+    #: principal and second eigen solves of one predict() per label; with
+    #: a solve per call, not per distinct problem, they were 8, 4 and 11
+    #: (110 in all) on rotating-fast (three sectors that each cover the
+    #: disc), jumping-disjoint (the two components of each neighbourhood of
+    #: its union, which the lattice maps onto each other) and
+    #: alternating-nested (both balls again after their ladders)
+    SOLVES = {"trichotomy-low": 3, "trichotomy-mid": 3, "trichotomy-high": 5,
+              "shrink-case1": 6, "shrink-case2": 6, "shrink-case3": 4,
+              "rotating-slow": 8, "rotating-fast": 4, "jumping-disjoint": 2,
+              "jumping-control": 5, "translating-slow": 21,
+              "carried-growth": 24, "intermittent": 2,
+              "alternating-nested": 7}
+
+    def test_one_solve_per_distinct_eigenproblem(self, monkeypatch):
+        calls = []
+        solve = spectral._smallest_eigenpairs
+
+        def counted(a, k, tol):
+            calls.append(k)
+            return solve(a, k, tol)
+
+        monkeypatch.setattr(spectral, "_smallest_eigenpairs", counted)
+        solves = {}
+        for label, s in registry().items():
+            predict(s)
+            solves[label], calls[:] = len(calls), []
+        assert solves == self.SOLVES
+        assert sum(solves.values()) == 100
+        # the memo lives for one call: a second call solves as many again
+        predict(registry()["rotating-fast"])
+        assert len(calls) == 4
+        assert spectral._SOLVED.get() is None
 
     @pytest.mark.parametrize("label, ladders", [
         ("trichotomy-mid", 1), ("jumping-control", 1),

@@ -344,6 +344,87 @@ class TestLambda0:
             lambda0_of_set(g, SetShape.ball((0.5, 0.5), 0.2),
                            deltas=(0.1, 0.1))
 
+    @pytest.mark.parametrize("deltas", [
+        (), (math.nan,), (math.inf, 0.1), (0.2, 0.1, -0.1), (0.0,)])
+    def test_bad_ladder_named(self, deltas):
+        g = build_grid(UNIT_SQ, 32)
+        with pytest.raises(ValueError, match="deltas must be nonempty"):
+            lambda0_of_set(g, SetShape.ball((0.5, 0.5), 0.2), deltas=deltas)
+
+
+class TestOneSolvePerProblem:
+    """Inside _one_solve_per_problem (each predict() call), a principal
+    eigenproblem met twice is solved once; outside it, every call solves."""
+
+    @staticmethod
+    def _count_solves(monkeypatch):
+        calls = []
+        solve = spectral._smallest_eigenpairs
+
+        def counted(a, k, tol):
+            calls.append(k)
+            return solve(a, k, tol)
+
+        monkeypatch.setattr(spectral, "_smallest_eigenpairs", counted)
+        return calls
+
+    def test_no_memo_outside_a_prediction(self, monkeypatch):
+        g = build_grid(UNIT_SQ, 16)
+        calls = self._count_solves(monkeypatch)
+        assert principal_eigenvalue(g, g.mask) == \
+            principal_eigenvalue(g, g.mask)
+        assert calls == [1, 1]
+
+    def test_equal_pairs_that_do_not_alias(self, monkeypatch):
+        g = build_grid(UNIT_SQ, 16)
+        calls = self._count_solves(monkeypatch)
+        with spectral._one_solve_per_problem():
+            p, q = principal_eigenpair(g, g.mask), principal_eigenpair(
+                g, g.mask)
+            assert principal_eigenvalue(g, g.mask) == p.value
+        assert calls == [1]
+        assert p.value == q.value and np.array_equal(p.vector, q.vector)
+        assert not np.shares_memory(p.vector, q.vector)
+        p.vector[:] = 0.0
+        assert np.all(q.vector[g.mask] > 0)
+
+    def test_translated_mask_is_the_same_problem(self, monkeypatch):
+        # two balls the lattice maps onto each other have equal packed
+        # matrices: one solve, the same packed vector at each ball's nodes
+        g = build_grid(DomainSpec.rectangle((0.0, 0.0), (2.0, 2.0)), 32)
+        m_a = mask_from_shape(g, SetShape.ball((0.5, 0.5), 0.3))
+        m_b = mask_from_shape(g, SetShape.ball((1.5, 1.5), 0.3))
+        fresh = principal_eigenpair(g, m_b)
+        calls = self._count_solves(monkeypatch)
+        with spectral._one_solve_per_problem():
+            a, b = principal_eigenpair(g, m_a), principal_eigenpair(g, m_b)
+        assert calls == [1]
+        assert b.value == fresh.value
+        assert np.array_equal(b.vector, fresh.vector)
+        assert np.array_equal(a.vector[m_a], b.vector[m_b])
+
+    def test_scope_ends_with_the_block(self, monkeypatch):
+        g = build_grid(UNIT_SQ, 16)
+        calls = self._count_solves(monkeypatch)
+        with spectral._one_solve_per_problem():
+            principal_eigenvalue(g, g.mask)
+            with spectral._one_solve_per_problem():
+                principal_eigenvalue(g, g.mask)
+            principal_eigenvalue(g, g.mask)
+        principal_eigenvalue(g, g.mask)
+        assert calls == [1, 1, 1]
+        assert spectral._SOLVED.get() is None
+
+    def test_only_the_pair_is_kept(self):
+        # a float and the packed vector, read-only; no factor is kept
+        g = build_grid(UNIT_SQ, 16)
+        with spectral._one_solve_per_problem():
+            principal_eigenvalue(g, g.mask)
+            (lam, vec), = spectral._SOLVED.get().values()
+        assert type(lam) is float
+        assert vec.shape == (np.count_nonzero(g.mask),)
+        assert not vec.flags.writeable
+
 
 def linear_evolve(a: sp.csr_matrix, v0: np.ndarray, t: float,
                   lam: float = 0.0) -> np.ndarray:
