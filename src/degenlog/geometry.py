@@ -111,8 +111,9 @@ class DomainSpec:
 class SetShape:
     """A compact set: ball, circular sector, empty, or a union of them.
 
-    A point is the ball of radius 0.  Distances are exact Euclidean
-    distances for every kind.
+    A point is the ball of radius 0, and a sector spanning 2 pi or more is
+    the ball it fills, so equal sets compare equal.  Distances are exact
+    Euclidean distances for every kind.
     """
 
     kind: str  # "ball" | "sector" | "empty" | "union"
@@ -131,6 +132,8 @@ class SetShape:
 
     @staticmethod
     def sector(center, r0: float, theta0: float, theta1: float) -> "SetShape":
+        """The filled sector of radius r0 over the angles [theta0, theta1];
+        the disc SetShape.ball(center, r0) once theta1 - theta0 >= 2 pi."""
         if r0 <= 0:
             raise ValueError("sector radius must be positive")
         if not theta0 < theta1:
@@ -138,6 +141,8 @@ class SetShape:
         center = tuple(float(v) for v in center)
         if len(center) != 2:
             raise ValueError(f"a sector is 2-d, not {len(center)}-d")
+        if theta1 - theta0 >= 2.0 * math.pi:
+            return SetShape.ball(center, r0)
         return SetShape(kind="sector", center=center, radius=float(r0),
                         theta0=float(theta0), theta1=float(theta1))
 
@@ -161,6 +166,10 @@ class SetShape:
     @property
     def is_empty(self) -> bool:
         return self.kind == "empty"
+
+    @property
+    def is_point(self) -> bool:
+        return self.kind == "ball" and self.radius == 0.0
 
     @property
     def dim(self) -> int:
@@ -245,16 +254,14 @@ def _segment_distance(p: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _sector_distance(q, r0, theta0, theta1) -> np.ndarray:
-    """Exact distance to a filled circular sector by case split, from the
-    offsets q of the points to its center.
+    """Exact distance to a filled circular sector, narrower than 2 pi, by
+    case split, from the offsets q of the points to its center.
 
     Points whose polar angle falls inside [theta0, theta1] (mod 2 pi) see the
     arc face; all others see the nearest radial face.
     """
     rho = np.linalg.norm(q, axis=1)
     width = theta1 - theta0
-    if width >= 2.0 * math.pi:
-        return np.maximum(rho - r0, 0.0)
     phi = np.arctan2(q[:, 1], q[:, 0])
     rel = np.mod(phi - theta0, 2.0 * math.pi)
     inside_wedge = rel <= width
@@ -414,6 +421,16 @@ class JumpingSets:
             s += self.period
         return self.k0 if 0.0 < s <= self.t1 else self.k1
 
+    def phases(self, ta: float, tb: float) -> list:
+        """The distinct phases of K(t) from ta until tb: the phase at ta,
+        then every phase that begins before tb."""
+        phases = [self.snapshot(ta)]
+        for shape, offset in ((self.k0, 0.0), (self.k1, self.t1)):
+            n = math.ceil((ta - offset) / self.period)
+            if offset + n * self.period < tb and shape not in phases:
+                phases.append(shape)
+        return phases
+
 
 @dataclass(frozen=True)
 class TranslatingSet:
@@ -476,7 +493,8 @@ def k_sup(spec, tau0: float, horizon: float) -> SetShape:
     """Finite-horizon surrogate of the closed union of K(t) over t >= tau0.
 
     Exact closed forms for every variant except translating sets, whose
-    snapshots are sampled.
+    snapshots are sampled.  A sector that sweeps a full turn is the disc,
+    and a jumping pair whose two balls are nested is the outer ball.
     """
     if not horizon > tau0:
         raise ValueError("horizon must exceed tau0")
@@ -491,12 +509,11 @@ def k_sup(spec, tau0: float, horizon: float) -> SetShape:
         return SetShape.sector(spec.center, spec.r0, spec.theta0 - max(ends),
                                spec.theta1 - min(ends))
     if isinstance(spec, JumpingSets):
-        # the phase at tau0, then every phase that begins before the horizon
-        phases = [spec.snapshot(tau0)]
-        for shape, offset in ((spec.k0, 0.0), (spec.k1, spec.t1)):
-            n = math.ceil((tau0 - offset) / spec.period)
-            if offset + n * spec.period < horizon and shape not in phases:
-                phases.append(shape)
+        phases = spec.phases(tau0, horizon)
+        if len(phases) == 2 and not any(p.is_empty for p in phases):
+            for outer, inner in (phases, phases[::-1]):
+                if ball_inside(outer, inner):
+                    return outer
         return SetShape.union(phases)
     return union_over_interval(spec, tau0, horizon)
 
@@ -601,7 +618,9 @@ def validate_inside_domain(spec, domain: DomainSpec, t0: float,
     [t0, t_end]: every part of K_sup over that interval must have the
     domain's dimension and lie strictly inside, tested exactly.  The domain
     is convex, so a translating ball is tested, without K_sup, at the ends
-    of its path and, on a circle, at its centres' _arc_points."""
+    of its path and, on a circle, at its centres' _arc_points.  A jumping
+    pair is tested phase by phase: its K_sup, when the balls are nested, is
+    the outer ball, which holds the inner one only to 1e-12."""
     if isinstance(spec, RotatingSector) and domain.dim != 2:
         raise ValueError(f"moving set is 2-d in a {domain.dim}-d domain")
     if isinstance(spec, TranslatingSet) and spec.curve.kind == "circle":
@@ -611,6 +630,8 @@ def validate_inside_domain(spec, domain: DomainSpec, t0: float,
                  for p in _arc_points(c.center, c.radius, *ends, domain)]
     elif isinstance(spec, TranslatingSet):
         parts = [spec.snapshot(t0), spec.snapshot(t_end)]
+    elif isinstance(spec, JumpingSets):
+        parts = spec.phases(t0, t_end)
     else:
         swept = k_sup(spec, t0, t_end)
         parts = swept.parts if swept.kind == "union" else (swept,)

@@ -26,8 +26,8 @@ from .evolve import (RHO, EquationParams, SchemeConfig, Trajectory,
                      check_outputs, run as evolve_run)
 from .grid import Grid, build_grid, mask_from_shape, mask_within_distance
 from .oracles import TauInputs, tau_unbounded, w_inf
-from .spectral import (_one_solve_per_problem, lambda0_deltas,
-                       lambda0_of_set, principal_eigenpair, second_eigenvalue)
+from .spectral import (lambda0_deltas, lambda0_of_set, principal_eigenpair,
+                       second_eigenvalue)
 
 __all__ = [
     "InitialData",
@@ -281,16 +281,21 @@ class TheoremCheck:
     details: tuple            # ((key, value), ...)
 
 
-def _lambda0(grid: Grid, shape: SetShape) -> float:
+def _lambda0(grid: Grid, shape: SetShape, ladders: dict) -> float:
     """Characteristic value of a set from the two tightest rungs of the
-    default ladder, the only ones its verdict and extrapolation read."""
-    if shape.is_empty:
-        return math.inf
-    deltas = lambda0_deltas(grid)[-2:]
-    return lambda0_of_set(grid, shape, deltas=deltas).value
+    default ladder, the only ones its verdict and extrapolation read, kept
+    in ladders so each set takes one ladder.  The empty set and a point,
+    which lambda0_of_set calls infinite whatever its ladder, take none."""
+    if shape not in ladders:
+        if shape.is_empty or shape.is_point:
+            ladders[shape] = math.inf
+        else:
+            deltas = lambda0_deltas(grid)[-2:]
+            ladders[shape] = lambda0_of_set(grid, shape, deltas=deltas).value
+    return ladders[shape]
 
 
-def _check_envelopes(s: Scenario, grid: Grid) -> list:
+def _check_envelopes(s: Scenario, grid: Grid, ladders: dict) -> list:
     """Boundedness below the upper-envelope value, grow-up above the
     lower-envelope value (the two sides of the envelope criterion)."""
     spec = s.params.moving_set
@@ -303,16 +308,11 @@ def _check_envelopes(s: Scenario, grid: Grid) -> list:
     # the grow-up side the smallest lower-envelope value
     best_sup, best_inf = -math.inf, math.inf
     rows = []
-    # one lambda0 ladder per distinct set: a static set's K_sup and K_inf
-    # are the same set at every tau0
-    ladders = {}
     for tau0 in sorted(set(float(t) for t in tau0_list)):
-        up = k_sup(spec, s.t0 + tau0, s.t0 + horizon)
-        low = k_inf(spec, s.t0 + tau0, s.t0 + horizon)
-        for shape in (up, low):
-            if shape not in ladders:
-                ladders[shape] = _lambda0(grid, shape)
-        l0_up, l0_low = ladders[up], ladders[low]
+        l0_up = _lambda0(grid, k_sup(spec, s.t0 + tau0, s.t0 + horizon),
+                         ladders)
+        l0_low = _lambda0(grid, k_inf(spec, s.t0 + tau0, s.t0 + horizon),
+                          ladders)
         rows.append((tau0, l0_up, l0_low))
         best_sup = max(best_sup, l0_up)
         best_inf = min(best_inf, l0_low)
@@ -470,7 +470,7 @@ def _check_carried_growth(s: Scenario, grid: Grid) -> TheoremCheck:
                         details + (("carry_window", window),))
 
 
-def _check_alternating(s: Scenario, grid: Grid) -> TheoremCheck:
+def _check_alternating(s: Scenario, grid: Grid, ladders: dict) -> TheoremCheck:
     """Alternating nested sanctuaries: the set contains a large region for
     long stretches and shrinks to a nested small one only briefly; if the
     growth rate sits between the two characteristic values and the long
@@ -493,8 +493,8 @@ def _check_alternating(s: Scenario, grid: Grid) -> TheoremCheck:
     else:
         return TheoremCheck(name, False, "none",
                             (("reason", "shapes are not nested"),))
-    l0_big = _lambda0(grid, big)
-    l0_small = _lambda0(grid, small)
+    l0_big = _lambda0(grid, big, ladders)
+    l0_small = _lambda0(grid, small, ladders)
     if not (l0_big < lam < l0_small < math.inf):
         return TheoremCheck(name, False, "none",
                             (("lam", lam), ("lambda0_big", l0_big),
@@ -524,19 +524,20 @@ def _check_alternating(s: Scenario, grid: Grid) -> TheoremCheck:
 
 def predict(s: Scenario, grid: Grid | None = None) -> list:
     """Evaluate every criterion on the declarative scenario description;
-    each distinct principal eigenproblem is solved once per call."""
+    the call builds one lambda0 ladder per distinct set, in a dict by
+    SetShape that the envelope and alternating checks share."""
     if s.params.moving_set is None:
         return [TheoremCheck("envelope-bounded", False, "none",
                              (("reason", "no vanishing set (purely linear "
                                          "coefficient)"),))]
     grid = grid if grid is not None else scenario_grid(s)
-    with _one_solve_per_problem():
-        checks = _check_envelopes(s, grid)
-        checks.append(_check_intermittent(s))
-        checks.append(_check_jumping(s))
-        checks.append(_check_moving_floor(s, grid))
-        checks.append(_check_carried_growth(s, grid))
-        checks.append(_check_alternating(s, grid))
+    ladders = {}
+    checks = _check_envelopes(s, grid, ladders)
+    checks.append(_check_intermittent(s))
+    checks.append(_check_jumping(s))
+    checks.append(_check_moving_floor(s, grid))
+    checks.append(_check_carried_growth(s, grid))
+    checks.append(_check_alternating(s, grid, ladders))
     fired = {c.predicted for c in checks if c.hypotheses_hold}
     if "bounded" in fired and "grow_up" in fired:
         raise RuntimeError(

@@ -18,20 +18,15 @@ a geometric delta schedule with first-order Richardson extrapolation, and
 reported as infinite when the values blow past LAMBDA0_CAP (thin sets
 such as points in 2-d).
 
-Within one scenarios.predict() call each distinct principal eigenproblem
-is solved once: the call keeps each principal eigenvalue and packed
-eigenvector, keyed by a digest of the component's packed matrix, so an equal
-problem reached through another shape, start time or criterion is not solved
-again.  The memo lives in a context variable that predict() sets to a fresh
-dict and resets when it returns; elsewhere nothing is kept.  No LU factor
-outlives the solve that made it.
+Each call solves once per component: nothing is kept from one call to the
+next, and no LU factor outlives the solve that made it.  scenarios.predict()
+builds one lambda0 ladder per distinct set per prediction, keyed by the
+SetShape, which writes equal sets equally (a sector spanning a full turn is
+its disc, a nested jumping pair's K_sup is its outer ball).
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -145,44 +140,9 @@ def _check_residual(a: sp.csr_matrix, lam: float, vec: np.ndarray,
                            f"check (residual {residual:.3e})")
 
 
-#: the principal pairs solved in the current predict() call, by
-#: _problem_key; None, so nothing is kept, outside one
-_SOLVED = contextvars.ContextVar("degenlog_principal_pairs", default=None)
-
-
-@contextlib.contextmanager
-def _one_solve_per_problem():
-    """Within the block, _principal solves each distinct eigenproblem once."""
-    token = _SOLVED.set({})
-    try:
-        yield
-    finally:
-        _SOLVED.reset(token)
-
-
-def _problem_key(a: sp.csr_matrix, tol: float) -> tuple:
-    """The tolerance, size and sha256 digest of a's arrays: equal keys mean
-    equal arrays (n and nnz fix where one array ends and the next begins)."""
-    h = hashlib.sha256(a.indptr)
-    h.update(a.indices)
-    h.update(a.data)
-    return tol, a.shape[0], a.nnz, h.digest()
-
-
 def _principal(a: sp.csr_matrix, tol: float) -> tuple:
     """Smallest eigenvalue of a connected mask's packed Dirichlet matrix
-    and its eigenvector, packed, positive and read-only; solved once per
-    distinct problem inside _one_solve_per_problem."""
-    solved = _SOLVED.get()
-    if solved is None:
-        return _solve_principal(a, tol)
-    key = _problem_key(a, tol)
-    if key not in solved:
-        solved[key] = _solve_principal(a, tol)
-    return solved[key]
-
-
-def _solve_principal(a: sp.csr_matrix, tol: float) -> tuple:
+    and its eigenvector, packed and positive."""
     vals, vecs = _smallest_eigenpairs(a, 1, tol)
     lam, vec = float(vals[0]), vecs[:, 0]
     _check_residual(a, lam, vec, tol, "principal")
@@ -194,7 +154,6 @@ def _solve_principal(a: sp.csr_matrix, tol: float) -> tuple:
         if np.min(vec) < -1e-8 * np.max(vec):
             raise EigenFailure("principal eigenvector is not one-signed")
         vec = np.maximum(vec, np.finfo(float).tiny)
-    vec.flags.writeable = False
     return lam, vec
 
 
@@ -285,7 +244,7 @@ def lambda0_of_set(grid: Grid, k: SetShape, deltas=None) -> Lambda0Estimate:
     dist = k.distance(grid.points()).reshape(grid.shape)
     values = [principal_eigenvalue(grid, (dist <= d) & grid.mask)
               for d in deltas]
-    if values[-1] > LAMBDA0_CAP or (k.kind == "ball" and k.radius == 0.0):
+    if values[-1] > LAMBDA0_CAP or k.is_point:
         return Lambda0Estimate(deltas, tuple(values), "infinite", math.inf)
     if len(values) >= 2:
         # The eigenvalue scales like an inverse squared length, and the

@@ -62,6 +62,18 @@ class TestSetShape:
         s = SetShape.sector((0.0, 0.0), 1.0, 0.0, 2.0 * math.pi)
         assert s.distance((3.0, 0.0))[0] == pytest.approx(2.0)
 
+    # 166 rad is the widest of rotating-fast's K_sup spans
+    @pytest.mark.parametrize("span", [2.0 * math.pi, 166.0],
+                             ids=["2pi", "166"])
+    def test_full_span_sector_equals_its_disc(self, span):
+        c, theta0 = (1.0, 1.0), -0.7
+        assert SetShape.sector(c, 0.5, theta0, theta0 + span) == \
+            SetShape.ball(c, 0.5)
+
+    def test_sector_short_of_a_full_turn_stays_a_sector(self):
+        s = SetShape.sector((1.0, 1.0), 0.5, 0.0, 2.0 * math.pi - 1e-9)
+        assert s.kind == "sector"
+
     @pytest.mark.parametrize("center", [(1.0,), (1.0, 1.0, 1.0)])
     def test_sector_centre_must_be_2d(self, center):
         with pytest.raises(ValueError, match="a sector is 2-d"):
@@ -209,6 +221,29 @@ class TestNuProfile:
 
 
 class TestEnvelopes:
+    def test_rotating_fast_sup_is_the_full_span_disc_bit_for_bit(self):
+        """rotating-fast's K_sup at each default tau0 sweeps more than a
+        full turn: it is the disc, at the same distances as the full-span
+        sector's formula max(|q| - r, 0) on the scenario's lattice."""
+        s = scenarios.registry()["rotating-fast"]
+        spec = s.params.moving_set
+        p = scenarios.scenario_grid(s).points()
+        q = p - np.array(spec.center)
+        full_span = np.maximum(np.linalg.norm(q, axis=1) - spec.r0, 0.0)
+        for tau0 in (0.5, 2.0, 4.5):
+            up = k_sup(spec, tau0, s.t_end)
+            assert up == SetShape.ball(spec.center, spec.r0)
+            assert np.array_equal(up.distance(p), full_span)
+
+    @pytest.mark.parametrize("tau0", [0.1, 0.7])
+    def test_k_sup_nested_jumping_pair_is_the_outer_ball(self, tau0):
+        # phase k0 holds on (0, 0.5], k1 on (0.5, 1]
+        outer = SetShape.ball((1.0, 1.0), 0.65)
+        inner = SetShape.ball((1.1, 0.9), 0.35)
+        for k0, k1 in ((outer, inner), (inner, outer)):
+            spec = JumpingSets(k0, k1, period=1.0, t1=0.5)
+            assert k_sup(spec, tau0, tau0 + 3.0) == outer
+
     def test_k_sup_k_inf_static(self):
         s = StaticSet(SetShape.ball((0, 0), 1.0))
         assert k_sup(s, 1.0, 2.0) == s.base
@@ -329,13 +364,13 @@ def _envelope_shapes(label, monkeypatch):
     s = scenarios.registry()[label]
     shapes = []
 
-    def record(grid, shape):
+    def record(grid, shape, ladders):
         shapes.append(shape)
         return 1.0
 
     monkeypatch.setattr(scenarios, "_lambda0", record)
     grid = scenarios.scenario_grid(s)
-    scenarios._check_envelopes(s, grid)
+    scenarios._check_envelopes(s, grid, {})
     return shapes, grid
 
 
@@ -396,13 +431,16 @@ class TestBallUnionDistance:
         p = np.random.default_rng(3).uniform(-0.5, 2.5, (4000, dim))
         assert np.array_equal(u.distance(p), _per_part_distance(u, p))
 
-    # jumping-disjoint's balls are apart and of one radius,
-    # alternating-nested's are nested, of radii 0.65 and 0.35
+    # jumping-disjoint's balls are apart and of one radius, and its K_sup
+    # is their union; alternating-nested's are nested, of radii 0.65 and
+    # 0.35, so its K_sup is the outer ball and their union is built here
     @pytest.mark.parametrize("label", ["jumping-disjoint",
                                        "alternating-nested"])
     def test_two_ball_unions(self, label):
         s = scenarios.registry()[label]
-        u = k_sup(s.params.moving_set, s.t0, s.t_end)
+        spec = s.params.moving_set
+        u = (k_sup(spec, s.t0, s.t_end) if label == "jumping-disjoint"
+             else SetShape.union([spec.k0, spec.k1]))
         assert u.kind == "union" and len(u.parts) == 2
         p = scenarios.scenario_grid(s).points()
         assert np.array_equal(u.distance(p), _per_part_distance(u, p))
@@ -534,6 +572,23 @@ class TestGapsAndValidation:
             with pytest.raises(ValueError, match="leaves the domain"):
                 validate_inside_domain(TranslatingSet(0.6, curve), d, 0.0,
                                        5.0)
+
+    def test_nested_jumping_pair_tested_phase_by_phase(self):
+        """The inner ball B((1 + 9e-13, 1), 1 - 9e-13) reaches the wall
+        x = 2.  The outer ball, the pair's K_sup, holds it to 1e-12 and lies
+        inside.  The pair is refused, and accepted with an inner radius
+        1.1e-12 smaller."""
+        d = DomainSpec.rectangle((0.0, 0.0), (2.0, 2.0))
+        outer = SetShape.ball((1.0, 1.0), 1.0 - 1e-13)
+        for radius, fits in ((1.0 - 9e-13, False), (1.0 - 2e-12, True)):
+            inner = SetShape.ball((1.0 + 9e-13, 1.0), radius)
+            spec = JumpingSets(outer, inner, period=1.0, t1=0.5)
+            assert k_sup(spec, 0.0, 3.0) == outer
+            if fits:
+                validate_inside_domain(spec, d, 0.0, 3.0)
+            else:
+                with pytest.raises(ValueError, match="leaves the domain"):
+                    validate_inside_domain(spec, d, 0.0, 3.0)
 
     def test_sector_in_a_1d_domain(self):
         spec = RotatingSector((1.0,), 0.3, 0.0, 1.0, omega=1.0)
