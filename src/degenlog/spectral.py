@@ -2,16 +2,25 @@
 
 The principal eigenpair and the second eigenvalue of the discrete negative
 Laplacian come from one path: shift-invert Lanczos about zero (ARPACK's
-eigsh) from a fixed start vector, each inverse applied through one
-symmetric-mode LU on a minimum-degree ordering of the mask's packed
-Dirichlet matrix (`grid.dirichlet_matrix`, on the mask's values in C order).
-The principal solve keeps a Lanczos basis of 10 vectors (ncv), which about
-halves its inverse applications against ARPACK's default of 20; the second
-eigenvalue keeps 20, because from the constant start vector a smaller basis
-can converge to a higher mode.  Both pairs are held to a residual bound, and
-the principal eigenvector must be one-signed.  Masks are split into
-face-connected components on the matrix's own sparsity pattern, which is
-the lattice's face adjacency.  Eigenfunctions are returned as lattice arrays.
+eigsh) from a fixed start vector on the mask's packed Dirichlet matrix
+(`grid.dirichlet_matrix`, on the mask's values in C order), each inverse
+applied through one factor of it.  A principal solve whose band holds at
+most BAND_VALUES values, n (b + 1) for n nodes and half-bandwidth b, takes
+LAPACK's band Cholesky factor: every mask on a 64-cell lattice fits, and
+there it about halves the solve's time against SuperLU.  The half-bandwidth
+is about the mask's row length, so the band grows like n^1.5; larger masks
+take one symmetric-mode LU on a minimum-degree ordering, whose fill grows
+slower.  The second eigenvalue always takes that LU: from the constant
+start vector the mode its Lanczos finds on a symmetric mask depends on the
+factor's roundoff (ROADMAP item 5), and the pinned second eigenvalues are
+the LU's.  The principal solve keeps a Lanczos basis of 10 vectors (ncv),
+which about halves its inverse applications against ARPACK's default of
+20; the second eigenvalue keeps 20, because from the constant start vector
+a smaller basis can converge to a higher mode.  Both pairs are held to a
+residual bound, and the principal eigenvector must be one-signed.  Masks
+are split into face-connected components on the matrix's own sparsity
+pattern, which is the lattice's face adjacency.  Eigenfunctions are
+returned as lattice arrays.
 The characteristic value of a compact set K is the limit of the principal
 eigenvalue of shrinking neighborhoods {d(x, K) <= delta}; it is estimated on
 a geometric delta schedule with first-order Richardson extrapolation, and
@@ -19,7 +28,7 @@ reported as infinite when the values blow past LAMBDA0_CAP (thin sets
 such as points in 2-d).
 
 Each call solves once per component: nothing is kept from one call to the
-next, and no LU factor outlives the solve that made it.  scenarios.predict()
+next, and no factor outlives the solve that made it.  scenarios.predict()
 builds one lambda0 ladder per distinct set per prediction, keyed by the
 SetShape, which writes equal sets equally (a sector spanning a full turn is
 its disc, a nested jumping pair's K_sup is its outer ball).
@@ -31,6 +40,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
@@ -102,6 +112,42 @@ def _components(grid: Grid, mask: np.ndarray) -> list:
             for idx in (np.flatnonzero(labels == c) for c in range(n_comp))]
 
 
+#: the most values a principal solve's band Cholesky factor may hold,
+#: n (b + 1) for n nodes and half-bandwidth b: every mask on a 64-cell
+#: lattice fits (the full 63 x 63 square needs 254,016)
+BAND_VALUES = 2 ** 18
+
+
+def _inverse(a: sp.csr_matrix, k: int):
+    """The map x -> a^-1 x of a packed Dirichlet matrix for a k-pair
+    solve: through LAPACK's band Cholesky factor for k = 1 when the band
+    holds at most BAND_VALUES values, else through SuperLU (module
+    docstring).  A band factor that meets a nonpositive pivot raises
+    EigenFailure."""
+    n = a.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(a.indptr))
+    offsets = a.indices - rows
+    b = int(offsets.max())
+    if k == 1 and n * (b + 1) <= BAND_VALUES:
+        # LAPACK's upper band storage, ab[b + i - j, j] = a[i, j] for
+        # i <= j, built in Fortran order so that the factor overwrites it
+        upper = offsets >= 0
+        ab = np.zeros((b + 1, n), order="F")
+        ab[b - offsets[upper], a.indices[upper]] = a.data[upper]
+        try:
+            cb = cholesky_banded(ab, overwrite_ab=True, check_finite=False)
+        except LinAlgError as e:
+            raise EigenFailure(f"band Cholesky factor failed: {e}") from e
+        return lambda x: cho_solve_banded((cb, False), x, check_finite=False)
+    # the matrix is a symmetric M-matrix: its LU needs no pivoting, and a
+    # minimum-degree ordering on A + A^T fills far less than eigsh's default
+    # COLAMD factor; a.T is the CSC matrix on a's own arrays, which for a
+    # symmetric a is a itself, without tocsc()'s copy
+    lu = spla.splu(a.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
+    return lu.solve
+
+
 def _smallest_eigenpairs(a: sp.csr_matrix, k: int, tol: float):
     """The k smallest eigenpairs of a packed Dirichlet matrix: ascending
     values, and the unit eigenvectors as columns."""
@@ -114,13 +160,9 @@ def _smallest_eigenpairs(a: sp.csr_matrix, k: int, tol: float):
     v0 = np.full(n, 1.0 / math.sqrt(n))
     # 10 Lanczos vectors for k = 1, ARPACK's 20 for k = 2 (module docstring)
     ncv = min(10, n) if k == 1 else None
-    # the matrix is a symmetric M-matrix: its LU needs no pivoting, and a
-    # minimum-degree ordering on A + A^T fills far less than eigsh's default
-    # COLAMD factor; a.T is the CSC matrix on a's own arrays, which for a
-    # symmetric a is a itself, without tocsc()'s copy
-    lu = spla.splu(a.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                   options={"SymmetricMode": True})
-    inverse = spla.LinearOperator(a.shape, matvec=lu.solve, dtype=float)
+    # each inverse application goes through one factor of a (`_inverse`)
+    inverse = spla.LinearOperator(a.shape, matvec=_inverse(a, k),
+                                  dtype=float)
     try:
         vals, vecs = spla.eigsh(a, k=k, sigma=0.0, which="LM", tol=tol,
                                 v0=v0, ncv=ncv, OPinv=inverse)

@@ -272,11 +272,11 @@ class TestPredictAndCrossCheck:
         """The bits of the prediction layer over the registry: the first 16
         hex digits of the sha256 of the UTF-8 bytes of
         "\\n".join(repr(predict(s)) for s in registry().values())
-        are 7dabd789e2521972.  Any moved eigenvalue, ladder value, tau or
+        are f4cfcab390254a20.  Any moved eigenvalue, ladder value, tau or
         verdict of any label moves the hash."""
         text = "\n".join(repr(predict(s)) for s in registry().values())
         digest = hashlib.sha256(text.encode()).hexdigest()[:16]
-        assert digest == "7dabd789e2521972"
+        assert digest == "f4cfcab390254a20"
 
     #: principal and second eigen solves of one predict() per label, 98 in
     #: all.  Each distinct envelope set takes one ladder of two rungs, and a
@@ -308,6 +308,26 @@ class TestPredictAndCrossCheck:
             solves[label], calls[:] = len(calls), []
         assert solves == self.SOLVES
         assert sum(solves.values()) == 98
+
+    def test_band_factor_for_each_principal_solve(self, monkeypatch):
+        # every registry mask fits the band cap, so each of the 94 principal
+        # solves factors a band and only the 4 second-eigenvalue solves
+        # factor through SuperLU
+        factors = []
+        band, lu = spectral.cholesky_banded, spectral.spla.splu
+
+        def counted(name, factor):
+            def call(*args, **kwargs):
+                factors.append(name)
+                return factor(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(spectral, "cholesky_banded",
+                            counted("band", band))
+        monkeypatch.setattr(spectral.spla, "splu", counted("lu", lu))
+        for s in registry().values():
+            predict(s)
+        assert (factors.count("band"), factors.count("lu")) == (94, 4)
 
     # rotating-slow's K_inf is a point, which takes no ladder; the
     # alternating check of alternating-nested reads its envelope ladders

@@ -226,6 +226,7 @@ def _default_shift_invert(grid, mask, k):
 
 
 SQUARE_63 = build_grid(DomainSpec.rectangle((0.0, 0.0), (2.0, 2.0)), 64)
+SQUARE_127 = build_grid(DomainSpec.rectangle((0.0, 0.0), (2.0, 2.0)), 128)
 INTERVAL_63 = build_grid(DomainSpec.rectangle((0.0,), (2.0,)), 64)
 THIN_4 = build_grid(DomainSpec.rectangle((0.0, 0.0), (4.0, 1.0)), 32)
 THIN_8 = build_grid(DomainSpec.rectangle((0.0, 0.0), (8.0, 1.0)), 64)
@@ -240,10 +241,20 @@ def _line(length):
     return m
 
 
+def _band_values(grid, mask):
+    """n (b + 1), the values of the band factor of a mask's packed
+    Dirichlet matrix with n nodes and half-bandwidth b."""
+    a = dirichlet_matrix(grid, mask).tocoo()
+    return a.shape[0] * (int(np.max(a.col - a.row)) + 1)
+
+
 class TestSymmetricModeFactor:
-    """The symmetric-mode minimum-degree LU behind the eigen solves agrees
-    with eigsh's default factor to 1e-12 relative, and the principal
-    solve's 10-vector Lanczos basis with the dense spectrum to 1e-10."""
+    """Both factors behind the eigen solves agree with eigsh's default
+    factor to 1e-12 relative: the band Cholesky factor of the principal
+    solves whose band holds at most spectral.BAND_VALUES values, and the
+    symmetric-mode minimum-degree LU of the larger principal solves and of
+    every second-eigenvalue solve.  The principal solve's 10-vector Lanczos
+    basis agrees with the dense spectrum to 1e-10."""
 
     # thin rectangles crowd lambda_2 up to lambda_1 (ratios 1.18 and 1.05),
     # and below 10 nodes the basis is capped at the mask's size
@@ -262,19 +273,34 @@ class TestSymmetricModeFactor:
             assert second_eigenvalue(grid, mask) == pytest.approx(vals[1],
                                                                   rel=1e-10)
 
-    @pytest.mark.parametrize("grid, mask", [
-        (SQUARE_63, SQUARE_63.mask),
+    # every mask on a 63-node lattice takes the band, the 127-lattice ball
+    # of radius 0.9 (about 10,400 nodes) is beyond the cap and takes the LU
+    @pytest.mark.parametrize("grid, mask, band", [
+        (SQUARE_63, SQUARE_63.mask, True),
         (SQUARE_63, mask_from_shape(SQUARE_63,
-                                    SetShape.ball((1.0, 1.0), 0.45))),
-        (INTERVAL_63, INTERVAL_63.mask),
-    ], ids=["square", "ball", "interval"])
-    def test_matches_default_factor(self, grid, mask):
+                                    SetShape.ball((1.0, 1.0), 0.45)), True),
+        (INTERVAL_63, INTERVAL_63.mask, True),
+        (SQUARE_127, mask_from_shape(SQUARE_127,
+                                     SetShape.ball((1.0, 1.0), 0.9)), False),
+    ], ids=["square", "ball", "interval", "ball-127"])
+    def test_matches_default_factor(self, grid, mask, band):
+        assert (_band_values(grid, mask) <= spectral.BAND_VALUES) == band
         lam1 = _default_shift_invert(grid, mask, 1)[0]
         lam2 = _default_shift_invert(grid, mask, 2)[1]
         assert principal_eigenvalue(grid, mask) == pytest.approx(lam1,
                                                                  rel=1e-12)
         assert second_eigenvalue(grid, mask) == pytest.approx(lam2,
                                                               rel=1e-12)
+
+    def test_failed_band_factor_raises(self):
+        # symmetric and indefinite (eigenvalues 1 and 1 +- 2 sqrt 2), so the
+        # band Cholesky factor of the principal solve meets a nonpositive
+        # pivot
+        a = sp.csr_matrix(np.array([[1.0, 2.0, 0.0],
+                                    [2.0, 1.0, 2.0],
+                                    [0.0, 2.0, 1.0]]))
+        with pytest.raises(EigenFailure, match="band Cholesky"):
+            spectral._smallest_eigenpairs(a, 1, 1e-10)
 
 
 class TestDeltaSchedule:
